@@ -50,10 +50,9 @@ for c in (0.0, 0.25, 0.5, 0.75, 1.0):
     z_true = oel.embed_candidates(model, C_s_true, C_u_true)
     err = float(np.mean(oel.surrogate_sq_errors(z_pred, z_true, true_norms)))
 
-    # materialize the learned 1-d direction in the explicit feature space
-    direction = np.hstack([
-        model.scale_sup * (ds.y_sup.T @ model.alpha_train),
-        model.scale_unsup * ds.y_unsup.T]) @ model.beta
+    # materialize the learned 1-d direction in the explicit feature space:
+    # with a linear output kernel it is Y_sup^T R_s^T + Y_unsup^T R_u^T
+    direction = ds.y_sup.T @ model.R_s.T + ds.y_unsup.T @ model.R_u.T
     direction = direction[:, 0] / np.linalg.norm(direction[:, 0])
     print(f" {c:4.2f}   {err:19.3f}   ({abs(direction[0]):.3f}, "
           f"{abs(direction[1]):.3f})")

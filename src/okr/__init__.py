@@ -8,34 +8,37 @@ an (optionally unsupervised) output pool, which shrinks decoding from O(n)
 to O(p) inner products per candidate.
 """
 
-from .decode import Ranking, decode_iokr, decode_oel
-from .kernels import KernelSpec, gram, kemeny_embed, pair_values, self_norms
-from .krr import KrrModel, fit_krr, fit_krr_nystrom, predict_alpha, select_anchors
-from .linalg import (EigPair, NumericalError, RegularizedSolver, eig_topk_exact,
-                     eig_topk_randomized, solve_regularized)
-from .metrics import (MetricReport, f1_example, f1_example_mean, hamming,
-                      kendall_tau, rkhs_loss, topk_accuracy)
-from .oel import (MixedGram, OelModel, assemble_mixed_gram, embed_candidates,
-                  embed_tests, fit_oel, fit_oel_with_krr, surrogate_sq_errors)
-from .dataio import (DataError, Dataset, Holdout, KFold, ModelBundle,
-                     RepeatedSubsample, load_dataset, load_model, save_model,
-                     split, synth_remark1)
-from .tuning import SearchSpace, TrialConfig, grid_search_ssv, nested_cv
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KernelSpec", "gram", "self_norms", "pair_values", "kemeny_embed",
-    "RegularizedSolver", "solve_regularized", "EigPair", "eig_topk_exact",
-    "eig_topk_randomized", "NumericalError",
-    "KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "select_anchors",
-    "MixedGram", "OelModel", "assemble_mixed_gram", "fit_oel", "fit_oel_with_krr",
-    "embed_candidates", "embed_tests", "surrogate_sq_errors",
-    "Ranking", "decode_oel", "decode_iokr",
-    "MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
-    "topk_accuracy", "kendall_tau", "hamming",
-    "DataError", "Dataset", "ModelBundle", "Holdout", "KFold",
-    "RepeatedSubsample", "load_dataset", "save_model", "load_model", "split",
-    "synth_remark1",
-    "SearchSpace", "TrialConfig", "grid_search_ssv", "nested_cv",
-]
+# public names by defining module. Modules load on first attribute access,
+# so importing okr (or okr.cli, which caps the BLAS threads before numpy
+# loads) stays cheap.
+_EXPORTS = {
+    "kernels": ("KernelSpec", "gram", "self_norms", "pair_values", "kemeny_embed"),
+    "linalg": ("RegularizedSolver", "solve_regularized", "EigPair", "eig_topk_exact",
+               "eig_topk_randomized", "NumericalError"),
+    "krr": ("KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "select_anchors"),
+    "oel": ("MixedGram", "OelModel", "assemble_mixed_gram", "fit_oel", "fit_oel_with_krr",
+            "embed_candidates", "embed_tests", "surrogate_sq_errors"),
+    "decode": ("Ranking", "decode_oel", "decode_iokr"),
+    "metrics": ("MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
+                "topk_accuracy", "kendall_tau", "hamming"),
+    "dataio": ("DataError", "Dataset", "ModelBundle", "Holdout", "KFold",
+               "RepeatedSubsample", "load_dataset", "save_model", "load_model", "split",
+               "synth_remark1"),
+    "tuning": ("SearchSpace", "TrialConfig", "grid_search_ssv", "nested_cv"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -316,6 +316,8 @@ def _cmd_predict(args, out):
 
 
 def _cmd_evaluate(args, out):
+    import warnings
+
     import numpy as np
 
     from . import dataio, kernels, metrics
@@ -354,10 +356,16 @@ def _cmd_evaluate(args, out):
         reports.append(metrics.report_from_values("kendall_tau", taus))
     if ds.truth_index is not None:
         ks = get_int_list(cfg, "evaluate.topk", (1, 5, 10))
-        for k, acc in metrics.topk_accuracy(rankings, ds.truth_index, ks).items():
-            hits = [1.0 if np.any(r.indices[:k] == t) else 0.0
-                    for r, t in zip(rankings, ds.truth_index)]
-            reports.append(metrics.report_from_values(f"top{k}_accuracy", hits))
+        outside = sum(not 0 <= t < cand.shape[0]
+                      or (ds.candidate_map is not None and t not in ds.candidate_map[j])
+                      for j, t in enumerate(ds.truth_index))
+        if outside:
+            warnings.warn(f"{outside} of {len(rankings)} queries have a true candidate "
+                          "outside their candidate set; counted as misses", stacklevel=2)
+        ranks = metrics.truth_ranks(rankings, ds.truth_index)
+        for k in ks:
+            reports.append(metrics.report_from_values(f"top{k}_accuracy",
+                                                      (ranks <= k).astype(np.float64)))
 
     table_path = out / "metrics.tsv"
     with open(table_path, "w", encoding="utf-8") as fh:

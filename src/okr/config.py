@@ -70,17 +70,6 @@ def get_int(cfg: dict, key: str, default=None, required: bool = False):
         raise UsageError(f"config key {key!r}: {raw!r} is not an integer") from exc
 
 
-def get_bool(cfg: dict, key: str, default: bool = False) -> bool:
-    raw = get_str(cfg, key)
-    if raw is None:
-        return default
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config key {key!r}: {raw!r} is not a boolean")
-
-
 def get_float_list(cfg: dict, key: str, default=None):
     raw = get_str(cfg, key)
     if raw is None:

@@ -29,7 +29,7 @@ from .linalg import RegularizedSolver
 from .oel import OelModel
 
 MAGIC = b"OKRMAT01"
-BUNDLE_VERSION = "1"
+BUNDLE_VERSION = "2"
 
 DENSE = "dense"
 BITSET = "bitset"
@@ -670,12 +670,10 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
             "oel.ortho_defect": repr(oel_model.ortho_defect),
         })
         matrices["oel_beta"] = oel_model.beta
-        matrices["oel_mu"] = oel_model.mu[None, :]
-        matrices["oel_gy"] = oel_model.gy
-        matrices["oel_alpha_train"] = oel_model.alpha_train
-        matrices["oel_K_y_ss"] = oel_model.K_y_ss
-        if oel_model.m:
-            matrices["oel_K_y_su"] = oel_model.K_y_su
+        matrices["oel_mu"] = oel_model.mu[:, None]
+        matrices["oel_R_s"] = oel_model.R_s
+        matrices["oel_R_u"] = oel_model.R_u
+        matrices["oel_T"] = oel_model.T
     manifest.update(extra_manifest or {})
     matrices.update(extra_matrices or {})
     return ModelBundle(manifest=manifest, matrices=matrices)
@@ -705,12 +703,8 @@ def models_from_bundle(bundle: ModelBundle):
                         f"(n={n}, m={m}, p={man['oel.p']})")
     oel_model = OelModel(
         beta=beta, mu=bundle.matrices["oel_mu"].ravel(), c=c, n=n, m=m,
-        scale_sup=float(np.sqrt(c / n)),
-        scale_unsup=float(np.sqrt((1.0 - c) / m)) if m else 0.0,
-        alpha_train=bundle.matrices["oel_alpha_train"],
-        K_y_ss=bundle.matrices["oel_K_y_ss"],
-        K_y_su=bundle.matrices.get("oel_K_y_su"),
-        gy=bundle.matrices["oel_gy"],
+        R_s=bundle.matrices["oel_R_s"], R_u=bundle.matrices["oel_R_u"],
+        T=bundle.matrices["oel_T"],
         gram_trace=float(man["oel.gram_trace"]),
         ortho_defect=float(man["oel.ortho_defect"]))
     return krr_model, oel_model

@@ -55,7 +55,7 @@ def _as_samples(A) -> np.ndarray:
     return A
 
 
-def _as_indices(A, source: np.ndarray, what: str) -> np.ndarray:
+def _as_indices(A, what: str) -> np.ndarray:
     idx = np.asarray(A)
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"precomputed kernel expects 1-d integer index arrays, got {what} "
@@ -131,8 +131,8 @@ def gram(spec: KernelSpec, A, B=None) -> np.ndarray:
 def _gram_precomputed(spec: KernelSpec, A, B) -> np.ndarray:
     src = np.asarray(spec.source, dtype=np.float64)
     symmetric = B is None or B is A
-    ia = _as_indices(A, src, "A")
-    ib = ia if symmetric else _as_indices(B, src, "B")
+    ia = _as_indices(A, "A")
+    ib = ia if symmetric else _as_indices(B, "B")
     if ia.size and (ia.min() < 0 or ia.max() >= src.shape[0]):
         raise IndexError(f"row index out of range for precomputed source {src.shape}")
     if ib.size and (ib.min() < 0 or ib.max() >= src.shape[1]):
@@ -151,8 +151,8 @@ def pair_values(spec: KernelSpec, A, B) -> np.ndarray:
     same number of rows (a cheap diagonal of gram(spec, A, B))."""
     if spec.kind == PRECOMPUTED:
         src = np.asarray(spec.source, dtype=np.float64)
-        ia = _as_indices(A, src, "A")
-        ib = _as_indices(B, src, "B")
+        ia = _as_indices(A, "A")
+        ib = _as_indices(B, "B")
         if ia.size != ib.size:
             raise ValueError(f"row counts differ: {ia.size} vs {ib.size}")
         if ia.size and (ia.min() < 0 or ia.max() >= src.shape[0]
@@ -184,7 +184,7 @@ def self_norms(spec: KernelSpec, Y) -> np.ndarray:
     """Vector of squared feature norms k(y_i, y_i) for the rows of Y."""
     if spec.kind == PRECOMPUTED:
         src = np.asarray(spec.source, dtype=np.float64)
-        iy = _as_indices(Y, src, "Y")
+        iy = _as_indices(Y, "Y")
         if iy.size and (iy.min() < 0 or iy.max() >= min(src.shape)):
             raise IndexError(f"diagonal index out of range for precomputed source {src.shape}")
         return src[iy, iy].astype(np.float64)

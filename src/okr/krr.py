@@ -34,7 +34,6 @@ class KrrModel:
         self.solver = solver
         self.dual_weights = dual_weights
         self.anchors = anchors
-        self._weights: np.ndarray | None = None
 
     @property
     def q(self) -> int | None:
@@ -45,29 +44,18 @@ class KrrModel:
         """Expected row count of kernel columns passed to predict_alpha."""
         return self.n if self.mode == EXACT else int(self.anchors.size)
 
-    def weights(self) -> np.ndarray:
-        """Materialize W = (K_x + n*lambda*I)^{-1} (exact mode only); cached."""
-        if self.mode != EXACT:
-            raise ValueError("weights() is only defined for exact-mode models")
-        if self._weights is None:
-            self._weights = self.solver.inverse()
-        return self._weights
 
-
-def fit_krr(K_x, lam: float, materialize_weights: bool = False) -> KrrModel:
+def fit_krr(K_x, lam: float) -> KrrModel:
     """Fit exact KRR on an n x n input Gram matrix with ridge parameter lam.
 
-    The solve state is (K_x + n*lambda*I) factored once; W itself is only
-    formed when materialize_weights is set (or weights() is called later).
+    The solve state is (K_x + n*lambda*I) factored once; its inverse is never
+    formed.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     K_x = check_symmetric(K_x, what="K_x")
     n = K_x.shape[0]
-    model = KrrModel(EXACT, lam, n, solver=RegularizedSolver(K_x, n * lam))
-    if materialize_weights:
-        model.weights()
-    return model
+    return KrrModel(EXACT, lam, n, solver=RegularizedSolver(K_x, n * lam))
 
 
 def fit_krr_nystrom(K_x_cols, K_x_qq, lam: float, anchors) -> KrrModel:
@@ -155,14 +143,3 @@ def surrogate_sq_errors(alpha_cols: np.ndarray, K_y_train: np.ndarray,
     quad = np.einsum("ij,ij->j", A, np.asarray(K_y_train) @ A)
     cross = np.einsum("ij,ij->j", A, C)
     return quad - 2.0 * cross + np.asarray(true_self_norms, dtype=np.float64)
-
-
-def training_surrogate_loss(alpha_train: np.ndarray, K_y: np.ndarray) -> float:
-    """Mean squared feature-space training residual of the fit: the special
-    case of surrogate_sq_errors where the evaluation points are the training
-    points themselves (alpha_train = W K_x columnwise)."""
-    K_y = np.asarray(K_y, dtype=np.float64)
-    A = np.asarray(alpha_train, dtype=np.float64)
-    if A.shape != K_y.shape:
-        raise ValueError(f"alpha_train {A.shape} and K_y {K_y.shape} must both be n x n")
-    return float(np.mean(surrogate_sq_errors(A, K_y, K_y, np.diag(K_y))))

@@ -74,10 +74,6 @@ class RegularizedSolver:
             raise ValueError(f"B has {B.shape[0]} rows, expected {self.n}")
         return scipy.linalg.cho_solve(self._factor, B)
 
-    def inverse(self) -> np.ndarray:
-        """Materialize (K + shift*I)^{-1} (n x n); prefer solve() when possible."""
-        return self.solve(np.eye(self.n))
-
 
 def solve_regularized(K, shift: float) -> RegularizedSolver:
     """Factor (K + shift*I) once so many right-hand sides can be solved."""

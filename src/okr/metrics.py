@@ -75,27 +75,31 @@ def f1_example_mean(Y_true, Y_pred) -> float:
     return float(np.mean([f1_example(t, p) for t, p in zip(T, P)]))
 
 
-def topk_accuracy(rankings, truth, ks) -> dict[int, float]:
-    """Fraction of queries whose true candidate appears within rank <= k.
-
-    rankings is one Ranking per query, truth the true candidate index per
-    query. A truth missing from its ranking counts as a miss at every k and
-    triggers a warning (candidate sets are expected to contain the truth).
-    """
+def truth_ranks(rankings, truth) -> np.ndarray:
+    """1-based rank of each query's true candidate in its ranking, inf where
+    the ranking does not contain it. rankings is one Ranking per query,
+    truth the true candidate index per query."""
     truth = np.asarray(truth)
     if len(rankings) != truth.size:
         raise ValueError(f"{len(rankings)} rankings for {truth.size} truths")
-    positions = np.empty(truth.size)
-    missing = 0
+    positions = np.full(truth.size, np.inf)
     for j, (ranking, t) in enumerate(zip(rankings, truth)):
         hit = np.flatnonzero(ranking.indices == t)
         if hit.size:
             positions[j] = hit[0] + 1
-        else:
-            positions[j] = np.inf
-            missing += 1
+    return positions
+
+
+def topk_accuracy(rankings, truth, ks) -> dict[int, float]:
+    """Fraction of queries whose true candidate appears within rank <= k.
+
+    A truth missing from its ranking counts as a miss at every k and
+    triggers a warning (candidate sets are expected to contain the truth).
+    """
+    positions = truth_ranks(rankings, truth)
+    missing = int(np.count_nonzero(np.isinf(positions)))
     if missing:
-        warnings.warn(f"{missing} of {truth.size} queries have no true candidate in their "
+        warnings.warn(f"{missing} of {positions.size} queries have no true candidate in their "
                       "ranking; counted as misses", stacklevel=2)
     return {int(k): float(np.mean(positions <= k)) for k in ks}
 

@@ -3,10 +3,11 @@
 The p-dimensional embedding is the span of the top eigenvectors of the mixed
 Gram matrix of n + m scaled feature-space vectors: the ridge-regression
 predictions sqrt(c/n) * h(x_i) for the supervised inputs and the raw outputs
-sqrt((1-c)/m) * psi(y_j) for the unsupervised pool. Everything downstream
-(embedding test predictions, embedding decode candidates) reduces to kernel
-evaluations against those n + m vectors, weighted by the eigenvector
-coefficients beta.
+sqrt((1-c)/m) * psi(y_j) for the unsupervised pool. The embedding of any new
+point is linear in its kernel column, so a fit ends by folding the
+eigenvector coefficients beta into three p-row readout matrices: R_s and R_u
+map the output-kernel columns of a decode candidate to its embedding, and T
+maps the alpha column of a test prediction to its embedding.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ ORTHO_CERT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MixedGram:
-    """PSD Gram of the n + m scaled spanning vectors, plus the pieces needed
-    to express embeddings of new points through kernel columns."""
+    """PSD Gram of the n + m scaled spanning vectors, plus the pieces that
+    fit_oel folds into the readout matrices of OelModel."""
 
     K: np.ndarray
     n: int
@@ -133,24 +134,28 @@ class OelModel:
     """Learned embedding state; immutable after fit.
 
     beta ((n+m) x p) holds the eigenvector columns u_l / sqrt(mu_l); the
-    training embedding of the scaled spanning vectors is gy = K beta. The
     certificate beta^T K beta = I_p (checked at fit, stored as ortho_defect)
     is what makes the p coordinates an orthonormal system in feature space.
+    With beta_s, beta_u the first n and last m rows of beta and A the n x n
+    training alpha matrix, the readouts are
+
+        R_s = scale_sup * beta_s^T A              (p x n)
+        R_u = scale_unsup * beta_u^T              (p x m)
+        T   = R_s K_y^ss + R_u (K_y^su)^T         (p x n)
+
+    so a candidate embeds as R_s C_s + R_u C_u and a test prediction as
+    T alpha(x).
     """
 
-    def __init__(self, beta, mu, c, n, m, scale_sup, scale_unsup,
-                 alpha_train, K_y_ss, K_y_su, gy, gram_trace, ortho_defect):
+    def __init__(self, beta, mu, c, n, m, R_s, R_u, T, gram_trace, ortho_defect):
         self.beta = beta
         self.mu = mu
         self.c = float(c)
         self.n = int(n)
         self.m = int(m)
-        self.scale_sup = float(scale_sup)
-        self.scale_unsup = float(scale_unsup)
-        self.alpha_train = alpha_train
-        self.K_y_ss = K_y_ss
-        self.K_y_su = K_y_su
-        self.gy = gy
+        self.R_s = R_s
+        self.R_u = R_u
+        self.T = T
         self.gram_trace = float(gram_trace)
         self.ortho_defect = float(ortho_defect)
 
@@ -158,6 +163,14 @@ class OelModel:
     def p(self) -> int:
         """Effective embedding dimension (after dropping near-null columns)."""
         return self.beta.shape[1]
+
+    @property
+    def scale_sup(self) -> float:
+        return float(np.sqrt(self.c / self.n))
+
+    @property
+    def scale_unsup(self) -> float:
+        return float(np.sqrt((1.0 - self.c) / self.m)) if self.m else 0.0
 
     def reconstruction_residual(self) -> float:
         """Training objective value: mean squared reconstruction error of the
@@ -195,17 +208,20 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
         mu, U = mu[keep], U[:, keep]
 
     beta = U / np.sqrt(mu)[None, :] if mu.size else U
-    gy = mixed.K @ beta
     p_eff = beta.shape[1]
-    defect = float(np.max(np.abs(beta.T @ gy - np.eye(p_eff)))) if p_eff else 0.0
+    defect = (float(np.max(np.abs(beta.T @ (mixed.K @ beta) - np.eye(p_eff))))
+              if p_eff else 0.0)
     if defect > ORTHO_CERT_TOL:
         raise NumericalError(f"embedding orthonormality certificate failed: "
                              f"max |beta^T K beta - I| = {defect:.3g}")
-    return OelModel(beta=beta, mu=mu, c=mixed.c, n=mixed.n, m=mixed.m,
-                    scale_sup=mixed.scale_sup, scale_unsup=mixed.scale_unsup,
-                    alpha_train=mixed.alpha_train, K_y_ss=mixed.K_y_ss,
-                    K_y_su=mixed.K_y_su, gy=gy, gram_trace=float(np.trace(mixed.K)),
-                    ortho_defect=defect)
+    n = mixed.n
+    R_s = mixed.scale_sup * (beta[:n].T @ mixed.alpha_train)
+    R_u = mixed.scale_unsup * beta[n:].T
+    T = R_s @ mixed.K_y_ss
+    if mixed.m:
+        T += R_u @ mixed.K_y_su.T
+    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R_s=R_s, R_u=R_u,
+                    T=T, gram_trace=float(np.trace(mixed.K)), ortho_defect=defect)
 
 
 def _check_cols(name: str, M, rows: int, ncols: int | None) -> np.ndarray:
@@ -224,19 +240,16 @@ def embed_candidates(model: OelModel, C_s, C_u=None) -> np.ndarray:
 
     C_s is the n x N matrix k_y(y_i^train, y_cand); C_u the m x N matrix
     against the unsupervised outputs (required when the model was fit with
-    m > 0). Column c of the result is the p-vector G psi(y_c).
+    m > 0). Column c of the result is the p-vector G psi(y_c) = R_s C_s + R_u C_u.
     """
     C_s = _check_cols("C_s", C_s, model.n, None)
-    N = C_s.shape[1]
-    if model.m:
-        if C_u is None:
-            raise ValueError(f"model has m = {model.m} unsupervised outputs; C_u is required")
-        C_u = _check_cols("C_u", C_u, model.m, N)
-    Z = np.zeros((model.p, N))
-    if model.scale_sup > 0.0:
-        Z += model.beta[:model.n].T @ (model.scale_sup * (model.alpha_train @ C_s))
-    if model.m and model.scale_unsup > 0.0:
-        Z += model.beta[model.n:].T @ (model.scale_unsup * C_u)
+    if not model.m:
+        return model.R_s @ C_s
+    if C_u is None:
+        raise ValueError(f"model has m = {model.m} unsupervised outputs; C_u is required")
+    C_u = _check_cols("C_u", C_u, model.m, C_s.shape[1])
+    Z = model.R_s @ C_s
+    Z += model.R_u @ C_u
     return Z
 
 
@@ -244,16 +257,8 @@ def embed_tests(model: OelModel, A_test) -> np.ndarray:
     """Embed test predictions from their alpha columns.
 
     A_test holds alpha(x_test_j) in column j; column j of the result is the
-    p-vector G h(x_test_j)."""
-    A_test = _check_cols("A_test", A_test, model.n, None)
-    Z = np.zeros((model.p, A_test.shape[1]))
-    if model.scale_sup > 0.0:
-        top = model.alpha_train @ (model.K_y_ss @ A_test)
-        Z += model.beta[:model.n].T @ (model.scale_sup * top)
-    if model.m and model.scale_unsup > 0.0:
-        bottom = model.K_y_su.T @ A_test
-        Z += model.beta[model.n:].T @ (model.scale_unsup * bottom)
-    return Z
+    p-vector G h(x_test_j) = T alpha(x_test_j)."""
+    return model.T @ _check_cols("A_test", A_test, model.n, None)
 
 
 def surrogate_sq_errors(Z_pred: np.ndarray, Z_true: np.ndarray,

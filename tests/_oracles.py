@@ -57,7 +57,7 @@ def build_explicit(rng, n, m, d_out, lam, c, p, method="exact", seed=0):
     krr_model, oel_model = okr.fit_oel_with_krr(
         K_x, K_y, lam=lam, p=p, c=c, K_y_su=K_su, K_y_uu=K_uu,
         method=method, seed=seed)
-    A = oel_model.alpha_train
+    A = okr.predict_alpha(krr_model, K_x)
     H = Y.T @ A
     parts = [oel_model.scale_sup * H]
     if m:

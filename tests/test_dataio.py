@@ -380,19 +380,50 @@ class TestModelPersistence:
         with pytest.raises(dataio.DataError, match="missing"):
             dataio.load_model(tmp_path / "model")
 
+    @staticmethod
+    def _rewrite_version(model_dir, version):
+        """Set the bundle version in a saved manifest, re-signing it."""
+        mpath = model_dir / "manifest.txt"
+        lines = [ln.replace(f"bundle_version = {dataio.BUNDLE_VERSION}",
+                            f"bundle_version = {version}")
+                 for ln in mpath.read_text().splitlines()
+                 if not ln.startswith("manifest_sha256")]
+        lines.append("manifest_sha256 = " + dataio._manifest_digest(lines))
+        mpath.write_text("\n".join(lines) + "\n")
+
     def test_version_mismatch_detected(self, tmp_path):
         krr_model, oel_model, *_ = self._fit_models()
         dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
                           tmp_path / "model")
-        mpath = tmp_path / "model" / "manifest.txt"
-        lines = [ln for ln in mpath.read_text().splitlines()
-                 if not ln.startswith("manifest_sha256")]
-        lines = [ln.replace("bundle_version = 1", "bundle_version = 99")
-                 for ln in lines]
-        lines.append("manifest_sha256 = " + dataio._manifest_digest(lines))
-        mpath.write_text("\n".join(lines) + "\n")
+        self._rewrite_version(tmp_path / "model", "99")
         with pytest.raises(dataio.DataError, match="version"):
             dataio.load_model(tmp_path / "model")
+
+    def test_v1_bundle_rejected(self, tmp_path):
+        # a version-1 bundle stored the n x n training state under the old
+        # names; it cannot be served and must be refit
+        rng = np.random.default_rng(3)
+        v1 = dataio.ModelBundle(
+            manifest={"krr.mode": "exact"},
+            matrices={"oel_alpha_train": rng.standard_normal((4, 4)),
+                      "oel_K_y_ss": np.eye(4)})
+        dataio.save_model(v1, tmp_path / "model")
+        self._rewrite_version(tmp_path / "model", "1")
+        with pytest.raises(dataio.DataError, match="bundle version '1' unsupported"):
+            dataio.load_model(tmp_path / "model")
+
+    def test_embedding_matrices_have_p_rows(self, tmp_path):
+        # apart from beta ((n+m) x p), every stored embedding matrix is a
+        # p-row readout: nothing of size n x n or n x m is persisted
+        krr_model, oel_model, *_ = self._fit_models()
+        dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
+                          tmp_path / "model")
+        loaded = dataio.load_model(tmp_path / "model")
+        names = [name for name in loaded.matrices
+                 if name.startswith("oel_") and name != "oel_beta"]
+        assert names
+        for name in names:
+            assert loaded.matrices[name].shape[0] == oel_model.p, name
 
     def test_stored_bytes_little_endian(self, tmp_path):
         # beta bytes on disk are the little-endian payload regardless of host

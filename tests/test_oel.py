@@ -65,14 +65,14 @@ class TestFit:
         np.testing.assert_allclose(certificate, np.eye(2), atol=1e-12)
 
     def test_diag_hand_case(self):
-        # fabricate a mixed gram equal to diag(4, 1): beta_1 = e1/2, gy_1 = (2, 0)
+        # fabricate a mixed gram equal to diag(4, 1): beta_1 = e1/2, K beta_1 = (2, 0)
         mixed = oel.MixedGram(K=np.diag([4.0, 1.0]), n=1, m=1, c=0.5,
                               scale_sup=np.sqrt(0.5), scale_unsup=np.sqrt(0.5),
                               alpha_train=np.eye(1), K_y_ss=np.eye(1),
                               K_y_su=np.eye(1))
         model = oel.fit_oel(mixed, p=1)
         np.testing.assert_allclose(model.beta, [[0.5], [0.0]], atol=1e-12)
-        np.testing.assert_allclose(model.gy, [[2.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(mixed.K @ model.beta, [[2.0], [0.0]], atol=1e-12)
 
     def test_orthonormality_certificate_random(self):
         rng = np.random.default_rng(3)
@@ -80,7 +80,7 @@ class TestFit:
             prob = build_explicit(rng, n=15, m=m, d_out=8, lam=0.1, c=c, p=5)
             model = prob.oel_model
             # rebuild the mixed gram via the library for the certificate
-            A = model.alpha_train
+            A = okr.predict_alpha(prob.krr_model, prob.K_x)
             mixed = oel.assemble_mixed_gram(
                 A, prob.Y @ prob.Y.T,
                 K_y_su=None if not m else prob.Y @ prob.Y_unsup.T,
@@ -179,8 +179,9 @@ class TestEmbed:
         C_s = prob.Y @ prob.Y_unsup[j:j + 1].T
         C_u = prob.Y_unsup @ prob.Y_unsup[j:j + 1].T
         Z = oel.embed_candidates(model, C_s, C_u)
-        np.testing.assert_allclose(Z[:, 0] * model.scale_unsup, model.gy[n + j],
-                                   atol=1e-8)
+        # training embedding K beta of the scaled spanning vectors, explicitly
+        gy = prob.V.T @ prob.basis
+        np.testing.assert_allclose(Z[:, 0] * model.scale_unsup, gy[n + j], atol=1e-8)
 
     def test_unit_alpha_column_equals_candidate_embedding(self):
         # alpha = e_i makes the test embedding exactly the embedding of y_i
