@@ -5,7 +5,8 @@ driven by a flat "key = value" config file (--config); the flags --out,
 --seed, --threads, --iokr-only and --share-krr override or extend the file.
 Every run writes the fully resolved configuration to <out>/config.resolved
 and appends error details to <out>/run.log. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+error, 2 data error, 3 numerical failure, 4 internal error (any other
+exception; its traceback goes to run.log).
 
 Heavy imports happen inside the handlers so that --threads can cap the BLAS
 worker pools through the environment before numpy is loaded.
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -118,6 +120,8 @@ def main(argv=None) -> int:
         return _report(exc, "data error", log_path, EXIT_DATA)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return _report(exc, "numerical failure", log_path, EXIT_NUMERIC)
+    except Exception as exc:
+        return _report(exc, "internal error", log_path, EXIT_INTERNAL)
 
 
 def _report(exc, label, log_path, code) -> int:
@@ -171,7 +175,7 @@ def _cmd_fit(args, out):
     import numpy as np
 
     from . import dataio, kernels, krr, oel
-    from .config import get_float, get_int, get_str
+    from .config import UsageError, get_float, get_int, get_str
 
     cfg, base = _load_cfg(args)
     seed = _root_seed(args, cfg)
@@ -230,6 +234,12 @@ def _cmd_fit(args, out):
         p = get_int(cfg, "oel.p", required=True)
         c = get_float(cfg, "oel.c", 1.0)
         method = get_str(cfg, "oel.method", "exact")
+        if not 1 <= p <= ds.n + ds.m:
+            raise UsageError(f"oel.p must be in [1, n + m] = [1, {ds.n + ds.m}], got {p}")
+        if not 0.0 <= c <= 1.0:
+            raise UsageError(f"oel.c must lie in [0, 1], got {c}")
+        if method not in oel.METHODS:
+            raise UsageError(f"oel.method must be one of {oel.METHODS}, got {method!r}")
         sketch_seed = get_int(cfg, "oel.seed", dataio.named_seed(seed, "sketch"))
         oversample = get_int(cfg, "oel.oversample", 10)
         power_iters = get_int(cfg, "oel.power_iters", 2)
@@ -248,6 +258,7 @@ def _cmd_fit(args, out):
                                         K_y_uu=K_y_uu, c=c)
         oel_model = oel.fit_oel(mixed, p, method=method, seed=sketch_seed,
                                 oversample=oversample, power_iters=power_iters)
+        resolved["oel.eigensolver"] = oel_model.eigensolver
 
     bundle = dataio.bundle_from_models(krr_model, oel_model, manifest, extra_mats)
     dataio.save_model(bundle, out / "model")

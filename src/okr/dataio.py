@@ -59,6 +59,8 @@ def _read_lines(path):
             return fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _header_value(path, lines, prefix):
@@ -79,6 +81,8 @@ def load_dense(path) -> np.ndarray:
         rows, cols = (int(tok) for tok in header.split(","))
     except ValueError:
         _fail(path, 1, f"malformed dimension header {lines[0]!r}")
+    if rows < 0 or cols < 0:
+        _fail(path, 1, f"negative dimension in header {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         _fail(path, len(lines), f"expected {rows} data rows, found {len(body)}")
@@ -112,6 +116,8 @@ def load_sparse(path) -> np.ndarray:
     try:
         dim = int(parts[1])
     except ValueError:
+        dim = -1
+    if dim < 0:
         _fail(path, 1, f"bad dimension {parts[1]!r}")
     rows = []
     for i, ln in enumerate(lines[1:]):
@@ -143,7 +149,12 @@ def load_bitsets(path) -> np.ndarray:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "dim":
         _fail(path, 1, f"expected header '#dim D', got {lines[0]!r}")
-    dim = int(parts[1])
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        dim = -1
+    if dim < 0:
+        _fail(path, 1, f"bad dimension {parts[1]!r}")
     rows = []
     for i, ln in enumerate(lines[1:]):
         row = np.zeros(dim)

@@ -1,8 +1,13 @@
 """Regularized symmetric solves and top-p eigendecomposition of PSD
-matrices, exact (LAPACK) or sketched (randomized range finder)."""
+matrices, exact or sketched (randomized range finder).
+
+The exact top p come from implicitly restarted Lanczos (ARPACK) when p is
+small next to the dimension, with a full LAPACK eigendecomposition as the
+fallback whenever Lanczos does not converge or its result fails a check."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +18,25 @@ import scipy.linalg
 EIG_CLAMP = -1e-10
 
 SYMMETRY_TOL = 1e-8
+_SYMMETRY_BLOCK = 256
+
+# Lanczos pays off against a full eigh only when p is small next to the
+# dimension N. Measured on 2 cores (Gaussian-kernel and flat Wishart
+# spectra), eigsh took 0.02-0.5 of eigh's time for p <= 2 sqrt(N) at
+# N = 720 and 1500, and 0.5 s against 6.7 s at N = 4000, p = 32; at N = 200
+# it won up to p = 28 on the Gaussian spectrum and lost by up to 1.6x (a few
+# ms) on the flat one, and at N = 100 it lost on both. The rule keeps a
+# margin inside the region where it won.
+LANCZOS_MIN_DIM = 200
+LANCZOS_MAX_P_PER_SQRT_DIM = 1.5
+
+# a Lanczos Ritz pair (mu, u) is accepted when ||K u - mu u|| stays below
+# this times max(mu_1, 1)
+LANCZOS_RESIDUAL_RTOL = 1e-10
+
+# seed of the fixed Gaussian start vector: a ones vector can be orthogonal to
+# a top eigenvector, and a fixed one keeps repeated runs bit-identical
+LANCZOS_V0_SEED = 20201
 
 
 class NumericalError(RuntimeError):
@@ -24,8 +48,13 @@ def check_symmetric(K: np.ndarray, tol: float = SYMMETRY_TOL, what: str = "matri
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"{what} must be square, got shape {K.shape}")
-    scale = max(1.0, np.max(np.abs(K))) if K.size else 1.0
-    asym = np.max(np.abs(K - K.T)) if K.size else 0.0
+    scale = max(1.0, float(K.max()), -float(K.min())) if K.size else 1.0
+    # |K - K^T| over row blocks of the upper triangle: half the reads of the
+    # full difference and no n x n temporaries (3x faster at n = 4000)
+    asym = 0.0
+    for i in range(0, K.shape[0], _SYMMETRY_BLOCK):
+        block = K[i:i + _SYMMETRY_BLOCK, i:] - K[i:, i:i + _SYMMETRY_BLOCK].T
+        asym = max(asym, float(np.max(np.abs(block))))
     if asym > tol * scale:
         raise ValueError(f"{what} not symmetric: max |K - K^T| = {asym:.3g}")
     return K
@@ -83,10 +112,12 @@ def solve_regularized(K, shift: float) -> RegularizedSolver:
 @dataclass(frozen=True)
 class EigPair:
     """Top eigenvalues (descending, nonnegative) with column-orthonormal
-    eigenvectors of a symmetric PSD matrix."""
+    eigenvectors of a symmetric PSD matrix, and the solver that produced
+    them: "lanczos", "eigh" or "randomized"."""
 
     values: np.ndarray
     vectors: np.ndarray
+    solver: str
 
     @property
     def p(self) -> int:
@@ -104,25 +135,82 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * signs
 
 
-def _finalize(values: np.ndarray, vectors: np.ndarray) -> EigPair:
+def _finalize(values: np.ndarray, vectors: np.ndarray, solver: str) -> EigPair:
     bad = values < EIG_CLAMP
     if np.any(bad):
         raise NumericalError(
             f"eigenvalue {values[bad].min():.3g} below {EIG_CLAMP:g}; input was not PSD")
     values = np.maximum(values, 0.0)
-    return EigPair(values=values, vectors=_fix_signs(vectors))
+    return EigPair(values=values, vectors=_fix_signs(vectors), solver=solver)
+
+
+def _lanczos_topk(K: np.ndarray, p: int):
+    """Top p eigenpairs (descending) from ARPACK's implicitly restarted
+    Lanczos, or None when ARPACK fails or the result fails a check."""
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                     LinearOperator, eigsh)
+
+    n = K.shape[0]
+    # BLAS symv reads one triangle of a column-major matrix; for a row-major
+    # K, K.T is the same symmetric matrix in column-major order. Memory-bound,
+    # it multiplies about 4x faster than K @ x at N = 4000
+    A = K.T if K.flags.c_contiguous else np.asfortranarray(K)
+
+    def matvec(x):
+        return dsymv(1.0, A, x.ravel(), lower=1)
+
+    v0 = np.random.default_rng(LANCZOS_V0_SEED).standard_normal(n)
+    try:
+        w, V = eigsh(LinearOperator((n, n), matvec=matvec, dtype=np.float64),
+                     k=p, which="LA", tol=0, v0=v0)
+        order = np.argsort(w)[::-1]
+        w, V = w[order], V[:, order]
+        margin = LANCZOS_RESIDUAL_RTOL * max(w[0], 1.0)
+        if np.max(np.linalg.norm(K @ V - V * w, axis=0)) > margin:
+            return None
+
+        # Single-vector Lanczos can miss copies of a repeated eigenvalue, and
+        # then every Ritz pair still passes the residual check. K restricted
+        # to the orthogonal complement of span(V) must have no eigenvalue
+        # above mu_p.
+        def deflated(x):
+            x = x.ravel()
+            x = x - V @ (V.T @ x)
+            y = matvec(x)
+            return y - V @ (V.T @ y)
+
+        rest = eigsh(LinearOperator((n, n), matvec=deflated, dtype=np.float64),
+                     k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+        if rest[0] > w[-1] + margin:
+            return None
+    except (ArpackNoConvergence, ArpackError):
+        return None
+    return w, V
 
 
 def eig_topk_exact(K, p: int) -> EigPair:
-    """The p largest eigenpairs of a symmetric PSD matrix, by full symmetric
-    eigendecomposition."""
+    """The p largest eigenpairs of a symmetric PSD matrix.
+
+    When N >= LANCZOS_MIN_DIM and p <= LANCZOS_MAX_P_PER_SQRT_DIM * sqrt(N),
+    ARPACK's implicitly restarted Lanczos (eigsh, converged to machine
+    precision from a fixed start vector) computes them. Its result is kept
+    only if every Ritz pair has ||K u - mu u|| <= LANCZOS_RESIDUAL_RTOL *
+    max(mu_1, 1) and no eigenvalue of K outside their span exceeds mu_p (by
+    the same margin); otherwise, and for larger p or smaller N, a full
+    symmetric eigendecomposition (LAPACK) is used. EigPair.solver names the
+    one that produced the result."""
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
         raise ValueError(f"p must be in [1, {n}], got {p}")
+    if n >= LANCZOS_MIN_DIM and p <= LANCZOS_MAX_P_PER_SQRT_DIM * math.sqrt(n):
+        found = _lanczos_topk(K, p)
+        if found is not None:
+            return _finalize(*found, solver="lanczos")
     w, V = scipy.linalg.eigh(K)
     order = np.argsort(w)[::-1][:p]
-    return _finalize(w[order], V[:, order])
+    return _finalize(w[order], V[:, order], solver="eigh")
 
 
 def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
@@ -149,4 +237,4 @@ def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
     B = 0.5 * (B + B.T)
     w, V = scipy.linalg.eigh(B)
     order = np.argsort(w)[::-1][:p]
-    return _finalize(w[order], Q @ V[:, order])
+    return _finalize(w[order], Q @ V[:, order], solver="randomized")

@@ -26,6 +26,9 @@ DROP_RTOL = 1e-10
 
 ORTHO_CERT_TOL = 1e-6
 
+# eigensolver methods of fit_oel
+METHODS = ("exact", "randomized")
+
 
 @dataclass(frozen=True)
 class MixedGram:
@@ -144,10 +147,13 @@ class OelModel:
         T   = R_s K_y^ss + R_u (K_y^su)^T         (p x n)
 
     so a candidate embeds as R_s C_s + R_u C_u and a test prediction as
-    T alpha(x).
+    T alpha(x). eigensolver names the solver of the fit's eigenproblem
+    (linalg.EigPair.solver); a bundle does not store it, so a model rebuilt
+    from one has None.
     """
 
-    def __init__(self, beta, mu, c, n, m, R_s, R_u, T, gram_trace, ortho_defect):
+    def __init__(self, beta, mu, c, n, m, R_s, R_u, T, gram_trace, ortho_defect,
+                 eigensolver=None):
         self.beta = beta
         self.mu = mu
         self.c = float(c)
@@ -158,6 +164,7 @@ class OelModel:
         self.T = T
         self.gram_trace = float(gram_trace)
         self.ortho_defect = float(ortho_defect)
+        self.eigensolver = eigensolver
 
     @property
     def p(self) -> int:
@@ -184,8 +191,10 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
     """Eigendecompose the mixed Gram and keep the top p components.
 
     Eigenvalues below DROP_RTOL * mu_1 are discarded with a warning (the
-    effective p shrinks); method "randomized" uses the sketched
-    eigendecomposition with the given oversample / power_iters / seed.
+    effective p shrinks). Method "exact" uses linalg.eig_topk_exact (Lanczos
+    for small p, full eigh otherwise or as its fallback); "randomized" uses
+    the sketched eigendecomposition with the given oversample / power_iters /
+    seed. The model's eigensolver attribute names the solver that ran.
     """
     size = mixed.size
     if not 1 <= p <= size:
@@ -221,7 +230,8 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
     if mixed.m:
         T += R_u @ mixed.K_y_su.T
     return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R_s=R_s, R_u=R_u,
-                    T=T, gram_trace=float(np.trace(mixed.K)), ortho_defect=defect)
+                    T=T, gram_trace=float(np.trace(mixed.K)), ortho_defect=defect,
+                    eigensolver=eig.solver)
 
 
 def _check_cols(name: str, M, rows: int, ncols: int | None) -> np.ndarray:

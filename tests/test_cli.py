@@ -306,6 +306,90 @@ class TestErrors:
         assert "seed = 1" in resolved and "command = synth" in resolved
 
 
+def _fit_cfg(tmp_path, *overrides):
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    return write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS, *overrides)
+
+
+def _bitset_cfg(tmp_path, y_text):
+    dataio.save_dense(tmp_path / "x.csv", np.eye(3))
+    (tmp_path / "y.txt").write_text(y_text)
+    return write_cfg(tmp_path / "bad.cfg", "data.kind = bitset", "data.x = x.csv",
+                     "data.y = y.txt", *FIT_KEYS)
+
+
+def _non_utf8_cfg(tmp_path):
+    (tmp_path / "x.csv").write_bytes(b"#2,1\n1.0\n\xff\n")
+    dataio.save_dense(tmp_path / "y.csv", np.ones((2, 1)))
+    return write_cfg(tmp_path / "bad.cfg", "data.kind = dense", "data.x = x.csv",
+                     "data.y = y.csv", *FIT_KEYS)
+
+
+def _failing_fit_oel(*args, **kwargs):
+    raise RuntimeError("unexpected failure inside fit_oel")
+
+
+# (case, function writing the config, patch (module attribute, replacement)
+#  or None, exit code, run.log label, text the run.log entry must contain)
+BAD_FIT_INPUTS = [
+    ("p_zero", lambda d: _fit_cfg(d, "oel.p = 0"), None,
+     cli.EXIT_USAGE, "usage error", "oel.p must be in [1, n + m]"),
+    ("p_above_n_plus_m", lambda d: _fit_cfg(d, "oel.p = 41"), None,
+     cli.EXIT_USAGE, "usage error", "oel.p must be in [1, n + m] = [1, 40]"),
+    ("c_outside_unit_interval", lambda d: _fit_cfg(d, "oel.c = 1.5"), None,
+     cli.EXIT_USAGE, "usage error", "oel.c must lie in [0, 1]"),
+    ("unknown_method", lambda d: _fit_cfg(d, "oel.method = lanczos"), None,
+     cli.EXIT_USAGE, "usage error", "oel.method must be one of ('exact', 'randomized')"),
+    ("bitset_dim_not_integer", lambda d: _bitset_cfg(d, "#dim x\n0\n1\n2\n"), None,
+     cli.EXIT_DATA, "data error", "y.txt:1: bad dimension 'x'"),
+    ("non_utf8_data_file", _non_utf8_cfg, None,
+     cli.EXIT_DATA, "data error", "x.csv: not UTF-8"),
+    ("unexpected_exception", _fit_cfg, ("okr.oel.fit_oel", _failing_fit_oel),
+     cli.EXIT_INTERNAL, "internal error", "unexpected failure inside fit_oel"),
+]
+
+
+@pytest.mark.parametrize("make_cfg, patch, code, label, message",
+                         [case[1:] for case in BAD_FIT_INPUTS],
+                         ids=[case[0] for case in BAD_FIT_INPUTS])
+def test_bad_fit_input_exit_code_and_log(tmp_path, capsys, monkeypatch,
+                                         make_cfg, patch, code, label, message):
+    cfg = make_cfg(tmp_path)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    out = tmp_path / "o"
+    assert run("fit", "--config", str(cfg), "--out", str(out)) == code
+    assert f"{label}: " in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert f"--- {label} ---" in log and "Traceback" in log and message in log
+
+
+class TestEigensolverRecord:
+    GAUSS_KEYS = ("kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0",
+                  "kernel.y.kind = gaussian", "kernel.y.sigma2 = 4.0", "oel.p = 8",
+                  "oel.c = 0.5")
+
+    def _fit_resolved(self, tmp_path):
+        # n + m = 300: the size rule sends p = 8 to Lanczos
+        data_dir, dataset_cfg = synth_workspace(tmp_path, n=150, m=150)
+        cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS, *self.GAUSS_KEYS)
+        out = tmp_path / "fit"
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == 0
+        return (out / "config.resolved").read_text().splitlines()
+
+    def test_baseline_shape_records_lanczos(self, tmp_path):
+        assert "oel.eigensolver = lanczos" in self._fit_resolved(tmp_path)
+
+    def test_forced_fallback_records_eigh(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        assert "oel.eigensolver = eigh" in self._fit_resolved(tmp_path)
+
+
 class TestThreadCap:
     def test_import_leaves_numpy_unloaded(self):
         # --threads caps the BLAS pools through the environment, which only

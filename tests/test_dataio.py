@@ -40,6 +40,18 @@ class TestDense:
         with pytest.raises(dataio.DataError, match="header"):
             dataio.load_dense(p)
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"#1,2\n1,\xff\xfe\n")
+        with pytest.raises(dataio.DataError, match=r"m\.csv: not UTF-8"):
+            dataio.load_dense(p)
+
+    def test_negative_dimension(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("#1,-2\n1,2\n")
+        with pytest.raises(dataio.DataError, match=r"m\.csv:1: negative dimension"):
+            dataio.load_dense(p)
+
 
 class TestSparse:
     def test_basic_row(self, tmp_path):
@@ -75,6 +87,14 @@ class TestBitsets:
         p.write_text("#dim 3\n0 3\n")
         with pytest.raises(dataio.DataError, match="outside"):
             dataio.load_bitsets(p)
+
+    @pytest.mark.parametrize("loader", [dataio.load_bitsets, dataio.load_sparse])
+    @pytest.mark.parametrize("dim", ["x", "-2"])
+    def test_bad_dimension_header(self, tmp_path, loader, dim):
+        p = tmp_path / "b.txt"
+        p.write_text(f"#dim {dim}\n0\n")
+        with pytest.raises(dataio.DataError, match=r"b\.txt:1: bad dimension"):
+            loader(p)
 
 
 class TestPermutations:

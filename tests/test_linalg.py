@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from okr import linalg
 
@@ -33,6 +34,14 @@ class TestRegularizedSolver:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             linalg.solve_regularized(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize("i, j", [(0, 599), (300, 299), (599, 512)])
+    def test_rejects_nonsymmetric_in_any_block(self, i, j):
+        K = random_psd(np.random.default_rng(2), 600, dim_factor=0.1)
+        linalg.check_symmetric(K)
+        K[i, j] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.check_symmetric(K)
 
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError, match="positive"):
@@ -101,16 +110,115 @@ class TestEigExact:
                 assert abs(err - expect) <= 1e-8
 
 
+class TestEigExactLanczos:
+    """Sizes here take the Lanczos path (N >= 200, p <= 1.5 sqrt(N))."""
+
+    N, P = 300, 12
+
+    @staticmethod
+    def _eigh_path(monkeypatch, K, p):
+        # the same function with the size rule sending every shape to eigh
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "LANCZOS_MIN_DIM", 10 ** 9)
+            return linalg.eig_topk_exact(K, p)
+
+    def _assert_same_subspace(self, pair, ref, p):
+        np.testing.assert_allclose(pair.values, ref.values, rtol=1e-12, atol=1e-14)
+        P_a = pair.vectors[:, :p] @ pair.vectors[:, :p].T
+        P_b = ref.vectors[:, :p] @ ref.vectors[:, :p].T
+        assert np.max(np.abs(P_a - P_b)) <= 1e-10
+
+    def test_size_rule(self):
+        rng = np.random.default_rng(11)
+        K = random_psd(rng, self.N)
+        assert linalg.eig_topk_exact(K, 25).solver == "lanczos"
+        assert linalg.eig_topk_exact(K, 26).solver == "eigh"     # 26 > 1.5 sqrt(300)
+        assert linalg.eig_topk_exact(K[:199, :199], 4).solver == "eigh"
+
+    def test_matches_eigh_random_psd(self, monkeypatch):
+        K = random_psd(np.random.default_rng(12), self.N)
+        pair = linalg.eig_topk_exact(K, self.P)
+        assert pair.solver == "lanczos"
+        self._assert_same_subspace(pair, self._eigh_path(monkeypatch, K, self.P), self.P)
+
+    def test_tie_between_p_and_p_plus_1(self, monkeypatch):
+        # mu_p = mu_{p+1}: the values are unique, the top p - 1 eigenvectors
+        # too, and the p-th must lie in the two-dimensional tied eigenspace
+        p = self.P
+        vals = 1.0 / np.arange(1, self.N + 1) ** 2
+        vals[p] = vals[p - 1]
+        K, Q = psd_with_spectrum(vals, seed=13)
+        pair = linalg.eig_topk_exact(K, p)
+        assert pair.solver == "lanczos"
+        self._assert_same_subspace(pair, self._eigh_path(monkeypatch, K, p), p - 1)
+        tied = Q[:, p - 1:p + 1]
+        u = pair.vectors[:, p - 1]
+        assert np.linalg.norm(u - tied @ (tied.T @ u)) <= 1e-10
+
+    def test_bit_identical_repeats(self):
+        K = random_psd(np.random.default_rng(14), self.N)
+        a = linalg.eig_topk_exact(K, self.P)
+        b = linalg.eig_topk_exact(K, self.P)
+        assert a.solver == b.solver == "lanczos"
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    def test_no_convergence_falls_back_to_eigh(self, monkeypatch):
+        K = random_psd(np.random.default_rng(15), self.N)
+        ref = self._eigh_path(monkeypatch, K, self.P)
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        pair = linalg.eig_topk_exact(K, self.P)
+        assert pair.solver == "eigh"
+        assert np.array_equal(pair.values, ref.values)
+        assert np.array_equal(pair.vectors, ref.vectors)
+
+    def test_bad_residual_falls_back_to_eigh(self, monkeypatch):
+        K = random_psd(np.random.default_rng(16), self.N)
+        ref = self._eigh_path(monkeypatch, K, self.P)
+        real_eigsh = scipy.sparse.linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, V = real_eigsh(*args, **kwargs)
+            V = V.copy()
+            V[:, -1] += 1e-6 * np.random.default_rng(0).standard_normal(V.shape[0])
+            return w, V
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        pair = linalg.eig_topk_exact(K, self.P)
+        assert pair.solver == "eigh"
+        assert np.array_equal(pair.values, ref.values)
+        assert np.array_equal(pair.vectors, ref.vectors)
+
+    def test_missed_repeated_eigenvalue_falls_back_to_eigh(self):
+        # single-vector Lanczos finds only some copies of a 10-fold top
+        # eigenvalue; each Ritz pair it returns is exact, so only the
+        # deflation check can tell
+        vals = np.concatenate([np.full(10, 5.0), 1.0 / np.arange(2, self.N - 8) ** 2])
+        K, _ = psd_with_spectrum(vals, seed=17)
+        pair = linalg.eig_topk_exact(K, 10)
+        assert pair.solver == "eigh"
+        np.testing.assert_allclose(pair.values, np.full(10, 5.0), rtol=1e-12)
+
+
+def psd_with_spectrum(vals, seed=0):
+    """PSD matrix Q diag(vals) Q^T with a random orthogonal Q; returns (K, Q)."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((vals.size, vals.size)))
+    K = (Q * vals) @ Q.T
+    return 0.5 * (K + K.T), Q
+
+
 def decaying_psd(dim, r, seed=0, gap_at=None, gap=0.1):
     """PSD matrix with spectrum j^(-r), optionally with an extra spectral gap
     after position gap_at (so sigma_{p+1}/sigma_p <= gap * ((p+1)/p)^-r)."""
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     vals = np.arange(1, dim + 1, dtype=float) ** (-float(r))
     if gap_at is not None:
         vals[gap_at:] *= gap
-    K = (Q * vals) @ Q.T
-    return 0.5 * (K + K.T), vals
+    return psd_with_spectrum(vals, seed)[0], vals
 
 
 class TestEigRandomized:
