@@ -243,6 +243,12 @@ def _cmd_fit(args, out):
         sketch_seed = get_int(cfg, "oel.seed", dataio.named_seed(seed, "sketch"))
         oversample = get_int(cfg, "oel.oversample", 10)
         power_iters = get_int(cfg, "oel.power_iters", 2)
+        if oversample < 0 or power_iters < 0:
+            raise UsageError(f"oel.oversample and oel.power_iters must be >= 0, got "
+                             f"{oversample} and {power_iters}")
+        if method == "randomized" and p + oversample > ds.n + ds.m:
+            raise UsageError(f"oel.p + oel.oversample must be <= n + m = {ds.n + ds.m} "
+                             f"for the randomized method, got {p + oversample}")
         resolved.update({"oel.p": p, "oel.c": repr(c), "oel.method": method,
                          "oel.seed": sketch_seed, "oel.oversample": oversample,
                          "oel.power_iters": power_iters})
@@ -275,7 +281,14 @@ def _spec_from_manifest(man, prefix):
                       sigma2=None if sigma2 is None else float(sigma2))
 
 
+# candidates per block of predict's streamed candidate embedding (an
+# n x block Gram is 16 MB at n = 500)
+_EMBED_BLOCK = 4096
+
+
 def _cmd_predict(args, out):
+    import numpy as np
+
     from . import dataio, kernels, krr, oel
     from .config import get_int, get_str
     from .dataio import DataError
@@ -306,19 +319,26 @@ def _cmd_predict(args, out):
 
     out_spec = _spec_from_manifest(man, "kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
-    C_s = kernels.gram(out_spec, bundle.matrices["y_train_features"], cand_f)
     cand_norms = kernels.self_norms(out_spec, cand_f)
+    Y_s = bundle.matrices["y_train_features"]
     from .decode import decode_iokr, decode_oel
 
     if oel_model is not None:
-        C_u = (kernels.gram(out_spec, bundle.matrices["y_unsup_features"], cand_f)
-               if oel_model.m else None)
-        rankings = decode_oel(oel.embed_tests(oel_model, A_test),
-                              oel.embed_candidates(oel_model, C_s, C_u),
+        # embed the candidates block by block: the n x N and m x N
+        # candidate Grams never exist whole
+        Y_u = bundle.matrices["y_unsup_features"] if oel_model.m else None
+        n_cand = len(cand_f)
+        Z_cand = np.empty((oel_model.p, n_cand))
+        for start in range(0, n_cand, _EMBED_BLOCK):
+            blk = cand_f[start:start + _EMBED_BLOCK]
+            C_u = None if Y_u is None else kernels.gram(out_spec, Y_u, blk)
+            Z_cand[:, start:start + len(blk)] = oel.embed_candidates(
+                oel_model, kernels.gram(out_spec, Y_s, blk), C_u)
+        rankings = decode_oel(oel.embed_tests(oel_model, A_test), Z_cand,
                               cand_norms, k=k, query_cands=ds.candidate_map)
     else:
-        rankings = decode_iokr(A_test, C_s, cand_norms, k=k,
-                               query_cands=ds.candidate_map)
+        rankings = decode_iokr(A_test, kernels.gram(out_spec, Y_s, cand_f), cand_norms,
+                               k=k, query_cands=ds.candidate_map)
     rank_path = out / "rankings.tsv"
     dataio.save_rankings(rank_path, rankings)
     _snapshot(cfg, {"decode.k": k, "model.dir": model_dir}, args, out)

@@ -9,6 +9,21 @@ only within one query and the reported score is
 The same machinery serves the full-dimensional decoder (inner products
 through n output-kernel columns, O(n) per candidate) and the learned
 low-rank decoder (inner products in R^p, O(p) per candidate).
+
+Rankings order candidates by (score, candidate id): equal scores rank the
+smaller id first, NaN scores rank last, and the result is the same as a full
+sort of every score.
+
+Decoding against all N candidates streams over blocks of _BLOCK candidates
+and keeps a running top-k per query. Each block is scored into one reused
+queries x block buffer. A query's threshold is the smaller of the block's
+k-th smallest score and the query's running k-th best. Both are upper bounds
+on the final k-th best, so a score above the threshold can never enter the
+top k. Only scores at or below it survive (every tie on the threshold
+included), and only the survivors are merged into the running lists, by a
+stable per-row sort on score over a layout that keeps equal scores in
+ascending id order. The threshold comparison and the merge are exact, so the
+output is identical to the full sort, ties included.
 """
 
 from __future__ import annotations
@@ -38,8 +53,9 @@ def _select_topk(scores: np.ndarray, ids: np.ndarray, k: int) -> Ranking:
     if kk < n:
         part = np.argpartition(scores, kk - 1)[:kk]
         # keep every candidate tied with the selection boundary so that the
-        # final (score, id) sort sees all tie contenders
-        pool = np.flatnonzero(scores <= scores[part].max())
+        # final (score, id) sort sees all tie contenders ("not above" also
+        # keeps every NaN when the boundary itself is NaN)
+        pool = np.flatnonzero(~(scores > scores[part].max()))
     else:
         pool = np.arange(n)
     order = np.lexsort((ids[pool], scores[pool]))[:kk]
@@ -47,59 +63,71 @@ def _select_topk(scores: np.ndarray, ids: np.ndarray, k: int) -> Ranking:
     return Ranking(indices=ids[pool], scores=scores[pool])
 
 
-def _topk_rows_id_ordered(scores: np.ndarray, ids: np.ndarray, kk: int):
-    """Rowwise kk smallest of (score, id) pairs, vectorized across rows.
-
-    The columns of (scores, ids) must already be in ascending id order per
-    row; the returned t x kk selection keeps that invariant (the final
-    score-ordering happens once, after all merges)."""
-    t, w = scores.shape
-    if kk >= w:
-        return ids, scores
-    part = np.argpartition(scores, kk - 1, axis=1)[:, :kk]
-    part.sort(axis=1)        # column order = id order by the invariant
-    sel_ids = np.take_along_axis(ids, part, axis=1)
-    sel_vals = np.take_along_axis(scores, part, axis=1)
-    # a tie straddling the partition boundary may have kept the wrong ids;
-    # redo those rows exactly over the full width
-    spill = np.flatnonzero((scores <= sel_vals.max(axis=1, keepdims=True))
-                           .sum(axis=1) > kk)
-    for j in spill:
-        r = _select_topk(scores[j], ids[j], kk)
-        order = np.argsort(r.indices)
-        sel_ids[j], sel_vals[j] = r.indices[order], r.scores[order]
-    return sel_ids, sel_vals
-
-
-# candidate-axis block width: keeps every scoring intermediate a few MB so
-# the allocator reuses buffers instead of faulting fresh pages at large N
-_BLOCK = 8192
+# candidate-axis block width. Every block pays a fixed merge and bookkeeping
+# cost, so a narrow block keeps the cost per candidate of N ~ 1e3 (one
+# partial block) close to that of N ~ 1e5; 2048 measured about as fast as
+# 8192 at N = 1e5 and flatter across N
+_BLOCK = 2048
 
 
 def _decode_global(E_test: np.ndarray, E_cand: np.ndarray, self_norms: np.ndarray,
                    k: int) -> list[Ranking]:
-    """All-candidates decoding with a bounded running top-k: candidates are
-    scored in blocks and merged into the per-query best lists, so memory
-    stays O(queries x block) however large N grows."""
+    """All-candidates decoding with a threshold-pruned running top-k; memory
+    stays O(queries x block) however large N grows (see the module
+    docstring)."""
     t = E_test.shape[1]
     n_cand = E_cand.shape[1]
     kk = min(k, n_cand)
-    Et = np.ascontiguousarray(E_test.T)
+    # -2 E_test^T in C order: scaling by -2 is exact and the layout picks the
+    # same BLAS kernel as a C-ordered E_test^T, so every score is
+    # bit-identical to self_norms - 2 (E_test^T E_cand)
+    neg2_Et = -2.0 * np.ascontiguousarray(E_test.T)
+    width = min(_BLOCK, n_cand)
+    score_buf = np.empty(t * width)
+    part_buf = np.empty(t * width)
+    over_buf = np.empty(t * width, dtype=bool)
+    row_idx = np.arange(t)[:, None]
+    # running lists: per row, (score, id)-ordered
     best_ids = np.empty((t, 0), dtype=np.int64)
     best_vals = np.empty((t, 0))
     for start in range(0, n_cand, _BLOCK):
         stop = min(start + _BLOCK, n_cand)
-        blk_vals = self_norms[None, start:stop] - 2.0 * (Et @ E_cand[:, start:stop])
-        blk_ids = np.broadcast_to(np.arange(start, stop), blk_vals.shape)
-        # running best ids all precede this block's ids, so the merged
-        # columns stay id-ordered
-        merged_vals = np.hstack([best_vals, blk_vals])
-        merged_ids = np.hstack([best_ids, blk_ids])
-        best_ids, best_vals = _topk_rows_id_ordered(merged_vals, merged_ids, kk)
-    order = np.argsort(best_vals, axis=1, kind="stable")   # ties keep id order
-    best_ids = np.take_along_axis(best_ids, order, axis=1)
-    best_vals = np.take_along_axis(best_vals, order, axis=1)
-    return [Ranking(indices=best_ids[j], scores=best_vals[j]) for j in range(t)]
+        w = stop - start
+        kept = best_vals.shape[1]
+        S = score_buf[:t * w].reshape(t, w)
+        np.matmul(neg2_Et, E_cand[:, start:stop], out=S)
+        S += self_norms[start:stop]
+        if w >= kk:
+            P = part_buf[:t * w].reshape(t, w)
+            np.copyto(P, S)
+            P.partition(kk - 1, axis=1)
+            thr = P[:, kk - 1].copy()
+        else:
+            thr = np.full(t, np.inf)
+        if kept == kk:
+            # fmin: a NaN k-th best (fewer than kk real scores) sets no bound
+            np.fmin(thr, best_vals[:, -1], out=thr)
+        # "not above" keeps ties on the threshold, and keeps everything in a
+        # row whose threshold is NaN
+        over = over_buf[:t * w].reshape(t, w)
+        np.greater(S, thr[:, None], out=over)
+        np.logical_not(over, out=over)
+        hit = np.flatnonzero(over)
+        rows, cols = np.divmod(hit, w)
+        # lay each row out as [running list, survivors in id order], padded
+        # with NaN (sorted last, after every real entry); a stable sort by
+        # score then orders equal scores by id
+        counts = np.bincount(rows, minlength=t)
+        pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
+        vals = np.full((t, kept + counts.max()), np.nan)
+        ids = np.empty(vals.shape, dtype=np.int64)
+        vals[:, :kept] = best_vals
+        ids[:, :kept] = best_ids
+        vals[rows, pos] = S.ravel()[hit]
+        ids[rows, pos] = cols + start
+        sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
+        best_ids, best_vals = ids[row_idx, sel], vals[row_idx, sel]
+    return list(map(Ranking, best_ids, best_vals))
 
 
 def _decode(E_test: np.ndarray, E_cand: np.ndarray, self_norms: np.ndarray,

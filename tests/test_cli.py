@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okr import cli, dataio
+import okr
+from okr import cli, dataio, kernels
+from okr.decode import decode_oel
 
 
 def run(*argv):
@@ -99,6 +101,32 @@ class TestFitPredictEvaluate:
                    "--seed", "7") == 0
         r2 = self._predict(tmp_path, data_dir, dataset_cfg, fit2, tag="p2")
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_streamed_candidate_embedding_matches_whole(self, tmp_path, monkeypatch):
+        # 16-wide blocks split the 46 candidates into three embedding
+        # blocks, the last one partial
+        monkeypatch.setattr(cli, "_EMBED_BLOCK", 16)
+        data_dir, dataset_cfg, _, fit_out = self._fit(tmp_path)
+        rank_path = self._predict(tmp_path, data_dir, dataset_cfg, fit_out)
+
+        ds = dataio.load_dataset(
+            dict(line.split(" = ") for line in dataset_cfg.strip().splitlines()),
+            data_dir)
+        cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
+        assert len(cand_f) == 46
+        bundle = dataio.load_model(fit_out / "model")
+        krr_model, oel_model = dataio.models_from_bundle(bundle)
+        spec = kernels.KernelSpec(kernels.LINEAR)
+        A_test = okr.predict_alpha(krr_model,
+                                   kernels.gram(spec, bundle.matrices["x_train"], ds.x_test))
+        Z_cand = okr.embed_candidates(
+            oel_model, kernels.gram(spec, bundle.matrices["y_train_features"], cand_f),
+            kernels.gram(spec, bundle.matrices["y_unsup_features"], cand_f))
+        expect = tmp_path / "whole.tsv"
+        dataio.save_rankings(expect, decode_oel(okr.embed_tests(oel_model, A_test), Z_cand,
+                                                kernels.self_norms(spec, cand_f), k=3,
+                                                query_cands=ds.candidate_map))
+        assert rank_path.read_bytes() == expect.read_bytes()
 
     @pytest.mark.filterwarnings("ignore:only 1 of the requested")
     def test_full_rank_embedding_matches_iokr_path(self, tmp_path):
@@ -340,6 +368,14 @@ BAD_FIT_INPUTS = [
      cli.EXIT_USAGE, "usage error", "oel.c must lie in [0, 1]"),
     ("unknown_method", lambda d: _fit_cfg(d, "oel.method = lanczos"), None,
      cli.EXIT_USAGE, "usage error", "oel.method must be one of ('exact', 'randomized')"),
+    ("oversample_negative", lambda d: _fit_cfg(d, "oel.oversample = -1"), None,
+     cli.EXIT_USAGE, "usage error", "oel.oversample and oel.power_iters must be >= 0"),
+    ("power_iters_negative",
+     lambda d: _fit_cfg(d, "oel.method = randomized", "oel.power_iters = -1"), None,
+     cli.EXIT_USAGE, "usage error", "oel.oversample and oel.power_iters must be >= 0"),
+    ("sketch_wider_than_n_plus_m",
+     lambda d: _fit_cfg(d, "oel.method = randomized", "oel.oversample = 40"), None,
+     cli.EXIT_USAGE, "usage error", "oel.p + oel.oversample must be <= n + m = 40"),
     ("bitset_dim_not_integer", lambda d: _bitset_cfg(d, "#dim x\n0\n1\n2\n"), None,
      cli.EXIT_DATA, "data error", "y.txt:1: bad dimension 'x'"),
     ("non_utf8_data_file", _non_utf8_cfg, None,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okr
-from okr.decode import decode_iokr, decode_oel
+from okr.decode import _BLOCK, decode_iokr, decode_oel
 
 from _oracles import brute_force_decode, build_explicit
 
@@ -34,6 +34,13 @@ class TestDecodeOel:
         Z_cand = np.array([[0.5, 0.0, 0.0, 0.0]])
         rankings = decode_oel(Z_test, Z_cand, np.ones(4), k=2)
         np.testing.assert_array_equal(rankings[0].indices, [0, 1])
+
+    @pytest.mark.parametrize("lists", [None, [np.arange(4)]])
+    def test_nan_scores_rank_last(self, lists):
+        Z_cand = np.array([[np.nan, 0.5, np.nan, 0.0]])
+        rankings = decode_oel(np.ones((1, 1)), Z_cand, np.ones(4), k=3,
+                              query_cands=lists)
+        np.testing.assert_array_equal(rankings[0].indices, [1, 3, 0])
 
     def test_k_longer_than_candidates(self):
         rankings = decode_oel(np.ones((1, 1)), np.ones((1, 3)), np.ones(3), k=10)
@@ -145,14 +152,25 @@ class TestOracleEquivalence:
                 np.testing.assert_allclose(a.scores, b.scores, atol=1e-8)
 
 
+# candidate counts from small lists to just around one and two score blocks,
+# so the running top-k is merged across blocks
+_N_CAND = st.one_of(st.integers(1, 30),
+                    st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 30), st.integers(0, 2 ** 31 - 1))
-def test_topk_matches_full_sort(k, n_cand, seed):
+@given(st.integers(1, 8), st.integers(1, 6), _N_CAND, st.integers(0, 2 ** 31 - 1))
+def test_topk_matches_full_sort(k, t, n_cand, seed):
     rng = np.random.default_rng(seed)
-    scores_basis = rng.standard_normal((2, n_cand))
-    Z_test = rng.standard_normal((2, 1))
-    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)   # coarse values force ties
-    ranking = decode_oel(Z_test, scores_basis, norms, k=k)[0]
-    full = norms - 2.0 * (Z_test[:, 0] @ scores_basis)
-    order = np.lexsort((np.arange(n_cand), full))[:min(k, n_cand)]
-    np.testing.assert_array_equal(ranking.indices, order)
+    # half-integer embeddings make every inner product exact, whatever the
+    # summation order; with the coarse norms they force many exact ties
+    scores_basis = rng.integers(-2, 3, (2, n_cand)) / 2.0
+    Z_test = rng.integers(-2, 3, (2, t)) / 2.0
+    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
+    rankings = decode_oel(Z_test, scores_basis, norms, k=k)
+    assert len(rankings) == t
+    scores = norms - 2.0 * (Z_test.T @ scores_basis)
+    for ranking, full in zip(rankings, scores):
+        order = np.lexsort((np.arange(n_cand), full))[:min(k, n_cand)]
+        np.testing.assert_array_equal(ranking.indices, order)
+        np.testing.assert_array_equal(ranking.scores, full[order])
