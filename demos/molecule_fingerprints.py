@@ -64,7 +64,7 @@ _, model = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=p, c=c,
                                 K_y_uu=kernels.gram(out_spec, Y_pool),
                                 krr_model=krr_model)
 emb = decode_oel(oel.embed_tests(model, A_test),
-                 oel.embed_candidates(model, C_s, C_u),
+                 oel.embed_candidates(model, np.vstack([C_s, C_u])),
                  cand_norms, k=10, query_cands=query_cands)
 acc_emb = metrics.topk_accuracy(emb, truth_index, ks)
 

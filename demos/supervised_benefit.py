@@ -32,8 +32,8 @@ K_su = kernels.gram(lin, ds.y_sup, ds.y_unsup)
 K_uu = kernels.gram(lin, ds.y_unsup)
 kappa_test = kernels.gram(lin, ds.x, ds.x_test)
 true_norms = kernels.self_norms(lin, ds.y_test)
-C_s_true = kernels.gram(lin, ds.y_sup, ds.y_test)
-C_u_true = kernels.gram(lin, ds.y_unsup, ds.y_test)
+Y_ref = np.vstack([ds.y_sup, ds.y_unsup])     # the reference outputs of fit_oel
+C_true = kernels.gram(lin, Y_ref, ds.y_test)
 
 krr_model = okr.fit_krr(K_x, LAM)
 A_test = okr.predict_alpha(krr_model, kappa_test)
@@ -47,12 +47,12 @@ for c in (0.0, 0.25, 0.5, 0.75, 1.0):
                                     method="randomized", seed=0,
                                     krr_model=krr_model)
     z_pred = oel.embed_tests(model, A_test)
-    z_true = oel.embed_candidates(model, C_s_true, C_u_true)
+    z_true = oel.embed_candidates(model, C_true)
     err = float(np.mean(oel.surrogate_sq_errors(z_pred, z_true, true_norms)))
 
     # materialize the learned 1-d direction in the explicit feature space:
-    # with a linear output kernel it is Y_sup^T R_s^T + Y_unsup^T R_u^T
-    direction = ds.y_sup.T @ model.R_s.T + ds.y_unsup.T @ model.R_u.T
+    # with a linear output kernel it is Y_ref^T R^T
+    direction = Y_ref.T @ model.R.T
     direction = direction[:, 0] / np.linalg.norm(direction[:, 0])
     print(f" {c:4.2f}   {err:19.3f}   ({abs(direction[0]):.3f}, "
           f"{abs(direction[1]):.3f})")

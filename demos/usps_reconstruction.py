@@ -78,8 +78,8 @@ def test_loss(cfg):
             method="randomized", seed=0, krr_model=krr_model)
         rankings = decode_oel(oel.embed_tests(model, A_test),
                               oel.embed_candidates(
-                                  model, C_s,
-                                  kernels.gram(out_spec, y_unsup, candidates)),
+                                  model, np.vstack([
+                                      C_s, kernels.gram(out_spec, y_unsup, candidates)])),
                               cand_norms, k=1)
     pred = candidates[[r.indices[0] for r in rankings]]
     k_yp = kernels.pair_values(out_spec, y_te, pred)

@@ -196,7 +196,7 @@ def _cmd_fit(args, out):
     }
     if out_spec.sigma2 is not None:
         manifest["kernel.y.sigma2"] = repr(out_spec.sigma2)
-    extra_mats = {"y_train_features": yf}
+    extra_mats = {}
 
     in_spec = None
     if not gram_mode:
@@ -207,30 +207,34 @@ def _cmd_fit(args, out):
         if in_spec.sigma2 is not None:
             manifest["kernel.x.sigma2"] = repr(in_spec.sigma2)
 
+    # K_cols: the training kernel columns the ridge model was fit on (the
+    # n x n Gram, or the n x q anchor columns); kappa_train: the training
+    # inputs' kernel columns as predict_alpha takes them
     if q:
         anchor_seed = get_int(cfg, "krr.seed", dataio.named_seed(seed, "anchors"))
         resolved["krr.nystrom_q"] = q
         resolved["krr.seed"] = anchor_seed
         anchors = krr.select_anchors(ds.n, q, anchor_seed)
         if gram_mode:
-            K_nq = ds.x[:, anchors]
+            K_cols = ds.x[:, anchors]
             K_qq = ds.x[np.ix_(anchors, anchors)]
         else:
             X_anchor = ds.x[anchors]
-            K_nq = kernels.gram(in_spec, ds.x, X_anchor)
+            K_cols = kernels.gram(in_spec, ds.x, X_anchor)
             K_qq = kernels.gram(in_spec, X_anchor)
             extra_mats["x_anchors"] = X_anchor
-        krr_model = krr.fit_krr_nystrom(K_nq, K_qq, lam, anchors)
-        A_train = krr.predict_alpha(krr_model, K_nq.T)
+        krr_model = krr.fit_krr_nystrom(K_cols, K_qq, lam, anchors)
+        kappa_train = K_cols.T
     else:
-        K_x = ds.x if gram_mode else kernels.gram(in_spec, ds.x)
-        krr_model = krr.fit_krr(K_x, lam)
-        A_train = krr.predict_alpha(krr_model, K_x)
+        K_cols = kappa_train = ds.x if gram_mode else kernels.gram(in_spec, ds.x)
+        krr_model = krr.fit_krr(K_cols, lam)
         if not gram_mode:
             extra_mats["x_train"] = ds.x
 
     oel_model = None
-    if not args.iokr_only:
+    if args.iokr_only:
+        extra_mats["y_train_features"] = yf
+    else:
         p = get_int(cfg, "oel.p", required=True)
         c = get_float(cfg, "oel.c", 1.0)
         method = get_str(cfg, "oel.method", "exact")
@@ -252,18 +256,20 @@ def _cmd_fit(args, out):
         resolved.update({"oel.p": p, "oel.c": repr(c), "oel.method": method,
                          "oel.seed": sketch_seed, "oel.oversample": oversample,
                          "oel.power_iters": power_iters})
-        K_y_ss = kernels.gram(out_spec, yf)
-        if ds.m:
-            yfu = dataio.output_features(ds.output_kind, ds.y_unsup)
-            K_y_su = kernels.gram(out_spec, yf, yfu)
-            K_y_uu = kernels.gram(out_spec, yfu)
-            extra_mats["y_unsup_features"] = yfu
+        yfu = dataio.output_features(ds.output_kind, ds.y_unsup) if ds.m else None
+        factor = oel.factor_outputs(out_spec, yf, yfu) if method == "exact" else None
+        if oel.takes_factored_path(factor, p):
+            oel_model = oel.fit_oel_factored(
+                factor, krr.train_alpha_times(krr_model, K_cols, factor.F_s), p, c)
         else:
-            K_y_su = K_y_uu = None
-        mixed = oel.assemble_mixed_gram(A_train, K_y_ss, K_y_su=K_y_su,
-                                        K_y_uu=K_y_uu, c=c)
-        oel_model = oel.fit_oel(mixed, p, method=method, seed=sketch_seed,
-                                oversample=oversample, power_iters=power_iters)
+            K_y_su = None if yfu is None else kernels.gram(out_spec, yf, yfu)
+            K_y_uu = None if yfu is None else kernels.gram(out_spec, yfu)
+            mixed = oel.assemble_mixed_gram(krr.predict_alpha(krr_model, kappa_train),
+                                            kernels.gram(out_spec, yf), K_y_su=K_y_su,
+                                            K_y_uu=K_y_uu, c=c)
+            oel_model = oel.fit_oel(mixed, p, method=method, seed=sketch_seed,
+                                    oversample=oversample, power_iters=power_iters)
+        extra_mats["y_ref_features"] = oel_model.reference_outputs(yf, yfu)
         resolved["oel.eigensolver"] = oel_model.eigensolver
 
     bundle = dataio.bundle_from_models(krr_model, oel_model, manifest, extra_mats)
@@ -281,8 +287,8 @@ def _spec_from_manifest(man, prefix):
                       sigma2=None if sigma2 is None else float(sigma2))
 
 
-# candidates per block of predict's streamed candidate embedding (an
-# n x block Gram is 16 MB at n = 500)
+# candidates per block of predict's streamed candidate embedding (the
+# reference outputs x block Gram is 33 MB for 1000 reference outputs)
 _EMBED_BLOCK = 4096
 
 
@@ -320,23 +326,22 @@ def _cmd_predict(args, out):
     out_spec = _spec_from_manifest(man, "kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
     cand_norms = kernels.self_norms(out_spec, cand_f)
-    Y_s = bundle.matrices["y_train_features"]
     from .decode import decode_iokr, decode_oel
 
     if oel_model is not None:
-        # embed the candidates block by block: the n x N and m x N
-        # candidate Grams never exist whole
-        Y_u = bundle.matrices["y_unsup_features"] if oel_model.m else None
+        # embed the candidates block by block against the reference outputs:
+        # the whole candidate Gram never exists
+        Y_ref = bundle.matrices["y_ref_features"]
         n_cand = len(cand_f)
         Z_cand = np.empty((oel_model.p, n_cand))
         for start in range(0, n_cand, _EMBED_BLOCK):
             blk = cand_f[start:start + _EMBED_BLOCK]
-            C_u = None if Y_u is None else kernels.gram(out_spec, Y_u, blk)
             Z_cand[:, start:start + len(blk)] = oel.embed_candidates(
-                oel_model, kernels.gram(out_spec, Y_s, blk), C_u)
+                oel_model, kernels.gram(out_spec, Y_ref, blk))
         rankings = decode_oel(oel.embed_tests(oel_model, A_test), Z_cand,
                               cand_norms, k=k, query_cands=ds.candidate_map)
     else:
+        Y_s = bundle.matrices["y_train_features"]
         rankings = decode_iokr(A_test, kernels.gram(out_spec, Y_s, cand_f), cand_norms,
                                k=k, query_cands=ds.candidate_map)
     rank_path = out / "rankings.tsv"
@@ -357,15 +362,15 @@ def _cmd_evaluate(args, out):
 
     cfg, base = _load_cfg(args)
     rank_rel = get_str(cfg, "evaluate.rankings", required=True)
-    _, rankings = dataio.load_rankings(base / rank_rel)
     ds = dataio.load_dataset(cfg, base)
+    cand = ds.candidate_outputs()
+    _, rankings = dataio.load_rankings(base / rank_rel, n_candidates=cand.shape[0])
     if ds.y_test is None:
         raise DataError("evaluate needs data.y_test ground truth")
     if len(rankings) != ds.y_test.shape[0]:
         raise DataError(f"{len(rankings)} rankings but {ds.y_test.shape[0]} truth rows")
     out_spec = _output_spec(cfg, base)
 
-    cand = ds.candidate_outputs()
     cand_f = dataio.output_features(ds.output_kind, cand)
     true_f = dataio.output_features(ds.output_kind, ds.y_test)
     pred_idx = np.array([r.indices[0] for r in rankings])

@@ -29,7 +29,7 @@ from .linalg import RegularizedSolver
 from .oel import OelModel
 
 MAGIC = b"OKRMAT01"
-BUNDLE_VERSION = "2"
+BUNDLE_VERSION = "3"
 
 DENSE = "dense"
 BITSET = "bitset"
@@ -265,8 +265,10 @@ def save_rankings(path, rankings, query_ids=None) -> None:
             fh.write(f"{qid}{pairs}\n")
 
 
-def load_rankings(path):
-    """Returns (query_ids, rankings) parsed from a rankings file."""
+def load_rankings(path, n_candidates=None):
+    """Returns (query_ids, rankings) parsed from a rankings file. Given
+    n_candidates, every line must rank at least one candidate and every
+    candidate id must lie in [0, n_candidates)."""
     qids, rankings = [], []
     for i, ln in enumerate(_read_lines(path)):
         if not ln.strip():
@@ -281,6 +283,12 @@ def load_rankings(path):
                 scores.append(float(s))
         except ValueError:
             _fail(path, i + 1, f"malformed ranking line {ln!r}")
+        if n_candidates is not None:
+            if not cids:
+                _fail(path, i + 1, f"query {qids[-1]} ranks no candidate")
+            bad = [c for c in cids if not 0 <= c < n_candidates]
+            if bad:
+                _fail(path, i + 1, f"candidate id {bad[0]} outside [0, {n_candidates})")
         rankings.append(Ranking(indices=np.array(cids, dtype=np.int64),
                                 scores=np.array(scores)))
     return qids, rankings
@@ -627,7 +635,7 @@ def load_model(dirpath) -> ModelBundle:
         manifest[k] = v
     if manifest.get("bundle_version") != BUNDLE_VERSION:
         raise DataError(f"{mpath}: bundle version {manifest.get('bundle_version')!r} "
-                        f"unsupported (expected {BUNDLE_VERSION})")
+                        f"unsupported (expected {BUNDLE_VERSION}); refit the model")
     matrices = {}
     names = manifest.get("matrix_names", "")
     for name in (names.split(",") if names else []):
@@ -682,8 +690,7 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
         })
         matrices["oel_beta"] = oel_model.beta
         matrices["oel_mu"] = oel_model.mu[:, None]
-        matrices["oel_R_s"] = oel_model.R_s
-        matrices["oel_R_u"] = oel_model.R_u
+        matrices["oel_R"] = oel_model.R
         matrices["oel_T"] = oel_model.T
     manifest.update(extra_manifest or {})
     matrices.update(extra_matrices or {})
@@ -714,8 +721,7 @@ def models_from_bundle(bundle: ModelBundle):
                         f"(n={n}, m={m}, p={man['oel.p']})")
     oel_model = OelModel(
         beta=beta, mu=bundle.matrices["oel_mu"].ravel(), c=c, n=n, m=m,
-        R_s=bundle.matrices["oel_R_s"], R_u=bundle.matrices["oel_R_u"],
-        T=bundle.matrices["oel_T"],
+        R=bundle.matrices["oel_R"], T=bundle.matrices["oel_T"],
         gram_trace=float(man["oel.gram_trace"]),
         ortho_defect=float(man["oel.ortho_defect"]))
     return krr_model, oel_model

@@ -120,6 +120,25 @@ def predict_alpha(model: KrrModel, kappa_test) -> np.ndarray:
     return alpha[:, 0] if squeeze else alpha
 
 
+def train_alpha_times(model: KrrModel, K_x_cols, M) -> np.ndarray:
+    """A M for the n x n training alpha matrix A (alpha(x_i) in column i),
+    without forming A.
+
+    K_x_cols is the n x n input Gram in exact mode and the n x q anchor
+    columns K_nq in Nystrom mode. A is (K_x + n*lambda*I)^-1 K_x in exact
+    mode and K_nq B in Nystrom mode, with B the dual weights; both are
+    symmetric, so A M is also A^T M.
+    """
+    K_x_cols = np.asarray(K_x_cols, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    if K_x_cols.shape != (model.n, model.alpha_rows):
+        raise ValueError(f"K_x_cols must be {model.n} x {model.alpha_rows} "
+                         f"({model.mode} mode), got {K_x_cols.shape}")
+    if model.mode == EXACT:
+        return model.solver.solve(K_x_cols @ M)
+    return K_x_cols @ (model.dual_weights @ M)
+
+
 def select_anchors(n: int, q: int, seed: int) -> np.ndarray:
     """Uniform sample of q distinct training indices, sorted, reproducible
     from the seed."""

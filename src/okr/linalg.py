@@ -1,6 +1,11 @@
-"""Regularized symmetric solves and top-p eigendecomposition of PSD
-matrices, exact or sketched (randomized range finder).
+"""Regularized symmetric solves, low-rank factors and top-p
+eigendecomposition of PSD matrices, exact or sketched (randomized range
+finder).
 
+pivoted_cholesky factors a PSD matrix given only its diagonal and a way to
+compute one column, so the matrix is never formed: it stops once every
+residual diagonal entry is below PIVOT_RTOL times the largest diagonal
+entry, which bounds the trace of the residual K - F F^T by N times that.
 The exact top p come from implicitly restarted Lanczos (ARPACK) when p is
 small next to the dimension, with a full LAPACK eigendecomposition as the
 fallback whenever Lanczos does not converge or its result fails a check."""
@@ -37,6 +42,13 @@ LANCZOS_RESIDUAL_RTOL = 1e-10
 # seed of the fixed Gaussian start vector: a ones vector can be orthogonal to
 # a top eigenvector, and a fixed one keeps repeated runs bit-identical
 LANCZOS_V0_SEED = 20201
+
+
+# pivoted Cholesky stops once every residual diagonal entry is at most this
+# fraction of the largest diagonal entry (Harbrecht, Peters & Schneider,
+# "On the low-rank approximation by the pivoted Cholesky decomposition",
+# 2012: the trace of the residual is the sum of those entries)
+PIVOT_RTOL = 1e-14
 
 
 class NumericalError(RuntimeError):
@@ -110,6 +122,64 @@ def solve_regularized(K, shift: float) -> RegularizedSolver:
 
 
 @dataclass(frozen=True)
+class PivotedCholesky:
+    """K ~ F F^T from r pivoted Cholesky steps on an N x N PSD matrix.
+
+    F is N x r and F[pivots] is lower triangular, so F = K[:, pivots] L^-T
+    with L = F[pivots]. residual is the largest diagonal entry of
+    K - F F^T when the steps stopped; converged says whether it fell to
+    the tolerance (False when max_rank steps ran first)."""
+
+    F: np.ndarray
+    pivots: np.ndarray
+    residual: float
+    converged: bool
+
+    @property
+    def rank(self) -> int:
+        return self.F.shape[1]
+
+
+def pivoted_cholesky(diag, column, max_rank: int | None = None,
+                     rtol: float = PIVOT_RTOL) -> PivotedCholesky:
+    """Greedy pivoted Cholesky of a PSD matrix known through its diagonal
+    and column(i), which returns column i as a length-N vector.
+
+    Each step takes the largest residual diagonal entry as the pivot, fetches
+    that one column and subtracts the factor so far. It stops when no
+    residual diagonal entry exceeds rtol times the largest diagonal entry, or
+    after max_rank steps. Deterministic: ties go to the lowest index."""
+    d = np.array(diag, dtype=np.float64)
+    if d.ndim != 1:
+        raise ValueError(f"diag must be a vector, got shape {d.shape}")
+    N = d.size
+    max_rank = N if max_rank is None else max(0, min(int(max_rank), N))
+    tol = rtol * float(d.max()) if N else 0.0
+    # row k holds factor column k, so each step writes and reads whole rows
+    rows = np.empty((max_rank, N))
+    pivots = np.empty(max_rank, dtype=np.int64)
+    k = 0
+    while k < max_rank:
+        i = int(np.argmax(d))
+        if not d[i] > tol:
+            break
+        col = np.asarray(column(i), dtype=np.float64)
+        if k:
+            col = col - rows[:k, i] @ rows[:k]
+        col = np.divide(col, np.sqrt(d[i]), out=rows[k])
+        pivots[k] = i
+        d -= col * col
+        # rounding leaves the pivot's entry near zero, not at it; earlier
+        # pivots only ever get smaller
+        d[i] = 0.0
+        k += 1
+    residual = float(d.max()) if N else 0.0
+    # rows was allocated for max_rank steps: copy out what was used
+    return PivotedCholesky(F=rows[:k].T.copy(), pivots=pivots[:k].copy(), residual=residual,
+                           converged=residual <= tol)
+
+
+@dataclass(frozen=True)
 class EigPair:
     """Top eigenvalues (descending, nonnegative) with column-orthonormal
     eigenvectors of a symmetric PSD matrix, and the solver that produced
@@ -124,15 +194,19 @@ class EigPair:
         return self.values.size
 
 
-def _fix_signs(U: np.ndarray) -> np.ndarray:
-    # make the largest-magnitude entry of every column positive so repeated
-    # runs (and different LAPACK drivers) agree on signs
+def column_signs(U: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column: the sign that makes the column's largest-magnitude
+    entry positive, so repeated runs (and different LAPACK drivers) agree on
+    the signs of eigenvectors."""
     if U.size == 0:
-        return U
-    picks = np.argmax(np.abs(U), axis=0)
-    signs = np.sign(U[picks, np.arange(U.shape[1])])
+        return np.ones(U.shape[1])
+    signs = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     signs[signs == 0] = 1.0
-    return U * signs
+    return signs
+
+
+def _fix_signs(U: np.ndarray) -> np.ndarray:
+    return U * column_signs(U)
 
 
 def _finalize(values: np.ndarray, vectors: np.ndarray, solver: str) -> EigPair:

@@ -5,9 +5,22 @@ Gram matrix of n + m scaled feature-space vectors: the ridge-regression
 predictions sqrt(c/n) * h(x_i) for the supervised inputs and the raw outputs
 sqrt((1-c)/m) * psi(y_j) for the unsupervised pool. The embedding of any new
 point is linear in its kernel column, so a fit ends by folding the
-eigenvector coefficients beta into three p-row readout matrices: R_s and R_u
-map the output-kernel columns of a decode candidate to its embedding, and T
-maps the alpha column of a test prediction to its embedding.
+eigenvector coefficients into two p-row readout matrices: R maps the
+output-kernel columns of a decode candidate against the model's reference
+outputs to its embedding, and T maps the alpha column of a test prediction
+to its embedding.
+
+There are two ways to the top p:
+
+- Factored (fit_oel_factored): a pivoted Cholesky factor K_y ~ F F^T of the
+  output Gram of the n + m outputs (factor_outputs) gives every spanning
+  vector r coordinates, the rows of G = [sqrt(c/n) A F_s ; sqrt((1-c)/m) F_u],
+  so the mixed Gram is G G^T and its top p come from the r x r matrix G^T G.
+  Nothing of size n x n or (n+m) x (n+m) is formed, and the reference
+  outputs are the r pivots.
+- Dense (assemble_mixed_gram, then fit_oel): the (n+m) x (n+m) mixed Gram,
+  decomposed by Lanczos, eigh or the randomized sketch. The reference
+  outputs are all n + m outputs.
 """
 
 from __future__ import annotations
@@ -16,9 +29,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
+from . import kernels
 from .krr import KrrModel, fit_krr, predict_alpha
-from .linalg import NumericalError, eig_topk_exact, eig_topk_randomized
+from .linalg import (NumericalError, column_signs, eig_topk_exact, eig_topk_randomized,
+                     pivoted_cholesky)
 
 # columns with mu below this fraction of mu_1 are dropped: beta scales like
 # 1/sqrt(mu), so near-null directions would blow up
@@ -28,6 +44,15 @@ ORTHO_CERT_TOL = 1e-6
 
 # eigensolver methods of fit_oel
 METHODS = ("exact", "randomized")
+
+# factor_outputs gives up once the factor's rank passes this fraction of
+# n + m, and the dense path runs instead. Measured on 2 cores with Gaussian
+# outputs (sigma2 narrowed to raise the rank), c = 0.5, p = 32, the factored
+# fit took as long as the dense one with Lanczos at r ~ 0.36 (n+m) for
+# n + m = 4000 and r ~ 0.5 (n+m) for n + m = 1000. A kernel of high rank
+# (tanimoto fingerprints) runs the factor up to the cap before falling back,
+# so the cap stays at the low end.
+FACTOR_MAX_RANK_FRACTION = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -48,6 +73,14 @@ class MixedGram:
     @property
     def size(self) -> int:
         return self.n + self.m
+
+
+def _check_balance(c: float, m: int) -> None:
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"balance c must lie in [0, 1], got {c}")
+    # c = 0 with m = 0 fails here too: there is nothing to span
+    if m == 0 and c != 1.0:
+        raise ValueError("m = 0 (no unsupervised outputs) requires c = 1")
 
 
 def mixed_gram_blocks(alpha_train, K_y_ss, K_y_su=None):
@@ -87,8 +120,6 @@ def assemble_mixed_gram(alpha_train, K_y_ss, K_y_su=None, K_y_uu=None,
     n = A.shape[0]
     if K_y_ss.shape != (n, n):
         raise ValueError(f"K_y_ss must be {n} x {n}, got {K_y_ss.shape}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"balance c must lie in [0, 1], got {c}")
 
     if K_y_uu is None:
         m = 0
@@ -103,11 +134,7 @@ def assemble_mixed_gram(alpha_train, K_y_ss, K_y_su=None, K_y_uu=None,
         if K_y_su is None or K_y_su.shape != (n, m):
             got = None if K_y_su is None else K_y_su.shape
             raise ValueError(f"K_y_su must be {n} x {m}, got {got}")
-
-    if m == 0 and c != 1.0:
-        raise ValueError("m = 0 (no unsupervised outputs) requires c = 1")
-    if c == 0.0 and m == 0:
-        raise ValueError("c = 0 requires unsupervised outputs (m > 0)")
+    _check_balance(c, m)
 
     scale_sup = np.sqrt(c / n)
     scale_unsup = np.sqrt((1.0 - c) / m) if m else 0.0
@@ -139,31 +166,32 @@ class OelModel:
     beta ((n+m) x p) holds the eigenvector columns u_l / sqrt(mu_l); the
     certificate beta^T K beta = I_p (checked at fit, stored as ortho_defect)
     is what makes the p coordinates an orthonormal system in feature space.
-    With beta_s, beta_u the first n and last m rows of beta and A the n x n
-    training alpha matrix, the readouts are
+    The readouts are
 
-        R_s = scale_sup * beta_s^T A              (p x n)
-        R_u = scale_unsup * beta_u^T              (p x m)
-        T   = R_s K_y^ss + R_u (K_y^su)^T         (p x n)
+        R  (p x n_ref): a candidate embeds as R C, with C the output-kernel
+           columns of the candidate against the reference outputs;
+        T  (p x n):     a test prediction embeds as T alpha(x).
 
-    so a candidate embeds as R_s C_s + R_u C_u and a test prediction as
-    T alpha(x). eigensolver names the solver of the fit's eigenproblem
-    (linalg.EigPair.solver); a bundle does not store it, so a model rebuilt
-    from one has None.
+    ref_rows indexes the reference outputs among the n supervised then m
+    unsupervised outputs (all of them for a dense fit, the pivots for a
+    factored one). eigensolver names the solver of the fit's eigenproblem
+    (linalg.EigPair.solver, or "pivoted_cholesky r=<rank>"). A bundle stores
+    neither, but stores the reference outputs themselves, so a model rebuilt
+    from one has None for both.
     """
 
-    def __init__(self, beta, mu, c, n, m, R_s, R_u, T, gram_trace, ortho_defect,
-                 eigensolver=None):
+    def __init__(self, beta, mu, c, n, m, R, T, gram_trace, ortho_defect,
+                 ref_rows=None, eigensolver=None):
         self.beta = beta
         self.mu = mu
         self.c = float(c)
         self.n = int(n)
         self.m = int(m)
-        self.R_s = R_s
-        self.R_u = R_u
+        self.R = R
         self.T = T
         self.gram_trace = float(gram_trace)
         self.ortho_defect = float(ortho_defect)
+        self.ref_rows = ref_rows
         self.eigensolver = eigensolver
 
     @property
@@ -179,11 +207,42 @@ class OelModel:
     def scale_unsup(self) -> float:
         return float(np.sqrt((1.0 - self.c) / self.m)) if self.m else 0.0
 
+    def reference_outputs(self, Y_sup, Y_unsup=None) -> np.ndarray:
+        """The rows of [Y_sup; Y_unsup] (the outputs the model was fit on)
+        whose kernel columns embed_candidates reads."""
+        if self.ref_rows is None:
+            raise ValueError("model rebuilt from a bundle: its reference outputs "
+                             "are stored in the bundle")
+        Y = Y_sup if not self.m else np.vstack([Y_sup, Y_unsup])
+        return Y[self.ref_rows]
+
     def reconstruction_residual(self) -> float:
         """Training objective value: mean squared reconstruction error of the
         n + m scaled spanning vectors, equal to the discarded eigenvalue mass
         trace(K) - sum(mu)."""
         return max(self.gram_trace - float(np.sum(self.mu)), 0.0)
+
+
+def _drop_null(mu, vectors, p):
+    """Drop the components with mu below DROP_RTOL * mu_1, with a warning."""
+    keep = mu > DROP_RTOL * (mu[0] if mu.size else 0.0)
+    if np.all(keep):
+        return mu, vectors
+    kept = int(np.count_nonzero(keep))
+    warnings.warn(f"only {kept} of the requested {p} embedding components have "
+                  f"eigenvalues above the drop threshold; effective p = {kept}",
+                  stacklevel=3)
+    return mu[keep], vectors[:, keep]
+
+
+def _certify(BKB: np.ndarray) -> float:
+    """Orthonormality defect max |beta^T K beta - I|, from beta^T K beta."""
+    p = BKB.shape[0]
+    defect = float(np.max(np.abs(BKB - np.eye(p)))) if p else 0.0
+    if defect > ORTHO_CERT_TOL:
+        raise NumericalError(f"embedding orthonormality certificate failed: "
+                             f"max |beta^T K beta - I| = {defect:.3g}")
+    return defect
 
 
 def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
@@ -194,7 +253,8 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
     effective p shrinks). Method "exact" uses linalg.eig_topk_exact (Lanczos
     for small p, full eigh otherwise or as its fallback); "randomized" uses
     the sketched eigendecomposition with the given oversample / power_iters /
-    seed. The model's eigensolver attribute names the solver that ran.
+    seed. The model's eigensolver attribute names the solver that ran, and
+    its reference outputs are all n + m outputs.
     """
     size = mixed.size
     if not 1 <= p <= size:
@@ -207,31 +267,112 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
     else:
         raise ValueError(f"unknown method {method!r}; expected 'exact' or 'randomized'")
 
-    mu, U = eig.values, eig.vectors
-    keep = mu > DROP_RTOL * (mu[0] if mu.size else 0.0)
-    if not np.all(keep):
-        kept = int(np.count_nonzero(keep))
-        warnings.warn(f"only {kept} of the requested {p} embedding components have "
-                      f"eigenvalues above the drop threshold; effective p = {kept}",
-                      stacklevel=2)
-        mu, U = mu[keep], U[:, keep]
-
+    mu, U = _drop_null(eig.values, eig.vectors, p)
     beta = U / np.sqrt(mu)[None, :] if mu.size else U
-    p_eff = beta.shape[1]
-    defect = (float(np.max(np.abs(beta.T @ (mixed.K @ beta) - np.eye(p_eff))))
-              if p_eff else 0.0)
-    if defect > ORTHO_CERT_TOL:
-        raise NumericalError(f"embedding orthonormality certificate failed: "
-                             f"max |beta^T K beta - I| = {defect:.3g}")
+    defect = _certify(beta.T @ (mixed.K @ beta))
     n = mixed.n
     R_s = mixed.scale_sup * (beta[:n].T @ mixed.alpha_train)
-    R_u = mixed.scale_unsup * beta[n:].T
     T = R_s @ mixed.K_y_ss
     if mixed.m:
+        R_u = mixed.scale_unsup * beta[n:].T
         T += R_u @ mixed.K_y_su.T
-    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R_s=R_s, R_u=R_u,
-                    T=T, gram_trace=float(np.trace(mixed.K)), ortho_defect=defect,
-                    eigensolver=eig.solver)
+        R = np.hstack([R_s, R_u])
+    else:
+        R = R_s
+    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R=R, T=T,
+                    gram_trace=float(np.trace(mixed.K)), ortho_defect=defect,
+                    ref_rows=np.arange(size), eigensolver=eig.solver)
+
+
+@dataclass(frozen=True)
+class OutputFactor:
+    """K_y ~ F F^T over the n supervised then m unsupervised outputs, from
+    linalg.pivoted_cholesky: F is (n+m) x r and F[pivots] is lower
+    triangular."""
+
+    F: np.ndarray = field(repr=False)
+    pivots: np.ndarray = field(repr=False)
+    n: int
+
+    @property
+    def r(self) -> int:
+        return self.F.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.F.shape[0] - self.n
+
+    @property
+    def F_s(self) -> np.ndarray:
+        return self.F[:self.n]
+
+    @property
+    def F_u(self) -> np.ndarray:
+        return self.F[self.n:]
+
+
+def factor_outputs(spec: kernels.KernelSpec, Y_sup, Y_unsup=None) -> OutputFactor | None:
+    """Pivoted Cholesky of the output Gram of [Y_sup; Y_unsup], one kernel
+    column per pivot, to linalg.PIVOT_RTOL. None when its rank would pass
+    FACTOR_MAX_RANK_FRACTION of n + m: the dense path is then cheaper."""
+    Y = Y_sup if Y_unsup is None else np.vstack([Y_sup, Y_unsup])
+    chol = pivoted_cholesky(kernels.self_norms(spec, Y),
+                            lambda i: kernels.gram(spec, Y, Y[i:i + 1])[:, 0],
+                            max_rank=int(FACTOR_MAX_RANK_FRACTION * len(Y)))
+    if not chol.converged:
+        return None
+    return OutputFactor(F=chol.F, pivots=chol.pivots, n=len(Y_sup))
+
+
+def takes_factored_path(factor: OutputFactor | None, p: int) -> bool:
+    """Whether the exact method embeds from the output factor: the factor
+    must exist (its rank stayed within the cap) and p < r. At p >= r the
+    embedding would take every direction the factor resolves, down to those
+    at its tolerance; the dense path then decides which survive DROP_RTOL."""
+    return factor is not None and p < factor.r
+
+
+def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelModel:
+    """The top-p embedding from an output factor, with no (n+m)-sized Gram.
+
+    AF_s is A F_s (n x r), with A the n x n training alpha matrix (alpha(x_i)
+    in column i; symmetric in both ridge modes, see
+    krr.train_alpha_times). Row i of G = [sqrt(c/n) A F_s ; sqrt((1-c)/m) F_u]
+    holds the coordinates of spanning vector i in the factor's basis, so the
+    mixed Gram is G G^T. With G^T G V = V diag(mu), the top p give
+    beta = G V_p / mu, the orthonormal directions V_p in that basis, and the
+    readouts R = V_p^T L^-1 against the pivot outputs (L = F[pivots]) and
+    T = V_p^T F_s^T. Requires p < r; callers take the dense path otherwise.
+    """
+    n, m, r = factor.n, factor.m, factor.r
+    _check_balance(c, m)
+    if not 1 <= p < r:
+        raise ValueError(f"p must be in [1, r) = [1, {r}) for the factored fit, got {p}")
+    AF_s = np.asarray(AF_s, dtype=np.float64)
+    if AF_s.shape != (n, r):
+        raise ValueError(f"AF_s must be {n} x {r}, got {AF_s.shape}")
+
+    G = np.empty((n + m, r))
+    G[:n] = np.sqrt(c / n) * AF_s
+    if m:
+        G[n:] = np.sqrt((1.0 - c) / m) * factor.F_u
+    M = G.T @ G
+    w, V = scipy.linalg.eigh(0.5 * (M + M.T), subset_by_index=[r - p, r - 1])
+    # G^T G is PSD by construction: a negative eigenvalue is rounding
+    mu, V = _drop_null(np.maximum(w[::-1], 0.0), V[:, ::-1], p)
+    beta = G @ V / mu
+    # the signs the dense path gives the eigenvectors u_l = sqrt(mu_l) beta_l
+    signs = column_signs(beta)
+    beta *= signs
+    V = V * signs
+    Gtb = G.T @ beta
+    defect = _certify(Gtb.T @ Gtb)
+    L = factor.F[factor.pivots]
+    R = scipy.linalg.solve_triangular(L, V, lower=True, trans="T").T
+    T = V.T @ factor.F_s.T
+    return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T=T,
+                    gram_trace=float(np.einsum("ij,ij->", G, G)), ortho_defect=defect,
+                    ref_rows=factor.pivots, eigensolver=f"pivoted_cholesky r={r}")
 
 
 def _check_cols(name: str, M, rows: int, ncols: int | None) -> np.ndarray:
@@ -245,22 +386,14 @@ def _check_cols(name: str, M, rows: int, ncols: int | None) -> np.ndarray:
     return M
 
 
-def embed_candidates(model: OelModel, C_s, C_u=None) -> np.ndarray:
+def embed_candidates(model: OelModel, C) -> np.ndarray:
     """Embed decode candidates from their output-kernel columns.
 
-    C_s is the n x N matrix k_y(y_i^train, y_cand); C_u the m x N matrix
-    against the unsupervised outputs (required when the model was fit with
-    m > 0). Column c of the result is the p-vector G psi(y_c) = R_s C_s + R_u C_u.
+    C is the n_ref x N matrix k_y(y_ref_i, y_cand) against the model's
+    reference outputs (OelModel.reference_outputs). Column c of the result is
+    the p-vector G psi(y_c) = R C[:, c].
     """
-    C_s = _check_cols("C_s", C_s, model.n, None)
-    if not model.m:
-        return model.R_s @ C_s
-    if C_u is None:
-        raise ValueError(f"model has m = {model.m} unsupervised outputs; C_u is required")
-    C_u = _check_cols("C_u", C_u, model.m, C_s.shape[1])
-    Z = model.R_s @ C_s
-    Z += model.R_u @ C_u
-    return Z
+    return model.R @ _check_cols("C", C, model.R.shape[1], None)
 
 
 def embed_tests(model: OelModel, A_test) -> np.ndarray:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import dataio, kernels, metrics, oel
 from .decode import decode_iokr, decode_oel
 from .krr import (fit_krr, fit_krr_nystrom, predict_alpha, select_anchors,
-                  surrogate_sq_errors as krr_surrogate_sq_errors)
+                  surrogate_sq_errors as krr_surrogate_sq_errors, train_alpha_times)
 
 LOWER_BETTER = {"surrogate_mse", "rkhs_loss", "hamming"}
 HIGHER_BETTER = {"f1", "kendall_tau", "top1_accuracy"}
@@ -114,11 +115,28 @@ def _with_sigma2(spec: kernels.KernelSpec, sigma2):
     return replace(spec, sigma2=sigma2)
 
 
+class _Ridge:
+    """One ridge fit of a fold: the model, the training kernel columns it
+    reads (krr.train_alpha_times) and the validation alpha columns. The n x n
+    training alpha matrix is formed only if the dense embedding path asks."""
+
+    def __init__(self, model, K_cols, kappa_train, A_val):
+        self.model = model
+        self.K_cols = K_cols
+        self.kappa_train = kappa_train
+        self.A_val = A_val
+
+    @cached_property
+    def A_train(self) -> np.ndarray:
+        return predict_alpha(self.model, self.kappa_train)
+
+
 class _FoldCache:
-    """Grams and (optionally) KRR fits shared across the grid points of one
-    train/validation split. Sharing the ridge solve across (p, c) points is
-    the --share-krr optimization: results are identical, the factorization
-    is just not recomputed."""
+    """Grams, output factors and (optionally) KRR fits shared across the grid
+    points of one train/validation split. The output factor depends only on
+    the fold and the output width, so it is always shared. Sharing the ridge
+    solve and its products across (p, c) points is the --share-krr
+    optimization: results are identical, they are just not recomputed."""
 
     def __init__(self, ds: dataio.Dataset, train_idx, val_idx,
                  in_spec, out_spec, share_krr: bool, seed: int):
@@ -131,8 +149,9 @@ class _FoldCache:
         self.seed = seed
         self._x_cache = {}
         self._y_cache = {}
+        self._factor_cache = {}
         self._krr_cache = {}
-        self._block_cache = {}
+        self._product_cache = {}
         kind = ds.output_kind
         self._yf_sup = dataio.output_features(kind, ds.y_sup)
         self._yf_unsup = (dataio.output_features(kind, ds.y_unsup)
@@ -153,11 +172,14 @@ class _FoldCache:
             self._x_cache[sigma2_in] = (K_x, kappa_val)
         return self._x_cache[sigma2_in]
 
+    def outputs(self, sigma2_out):
+        """(output kernel, training-fold outputs, validation outputs)."""
+        return (_with_sigma2(self.out_spec, sigma2_out), self._yf_sup[self.train_idx],
+                self._yf_sup[self.val_idx])
+
     def y_grams(self, sigma2_out):
         if sigma2_out not in self._y_cache:
-            spec = _with_sigma2(self.out_spec, sigma2_out)
-            Y_tr = self._yf_sup[self.train_idx]
-            Y_val = self._yf_sup[self.val_idx]
+            spec, Y_tr, Y_val = self.outputs(sigma2_out)
             K_y_ss = kernels.gram(spec, Y_tr)
             if self._yf_unsup is not None:
                 K_y_su = kernels.gram(spec, Y_tr, self._yf_unsup)
@@ -167,7 +189,14 @@ class _FoldCache:
             self._y_cache[sigma2_out] = (spec, Y_tr, Y_val, K_y_ss, K_y_su, K_y_uu)
         return self._y_cache[sigma2_out]
 
-    def krr_fit(self, cfg: TrialConfig):
+    def output_factor(self, sigma2_out):
+        """oel.factor_outputs of the training-fold and pool outputs."""
+        if sigma2_out not in self._factor_cache:
+            spec, Y_tr, _ = self.outputs(sigma2_out)
+            self._factor_cache[sigma2_out] = oel.factor_outputs(spec, Y_tr, self._yf_unsup)
+        return self._factor_cache[sigma2_out]
+
+    def krr_fit(self, cfg: TrialConfig) -> _Ridge:
         key = (cfg.lam, cfg.sigma2_in, cfg.q)
         if not self.share_krr:
             return self._fit_krr(cfg)
@@ -175,73 +204,88 @@ class _FoldCache:
             self._krr_cache[key] = self._fit_krr(cfg)
         return self._krr_cache[key]
 
-    def mixed_blocks(self, cfg: TrialConfig, A_train, K_y_ss, K_y_su):
-        """K_h / K_hy products, shared across (p, c) when share_krr is on."""
+    def _shared(self, cfg: TrialConfig, what: str, compute):
+        """compute(), kept per (lambda, widths, q) when share_krr is on."""
         if not self.share_krr:
-            return oel.mixed_gram_blocks(A_train, K_y_ss, K_y_su)
-        key = (cfg.lam, cfg.sigma2_in, cfg.q, cfg.sigma2_out)
-        if key not in self._block_cache:
-            self._block_cache[key] = oel.mixed_gram_blocks(A_train, K_y_ss, K_y_su)
-        return self._block_cache[key]
+            return compute()
+        key = (what, cfg.lam, cfg.sigma2_in, cfg.q, cfg.sigma2_out)
+        if key not in self._product_cache:
+            self._product_cache[key] = compute()
+        return self._product_cache[key]
 
-    def _fit_krr(self, cfg: TrialConfig):
+    def alpha_factor(self, cfg: TrialConfig, ridge: _Ridge, factor):
+        """A F_s for the factored embedding."""
+        return self._shared(cfg, "A F_s", lambda: train_alpha_times(
+            ridge.model, ridge.K_cols, factor.F_s))
+
+    def mixed_blocks(self, cfg: TrialConfig, A_train, K_y_ss, K_y_su):
+        """K_h / K_hy products for the dense embedding."""
+        return self._shared(cfg, "blocks",
+                            lambda: oel.mixed_gram_blocks(A_train, K_y_ss, K_y_su))
+
+    def _fit_krr(self, cfg: TrialConfig) -> _Ridge:
         K_x, kappa_val = self.x_grams(cfg.sigma2_in)
         n_tr = K_x.shape[0]
         if cfg.q is None:
             model = fit_krr(K_x, cfg.lam)
-            A_train = predict_alpha(model, K_x)
-            A_val = predict_alpha(model, kappa_val)
-        else:
-            anchors = select_anchors(n_tr, cfg.q, dataio.named_seed(self.seed, "anchors"))
-            model = fit_krr_nystrom(K_x[:, anchors], K_x[np.ix_(anchors, anchors)],
-                                    cfg.lam, anchors)
-            A_train = predict_alpha(model, K_x[anchors, :])
-            A_val = predict_alpha(model, kappa_val[anchors, :])
-        return model, A_train, A_val
+            return _Ridge(model, K_x, K_x, predict_alpha(model, kappa_val))
+        anchors = select_anchors(n_tr, cfg.q, dataio.named_seed(self.seed, "anchors"))
+        K_cols = K_x[:, anchors]
+        model = fit_krr_nystrom(K_cols, K_x[np.ix_(anchors, anchors)], cfg.lam, anchors)
+        return _Ridge(model, K_cols, K_x[anchors, :],
+                      predict_alpha(model, kappa_val[anchors, :]))
+
+
+def _fit_embedding(cache: _FoldCache, cfg: TrialConfig, ridge: _Ridge,
+                   oel_method: str, oel_seed: int) -> oel.OelModel:
+    c = 1.0 if cfg.c is None else cfg.c
+    factor = cache.output_factor(cfg.sigma2_out) if oel_method == "exact" else None
+    if oel.takes_factored_path(factor, cfg.p):
+        return oel.fit_oel_factored(factor, cache.alpha_factor(cfg, ridge, factor),
+                                    cfg.p, c)
+    _, _, _, K_y_ss, K_y_su, K_y_uu = cache.y_grams(cfg.sigma2_out)
+    blocks = (cache.mixed_blocks(cfg, ridge.A_train, K_y_ss, K_y_su)
+              if c > 0.0 else None)
+    mixed = oel.assemble_mixed_gram(ridge.A_train, K_y_ss, K_y_su=K_y_su,
+                                    K_y_uu=K_y_uu, c=c, blocks=blocks)
+    return oel.fit_oel(mixed, cfg.p, method=oel_method, seed=oel_seed)
 
 
 def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
                      oel_method: str, oel_seed: int) -> float:
     ds = cache.ds
-    out_spec, Y_tr, Y_val, K_y_ss, K_y_su, K_y_uu = cache.y_grams(cfg.sigma2_out)
-    _, A_train, A_val = cache.krr_fit(cfg)
+    out_spec, Y_tr, Y_val = cache.outputs(cfg.sigma2_out)
+    ridge = cache.krr_fit(cfg)
 
     use_oel = cfg.p is not None
     if use_oel:
-        c = 1.0 if cfg.c is None else cfg.c
-        blocks = (cache.mixed_blocks(cfg, A_train, K_y_ss, K_y_su)
-                  if c > 0.0 else None)
-        mixed = oel.assemble_mixed_gram(A_train, K_y_ss, K_y_su=K_y_su,
-                                        K_y_uu=K_y_uu, c=c, blocks=blocks)
-        model = oel.fit_oel(mixed, cfg.p, method=oel_method, seed=oel_seed)
+        model = _fit_embedding(cache, cfg, ridge, oel_method, oel_seed)
+        Y_ref = model.reference_outputs(Y_tr, cache._yf_unsup)
 
     if metric == "surrogate_mse":
         self_norms_val = kernels.self_norms(out_spec, Y_val)
         if use_oel:
-            C_s_true = kernels.gram(out_spec, Y_tr, Y_val)
-            C_u_true = (kernels.gram(out_spec, cache._yf_unsup, Y_val)
-                        if model.m else None)
-            Z_val = oel.embed_tests(model, A_val)
-            Z_true = oel.embed_candidates(model, C_s_true, C_u_true)
+            Z_val = oel.embed_tests(model, ridge.A_val)
+            Z_true = oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, Y_val))
             errs = oel.surrogate_sq_errors(Z_val, Z_true, self_norms_val)
         else:
+            K_y_ss = cache.y_grams(cfg.sigma2_out)[3]
             C_true = kernels.gram(out_spec, Y_tr, Y_val)
-            errs = krr_surrogate_sq_errors(A_val, K_y_ss, C_true, self_norms_val)
+            errs = krr_surrogate_sq_errors(ridge.A_val, K_y_ss, C_true, self_norms_val)
         return float(np.mean(errs))
 
     # decoded metrics: candidates are the training-fold outputs plus the
     # unsupervised pool
     cand = (np.vstack([Y_tr, cache._yf_unsup]) if cache._yf_unsup is not None
             else Y_tr)
-    C_s = kernels.gram(out_spec, Y_tr, cand)
     cand_norms = kernels.self_norms(out_spec, cand)
     if use_oel:
-        C_u = kernels.gram(out_spec, cache._yf_unsup, cand) if model.m else None
-        rankings = decode_oel(oel.embed_tests(model, A_val),
-                              oel.embed_candidates(model, C_s, C_u),
+        rankings = decode_oel(oel.embed_tests(model, ridge.A_val),
+                              oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, cand)),
                               cand_norms, k=1)
     else:
-        rankings = decode_iokr(A_val, C_s, cand_norms, k=1)
+        rankings = decode_iokr(ridge.A_val, kernels.gram(out_spec, Y_tr, cand),
+                               cand_norms, k=1)
     pred_idx = np.array([r.indices[0] for r in rankings])
     pred = cand[pred_idx]
 

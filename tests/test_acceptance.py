@@ -82,8 +82,8 @@ def test_criterion_2_decoder_oracle_equivalence():
         A_test = okr.predict_alpha(prob.krr_model,
                                    prob.K_x[:, rng.integers(0, n, size=4)])
         Z_test = oel.embed_tests(model, A_test)
-        C_u = None if m == 0 else prob.Y_unsup @ cands.T
-        Z_cand = oel.embed_candidates(model, prob.Y @ cands.T, C_u)
+        Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
+        Z_cand = oel.embed_candidates(model, Y_ref @ cands.T)
         norms = np.einsum("ij,ij->i", cands, cands)
         got = np.array([r.indices[0]
                         for r in decode_oel(Z_test, Z_cand, norms, k=1)])
@@ -111,7 +111,8 @@ def test_criterion_3_full_rank_reduction_and_kernel_pca():
         norms = np.einsum("ij,ij->i", cands, cands)
         C_s = prob.Y @ cands.T
         r_oel = decode_oel(oel.embed_tests(model, A_test),
-                           oel.embed_candidates(model, C_s, prob.Y_unsup @ cands.T),
+                           oel.embed_candidates(
+                               model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
                            norms, k=30)
         r_iokr = decode_iokr(A_test, C_s, norms, k=30)
         for a, b in zip(r_oel, r_iokr):
@@ -124,7 +125,7 @@ def test_criterion_3_full_rank_reduction_and_kernel_pca():
         n, m, d, p = 6, int(rng.integers(8, 25)), 7, int(rng.integers(1, 6))
         prob = build_explicit(rng, n=n, m=m, d_out=d, lam=0.1, c=0.0, p=p)
         K_uu = prob.Y_unsup @ prob.Y_unsup.T
-        Z = oel.embed_candidates(prob.oel_model, prob.Y @ prob.Y_unsup.T, K_uu)
+        Z = oel.embed_candidates(prob.oel_model, np.vstack([prob.Y @ prob.Y_unsup.T, K_uu]))
         scores = kpca_scores(K_uu, p)
         worst_pca = max(worst_pca, float(np.max(np.abs(
             align_columns(Z.T, scores) - scores))))
@@ -219,7 +220,7 @@ def test_criterion_6_supervised_benefit_reproduction():
             K_y_uu=kernels.gram(lin, ds.y_unsup),
             method="randomized", seed=seed, krr_model=krr_sup)
         z0 = oel.embed_tests(unsup, A_test)
-        z0_true = oel.embed_candidates(unsup, C_s_true, C_u_true)
+        z0_true = oel.embed_candidates(unsup, np.vstack([C_s_true, C_u_true]))
         err_unsup = float(np.mean(oel.surrogate_sq_errors(z0, z0_true, norms)))
 
         pairs.append((err_sup, err_unsup))
@@ -367,7 +368,7 @@ def test_criterion_10_usps_reproduction():
                                             krr_model=krr_model)
             C_u = kernels.gram(out_spec, y_unsup, candidates)
             rankings = decode_oel(oel.embed_tests(model, A_test),
-                                  oel.embed_candidates(model, C_s, C_u),
+                                  oel.embed_candidates(model, np.vstack([C_s, C_u])),
                                   cand_norms, k=1)
         pred = candidates[[r.indices[0] for r in rankings]]
         k_yp = kernels.pair_values(out_spec, y_te, pred)

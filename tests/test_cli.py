@@ -120,8 +120,7 @@ class TestFitPredictEvaluate:
         A_test = okr.predict_alpha(krr_model,
                                    kernels.gram(spec, bundle.matrices["x_train"], ds.x_test))
         Z_cand = okr.embed_candidates(
-            oel_model, kernels.gram(spec, bundle.matrices["y_train_features"], cand_f),
-            kernels.gram(spec, bundle.matrices["y_unsup_features"], cand_f))
+            oel_model, kernels.gram(spec, bundle.matrices["y_ref_features"], cand_f))
         expect = tmp_path / "whole.tsv"
         dataio.save_rankings(expect, decode_oel(okr.embed_tests(oel_model, A_test), Z_cand,
                                                 kernels.self_norms(spec, cand_f), k=3,
@@ -354,7 +353,7 @@ def _non_utf8_cfg(tmp_path):
 
 
 def _failing_fit_oel(*args, **kwargs):
-    raise RuntimeError("unexpected failure inside fit_oel")
+    raise RuntimeError("unexpected failure inside fit_oel_factored")
 
 
 # (case, function writing the config, patch (module attribute, replacement)
@@ -380,8 +379,8 @@ BAD_FIT_INPUTS = [
      cli.EXIT_DATA, "data error", "y.txt:1: bad dimension 'x'"),
     ("non_utf8_data_file", _non_utf8_cfg, None,
      cli.EXIT_DATA, "data error", "x.csv: not UTF-8"),
-    ("unexpected_exception", _fit_cfg, ("okr.oel.fit_oel", _failing_fit_oel),
-     cli.EXIT_INTERNAL, "internal error", "unexpected failure inside fit_oel"),
+    ("unexpected_exception", _fit_cfg, ("okr.oel.fit_oel_factored", _failing_fit_oel),
+     cli.EXIT_INTERNAL, "internal error", "unexpected failure inside fit_oel_factored"),
 ]
 
 
@@ -400,21 +399,107 @@ def test_bad_fit_input_exit_code_and_log(tmp_path, capsys, monkeypatch,
     assert f"--- {label} ---" in log and "Traceback" in log and message in log
 
 
-class TestEigensolverRecord:
-    GAUSS_KEYS = ("kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0",
-                  "kernel.y.kind = gaussian", "kernel.y.sigma2 = 4.0", "oel.p = 8",
-                  "oel.c = 0.5")
+def _rankings_cfg(tmp_path, bad_line):
+    """evaluate config over a 30 + 10 synth dataset (46 candidates, 6 queries)
+    whose rankings file has bad_line as its first line."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    rank_path = tmp_path / "rankings.tsv"
+    rank_path.write_text(bad_line + "".join(f"{j}\t{j}:0.5\n" for j in range(1, 6)))
+    return "evaluate", write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
+                                 f"evaluate.rankings = {rank_path}")
 
-    def _fit_resolved(self, tmp_path):
-        # n + m = 300: the size rule sends p = 8 to Lanczos
-        data_dir, dataset_cfg = synth_workspace(tmp_path, n=150, m=150)
-        cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS, *self.GAUSS_KEYS)
+
+def _v2_bundle_cfg(tmp_path):
+    """predict config over a fitted bundle whose manifest says version 2."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    fit_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+    assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
+    mpath = tmp_path / "fit" / "model" / "manifest.txt"
+    lines = [ln.replace(f"bundle_version = {dataio.BUNDLE_VERSION}", "bundle_version = 2")
+             for ln in mpath.read_text().splitlines()
+             if not ln.startswith("manifest_sha256")]
+    lines.append("manifest_sha256 = " + dataio._manifest_digest(lines))
+    mpath.write_text("\n".join(lines) + "\n")
+    return "predict", write_cfg(data_dir / "pred.cfg", dataset_cfg,
+                                f"model.dir = {tmp_path / 'fit' / 'model'}")
+
+
+# (case, function writing (subcommand, config), exit code, run.log label,
+#  text the run.log entry must contain)
+BAD_RUN_INPUTS = [
+    ("evaluate_negative_candidate_id", lambda d: _rankings_cfg(d, "0\t-1:0.1\n"),
+     cli.EXIT_DATA, "data error", "rankings.tsv:1: candidate id -1 outside [0, 46)"),
+    ("evaluate_candidate_id_past_end", lambda d: _rankings_cfg(d, "0\t46:0.1\n"),
+     cli.EXIT_DATA, "data error", "rankings.tsv:1: candidate id 46 outside [0, 46)"),
+    ("evaluate_query_without_pairs", lambda d: _rankings_cfg(d, "0\n"),
+     cli.EXIT_DATA, "data error", "rankings.tsv:1: query 0 ranks no candidate"),
+    ("predict_v2_bundle", _v2_bundle_cfg,
+     cli.EXIT_DATA, "data error", "bundle version '2' unsupported (expected 3); refit"),
+]
+
+
+@pytest.mark.parametrize("make_cfg, code, label, message",
+                         [case[1:] for case in BAD_RUN_INPUTS],
+                         ids=[case[0] for case in BAD_RUN_INPUTS])
+def test_bad_predict_evaluate_input_exit_code_and_log(tmp_path, capsys, make_cfg, code,
+                                                      label, message):
+    command, cfg = make_cfg(tmp_path)
+    out = tmp_path / "o"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == code
+    assert f"{label}: " in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert f"--- {label} ---" in log and "Traceback" in log and message in log
+
+
+def fingerprint_workspace(tmp_path, n=150, m=150, n_bits=64, seed=0):
+    """Random 64-bit fingerprints as supervised and pool outputs: their
+    tanimoto Gram has full rank, so the output factor passes its rank cap."""
+    rng = np.random.default_rng(seed)
+    data_dir = tmp_path / "fp"
+    data_dir.mkdir(parents=True)
+    Y = (rng.random((n + m, n_bits)) < 0.3).astype(float)
+    Y[Y.sum(axis=1) == 0, 0] = 1.0
+    dataio.save_dense(data_dir / "x.csv", Y[:n] @ rng.standard_normal((n_bits, 3)))
+    dataio.save_bitsets(data_dir / "y.txt", Y[:n])
+    dataio.save_bitsets(data_dir / "y_unsup.txt", Y[n:])
+    return data_dir, "\n".join(["data.kind = bitset", "data.x = x.csv", "data.y = y.txt",
+                                "data.y_unsup = y_unsup.txt"])
+
+
+class TestEigensolverRecord:
+    KEYS = ("kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0", "krr.lambda = 1e-4",
+            "oel.c = 0.5")
+    GAUSS_Y = ("kernel.y.kind = gaussian", "kernel.y.sigma2 = 4.0", "oel.p = 8")
+
+    def _fit_resolved(self, tmp_path, data_dir, dataset_cfg, *keys):
+        cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *self.KEYS, *keys)
         out = tmp_path / "fit"
         assert run("fit", "--config", str(cfg), "--out", str(out)) == 0
         return (out / "config.resolved").read_text().splitlines()
 
-    def test_baseline_shape_records_lanczos(self, tmp_path):
-        assert "oel.eigensolver = lanczos" in self._fit_resolved(tmp_path)
+    def _fingerprints_resolved(self, tmp_path):
+        # n + m = 300 fingerprints: the factor gives up at rank 100, and the
+        # size rule sends p = 8 to Lanczos
+        return self._fit_resolved(tmp_path, *fingerprint_workspace(tmp_path),
+                                  "kernel.y.kind = tanimoto", "oel.p = 8")
+
+    def test_baseline_shape_records_pivoted_cholesky(self, tmp_path):
+        # the remark1 outputs under the Gaussian kernel: n + m = 600 outputs
+        # factor to rank 153 (cap 200), and p = 8 < 153
+        data_dir, dataset_cfg = synth_workspace(tmp_path, n=300, m=300)
+        resolved = self._fit_resolved(tmp_path, data_dir, dataset_cfg, *self.GAUSS_Y)
+        assert "oel.eigensolver = pivoted_cholesky r=153" in resolved
+
+    def test_fingerprint_outputs_record_lanczos(self, tmp_path):
+        assert "oel.eigensolver = lanczos" in self._fingerprints_resolved(tmp_path)
+
+    def test_p_not_below_rank_records_dense_path(self, tmp_path):
+        # linear kernel on the 2-d remark1 outputs: r = 2, so p = 2 takes the
+        # dense path (eigh, as n + m = 40 is below the Lanczos size)
+        data_dir, dataset_cfg = synth_workspace(tmp_path)
+        resolved = self._fit_resolved(tmp_path, data_dir, dataset_cfg,
+                                      "kernel.y.kind = linear", "oel.p = 2")
+        assert "oel.eigensolver = eigh" in resolved
 
     def test_forced_fallback_records_eigh(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg
@@ -423,7 +508,7 @@ class TestEigensolverRecord:
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        assert "oel.eigensolver = eigh" in self._fit_resolved(tmp_path)
+        assert "oel.eigensolver = eigh" in self._fingerprints_resolved(tmp_path)
 
 
 class TestThreadCap:

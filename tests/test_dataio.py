@@ -367,8 +367,9 @@ class TestModelPersistence:
 
         rng = np.random.default_rng(9)
         cands = rng.standard_normal((5, Y.shape[1]))
-        c1 = okr.embed_candidates(oel_model, Y @ cands.T, Yu @ cands.T)
-        c2 = okr.embed_candidates(oel2, Y @ cands.T, Yu @ cands.T)
+        C = np.vstack([Y, Yu]) @ cands.T
+        c1 = okr.embed_candidates(oel_model, C)
+        c2 = okr.embed_candidates(oel2, C)
         assert c1.tobytes() == c2.tobytes()
 
     def test_manifest_tamper_detected(self, tmp_path):
@@ -430,6 +431,17 @@ class TestModelPersistence:
         dataio.save_model(v1, tmp_path / "model")
         self._rewrite_version(tmp_path / "model", "1")
         with pytest.raises(dataio.DataError, match="bundle version '1' unsupported"):
+            dataio.load_model(tmp_path / "model")
+
+    def test_v2_bundle_rejected(self, tmp_path):
+        # a version-2 bundle kept separate supervised and unsupervised
+        # readouts (oel_R_s, oel_R_u); it must be refit
+        krr_model, oel_model, *_ = self._fit_models()
+        dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
+                          tmp_path / "model")
+        self._rewrite_version(tmp_path / "model", "2")
+        with pytest.raises(dataio.DataError,
+                           match="bundle version '2' unsupported .*refit"):
             dataio.load_model(tmp_path / "model")
 
     def test_embedding_matrices_have_p_rows(self, tmp_path):

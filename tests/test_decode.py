@@ -120,8 +120,8 @@ class TestOracleEquivalence:
             kappa = prob.K_x[:, rng.integers(0, n, size=5)]
             A_test = okr.predict_alpha(prob.krr_model, kappa)
             Z_test = okr.embed_tests(model, A_test)
-            Z_cand = okr.embed_candidates(model, prob.Y @ cands.T,
-                                          prob.Y_unsup @ cands.T)
+            Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
+            Z_cand = okr.embed_candidates(model, Y_ref @ cands.T)
             norms = np.einsum("ij,ij->i", cands, cands)
             got = [r.indices[0] for r in decode_oel(Z_test, Z_cand, norms, k=1)]
             expect = brute_force_decode(prob, A_test, cands)
@@ -144,7 +144,8 @@ class TestOracleEquivalence:
             norms = np.einsum("ij,ij->i", cands, cands)
             C_s = prob.Y @ cands.T
             r_oel = decode_oel(okr.embed_tests(model, A_test),
-                               okr.embed_candidates(model, C_s, prob.Y_unsup @ cands.T),
+                               okr.embed_candidates(
+                                   model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
                                norms, k=25)
             r_iokr = decode_iokr(A_test, C_s, norms, k=25)
             for a, b in zip(r_oel, r_iokr):

@@ -272,3 +272,48 @@ class TestEigRandomized:
         approx = linalg.eig_topk_randomized(K, p, oversample=10, power_iters=2, seed=0)
         rel = np.max(np.abs(approx.values - vals[:p]) / vals[:p])
         assert rel <= 1e-6
+
+
+class TestPivotedCholesky:
+    @staticmethod
+    def _run(K, **kwargs):
+        return linalg.pivoted_cholesky(np.diag(K), lambda i: K[:, i], **kwargs)
+
+    def test_hand_case(self):
+        # pivot 1 first (diagonal 9); the residual diagonal is then (1, 0, 1)
+        # and the tie goes to the lower index
+        K = np.array([[1.0, 0.0, 0.0], [0.0, 9.0, 3.0], [0.0, 3.0, 2.0]])
+        chol = self._run(K)
+        np.testing.assert_array_equal(chol.pivots, [1, 0, 2])
+        np.testing.assert_allclose(chol.F, [[0.0, 1.0, 0.0], [3.0, 0.0, 0.0],
+                                            [1.0, 0.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(np.triu(chol.F[chol.pivots], 1), 0.0, atol=1e-15)
+        assert chol.converged and chol.rank == 3 and chol.residual == 0.0
+
+    def test_linear_kernel_stops_at_output_dimension(self):
+        rng = np.random.default_rng(20)
+        for d in (1, 3, 7):
+            Y = rng.standard_normal((60, d))
+            K = Y @ Y.T
+            chol = self._run(K)
+            assert chol.rank == d and chol.converged
+            assert chol.residual <= linalg.PIVOT_RTOL * np.max(np.diag(K))
+            np.testing.assert_allclose(chol.F @ chol.F.T, K, atol=1e-12)
+
+    def test_bit_identical_repeats(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((80, 2))
+        K = np.exp(-((X[:, None, :] - X[None, :, :]) ** 2).sum(-1) / 2.0)
+        a, b = self._run(K), self._run(K)
+        assert a.F.tobytes() == b.F.tobytes()
+        assert np.array_equal(a.pivots, b.pivots) and a.residual == b.residual
+
+    def test_max_rank_stops_unconverged(self):
+        K = random_psd(np.random.default_rng(22), 30)
+        chol = self._run(K, max_rank=5)
+        assert chol.rank == 5 and not chol.converged
+        assert chol.residual > linalg.PIVOT_RTOL * np.max(np.diag(K))
+
+    def test_zero_matrix_has_rank_zero(self):
+        chol = self._run(np.zeros((4, 4)))
+        assert chol.rank == 0 and chol.F.shape == (4, 0) and chol.converged

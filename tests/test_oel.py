@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import okr
-from okr import oel
+from okr import dataio, kernels, krr, oel
+from okr.decode import decode_oel
 
 from _oracles import (align_columns, build_explicit, kpca_scores, random_psd,
                       second_moment_eigs)
@@ -145,7 +146,7 @@ class TestEmbed:
         rng = np.random.default_rng(9)
         prob = build_explicit(rng, n=8, m=4, d_out=5, lam=0.1, c=0.5, p=3)
         model = prob.oel_model
-        Z = oel.embed_candidates(model, np.zeros((8, 3)), np.zeros((4, 3)))
+        Z = oel.embed_candidates(model, np.zeros((12, 3)))
         np.testing.assert_array_equal(Z, np.zeros((3, 3)))
         np.testing.assert_array_equal(oel.embed_tests(model, np.zeros((8, 2))),
                                       np.zeros((3, 2)))
@@ -155,9 +156,7 @@ class TestEmbed:
         prob = build_explicit(rng, n=12, m=7, d_out=6, lam=0.2, c=0.6, p=4)
         model = prob.oel_model
         cands = rng.standard_normal((9, 6))
-        C_s = prob.Y @ cands.T
-        C_u = prob.Y_unsup @ cands.T
-        Z = oel.embed_candidates(model, C_s, C_u)
+        Z = oel.embed_candidates(model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T)
         # oracle: G psi(y) = basis^T y in explicit feature space
         np.testing.assert_allclose(Z, prob.basis.T @ cands.T, atol=1e-8)
 
@@ -176,9 +175,8 @@ class TestEmbed:
         prob = build_explicit(rng, n=n, m=m, d_out=d, lam=0.1, c=0.5, p=d)
         model = prob.oel_model
         j = 2
-        C_s = prob.Y @ prob.Y_unsup[j:j + 1].T
-        C_u = prob.Y_unsup @ prob.Y_unsup[j:j + 1].T
-        Z = oel.embed_candidates(model, C_s, C_u)
+        Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
+        Z = oel.embed_candidates(model, Y_ref @ prob.Y_unsup[j:j + 1].T)
         # training embedding K beta of the scaled spanning vectors, explicitly
         gy = prob.V.T @ prob.basis
         np.testing.assert_allclose(Z[:, 0] * model.scale_unsup, gy[n + j], atol=1e-8)
@@ -190,15 +188,15 @@ class TestEmbed:
         model = prob.oel_model
         i = 4
         Z_test = oel.embed_tests(model, np.eye(9)[:, [i]])
-        C_s = prob.Y @ prob.Y[i:i + 1].T
-        C_u = prob.Y_unsup @ prob.Y[i:i + 1].T
-        Z_cand = oel.embed_candidates(model, C_s, C_u)
+        Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
+        Z_cand = oel.embed_candidates(model, Y_ref @ prob.Y[i:i + 1].T)
         np.testing.assert_allclose(Z_test, Z_cand, atol=1e-10)
 
     def test_missing_unsup_columns_rejected(self):
         rng = np.random.default_rng(14)
         prob = build_explicit(rng, n=8, m=4, d_out=5, lam=0.1, c=0.5, p=3)
-        with pytest.raises(ValueError, match="C_u is required"):
+        # the reference outputs are the 8 supervised then 4 unsupervised ones
+        with pytest.raises(ValueError, match="C has 8 rows, expected 12"):
             oel.embed_candidates(prob.oel_model, np.zeros((8, 2)))
 
     def test_kernel_pca_reduction_at_c0(self):
@@ -207,9 +205,85 @@ class TestEmbed:
         prob = build_explicit(rng, n=n, m=m, d_out=d, lam=0.1, c=0.0, p=p)
         model = prob.oel_model
         K_uu = prob.Y_unsup @ prob.Y_unsup.T
-        Z = oel.embed_candidates(model, prob.Y @ prob.Y_unsup.T, K_uu)
+        Z = oel.embed_candidates(model, np.vstack([prob.Y @ prob.Y_unsup.T, K_uu]))
         scores = kpca_scores(K_uu, p)          # oracle: direct eigendecomposition
         np.testing.assert_allclose(align_columns(Z.T, scores), scores, atol=1e-8)
+
+
+class TestFactored:
+    """The factored fit against the dense mixed-Gram path, on the remark1
+    outputs under a Gaussian kernel (the benchmark's kernels at 600 + 600
+    outputs: the factor has rank 179 of 1200)."""
+
+    GX = kernels.KernelSpec("gaussian", sigma2=1.0)
+    GY = kernels.KernelSpec("gaussian", sigma2=4.0)
+
+    def _fits(self, nystrom, n=600, p=32, c=0.5, lam=1e-4):
+        ds = dataio.synth_remark1(n, n, 200, 1.0, 4.0, seed=8)
+        K_x = kernels.gram(self.GX, ds.x)
+        if nystrom:
+            anchors = okr.select_anchors(n, 150, seed=1)
+            K_cols = K_x[:, anchors]
+            krr_model = okr.fit_krr_nystrom(K_cols, K_x[np.ix_(anchors, anchors)], lam,
+                                            anchors)
+            kappa_train = K_cols.T
+            kappa_test = kernels.gram(self.GX, ds.x[anchors], ds.x_test)
+        else:
+            K_cols = kappa_train = K_x
+            krr_model = okr.fit_krr(K_x, lam)
+            kappa_test = kernels.gram(self.GX, ds.x, ds.x_test)
+        factor = oel.factor_outputs(self.GY, ds.y_sup, ds.y_unsup)
+        assert oel.takes_factored_path(factor, p)
+        factored = oel.fit_oel_factored(
+            factor, krr.train_alpha_times(krr_model, K_cols, factor.F_s), p, c)
+        mixed = oel.assemble_mixed_gram(
+            okr.predict_alpha(krr_model, kappa_train), kernels.gram(self.GY, ds.y_sup),
+            K_y_su=kernels.gram(self.GY, ds.y_sup, ds.y_unsup),
+            K_y_uu=kernels.gram(self.GY, ds.y_unsup), c=c)
+        dense = oel.fit_oel(mixed, p)
+        return ds, factor, okr.predict_alpha(krr_model, kappa_test), factored, dense
+
+    @pytest.mark.parametrize("nystrom", [False, True], ids=["exact", "nystrom"])
+    def test_matches_dense_path(self, nystrom):
+        ds, factor, A_test, factored, dense = self._fits(nystrom)
+        np.testing.assert_allclose(factored.mu, dense.mu, rtol=0, atol=1e-12 * dense.mu[0])
+        norms = kernels.self_norms(self.GY, ds.candidates)
+        runs = []
+        for model in (factored, dense):
+            Y_ref = model.reference_outputs(ds.y_sup, ds.y_unsup)
+            Z_cand = oel.embed_candidates(model, kernels.gram(self.GY, Y_ref, ds.candidates))
+            runs.append(decode_oel(oel.embed_tests(model, A_test), Z_cand, norms, k=10))
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_allclose(a.scores, b.scores, rtol=0, atol=1e-10)
+
+    def test_readouts_read_the_pivots(self):
+        ds, factor, _, model, _ = self._fits(False)
+        r = factor.r
+        assert model.R.shape == (32, r) and model.T.shape == (32, 600)
+        np.testing.assert_array_equal(model.ref_rows, factor.pivots)
+        assert model.eigensolver == f"pivoted_cholesky r={r}"
+        assert model.ortho_defect <= 1e-10
+        # a training output embeds through R exactly as its factor row does
+        Y_ref = model.reference_outputs(ds.y_sup, ds.y_unsup)
+        Z = oel.embed_candidates(model, kernels.gram(self.GY, Y_ref, ds.y_sup[:5]))
+        np.testing.assert_allclose(Z, model.T @ np.eye(600)[:, :5], atol=1e-8)
+
+    def test_p_not_below_rank_rejected(self):
+        rng = np.random.default_rng(30)
+        Y = rng.standard_normal((20, 3))
+        factor = oel.factor_outputs(kernels.KernelSpec("linear"), Y)
+        assert factor.r == 3 and not oel.takes_factored_path(factor, 3)
+        with pytest.raises(ValueError, match=r"p must be in \[1, r\)"):
+            oel.fit_oel_factored(factor, factor.F_s, p=3)
+
+    def test_fingerprint_outputs_fall_back(self):
+        # random fingerprints have a full-rank tanimoto Gram: the factor
+        # passes its rank cap and the exact method keeps the dense path
+        rng = np.random.default_rng(31)
+        Y = (rng.random((300, 64)) < 0.3).astype(float)
+        assert oel.factor_outputs(kernels.KernelSpec("tanimoto"), Y[:150], Y[150:]) is None
+        assert not oel.takes_factored_path(None, 8)
 
 
 class TestSurrogateErrors:
@@ -221,8 +295,8 @@ class TestSurrogateErrors:
         kappa = prob.K_x[:, :4]
         A_test = okr.predict_alpha(prob.krr_model, kappa)
         Z_test = oel.embed_tests(model, A_test)
-        Z_true = oel.embed_candidates(model, prob.Y @ Y_true.T,
-                                      prob.Y_unsup @ Y_true.T)
+        Z_true = oel.embed_candidates(
+            model, model.reference_outputs(prob.Y, prob.Y_unsup) @ Y_true.T)
         errs = oel.surrogate_sq_errors(Z_test, Z_true,
                                        np.einsum("ij,ij->i", Y_true, Y_true))
         explicit = prob.project(prob.h_test(A_test)) - Y_true.T
