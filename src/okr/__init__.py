@@ -20,11 +20,11 @@ _EXPORTS = {
     "linalg": ("RegularizedSolver", "solve_regularized", "EigPair", "eig_topk_exact",
                "eig_topk_randomized", "PivotedCholesky", "pivoted_cholesky",
                "NumericalError"),
-    "krr": ("KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "train_alpha_times",
-            "select_anchors"),
+    "krr": ("KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "fold_readout",
+            "train_alpha_times", "select_anchors"),
     "oel": ("MixedGram", "OelModel", "OutputFactor", "assemble_mixed_gram", "fit_oel",
             "factor_outputs", "fit_oel_factored", "fit_oel_with_krr", "embed_candidates",
-            "embed_tests", "surrogate_sq_errors"),
+            "embed_tests", "embed_inputs", "surrogate_sq_errors"),
     "decode": ("Ranking", "decode_oel", "decode_iokr"),
     "metrics": ("MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
                 "topk_accuracy", "kendall_tau", "hamming"),

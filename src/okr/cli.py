@@ -9,7 +9,10 @@ error, 2 data error, 3 numerical failure, 4 internal error (any other
 exception; its traceback goes to run.log).
 
 Heavy imports happen inside the handlers so that --threads can cap the BLAS
-worker pools through the environment before numpy is loaded.
+worker pools through the environment before numpy is loaded. scipy loads
+only where a factorization, solve or eigendecomposition runs (fit, tune,
+predict with a --iokr-only bundle): embedded predict reads the folded
+readouts of its bundle with numpy alone, and evaluate uses no scipy either.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (_CliUsage, UsageError) as exc:
         return _report(exc, "usage error", log_path, EXIT_USAGE)
-    except (DataError, IndexError) as exc:
+    except DataError as exc:
         return _report(exc, "data error", log_path, EXIT_DATA)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return _report(exc, "numerical failure", log_path, EXIT_NUMERIC)
@@ -312,8 +315,13 @@ def _cmd_predict(args, out):
         raise DataError("predict needs data.x_test")
     k = get_int(cfg, "decode.k", 1)
 
+    # kappa: the test inputs' kernel columns as the ridge model reads them
     if man["input.mode"] == "gram":
         kappa = ds.x_test
+        if kappa.shape[0] != krr_model.n:
+            raise DataError(f"{base / cfg['data.x_test']}: test Gram block has "
+                            f"{kappa.shape[0]} rows, but the model was fit on "
+                            f"{krr_model.n} training points")
         if krr_model.mode == krr.NYSTROM:
             kappa = kappa[krr_model.anchors, :]
     else:
@@ -321,7 +329,6 @@ def _cmd_predict(args, out):
         ref = (bundle.matrices["x_train"] if krr_model.mode == krr.EXACT
                else bundle.matrices["x_anchors"])
         kappa = kernels.gram(in_spec, ref, ds.x_test)
-    A_test = krr.predict_alpha(krr_model, kappa)
 
     out_spec = _spec_from_manifest(man, "kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
@@ -338,11 +345,12 @@ def _cmd_predict(args, out):
             blk = cand_f[start:start + _EMBED_BLOCK]
             Z_cand[:, start:start + len(blk)] = oel.embed_candidates(
                 oel_model, kernels.gram(out_spec, Y_ref, blk))
-        rankings = decode_oel(oel.embed_tests(oel_model, A_test), Z_cand,
+        rankings = decode_oel(oel.embed_inputs(oel_model, kappa), Z_cand,
                               cand_norms, k=k, query_cands=ds.candidate_map)
     else:
         Y_s = bundle.matrices["y_train_features"]
-        rankings = decode_iokr(A_test, kernels.gram(out_spec, Y_s, cand_f), cand_norms,
+        rankings = decode_iokr(krr.predict_alpha(krr_model, kappa),
+                               kernels.gram(out_spec, Y_s, cand_f), cand_norms,
                                k=k, query_cands=ds.candidate_map)
     rank_path = out / "rankings.tsv"
     dataio.save_rankings(rank_path, rankings)
@@ -556,9 +564,23 @@ def _cmd_bench_decode(args, out):
         print(f"per-candidate cost deviation from linear ({label}): {dev:.1%}")
 
 
+# the configs synth writes beside dataset.cfg, for the README quick start:
+# paths resolve against the data directory, and predict and evaluate expect
+# fit to write into <out>/fit and predict into <out>/pred
+_SYNTH_KERNELS = {"kernel.x.kind": "gaussian", "kernel.x.sigma2": "1.0",
+                  "kernel.y.kind": "gaussian", "kernel.y.sigma2": "4.0"}
+_SYNTH_CONFIGS = {
+    "run.cfg": {"krr.lambda": "1e-4", "oel.p": "32", "oel.c": "0.5"},
+    "pred.cfg": {"model.dir": "../fit/model", "decode.k": "10"},
+    "eval.cfg": {"evaluate.rankings": "../pred/rankings.tsv", "evaluate.topk": "1,10"},
+    "tune.cfg": {"tune.protocol": "ssv", "tune.metric": "surrogate_mse", "tune.reps": "2",
+                 "tune.lams": "1e-5,1e-4,1e-3", "tune.ps": "8,32", "tune.cs": "0.5"},
+}
+
+
 def _cmd_synth(args, out):
     from . import dataio
-    from .config import get_float, get_int
+    from .config import get_float, get_int, parse_config_file, write_snapshot
 
     cfg, _ = _load_cfg(args)
     seed = _root_seed(args, cfg)
@@ -569,9 +591,14 @@ def _cmd_synth(args, out):
     s2z = get_float(cfg, "synth.sigma2_z", 4.0)
     ds = dataio.synth_remark1(n, m, n_test, s2x, s2z, seed=seed)
     cfg_path = dataio.save_dataset(ds, out / "data")
+    data_keys = parse_config_file(cfg_path)
+    for name, keys in _SYNTH_CONFIGS.items():
+        write_snapshot({**data_keys, **_SYNTH_KERNELS, **keys}, cfg_path.parent / name)
     _snapshot(cfg, {"seed": seed, "synth.n": n, "synth.m": m, "synth.n_test": n_test,
                     "synth.sigma2_x": repr(s2x), "synth.sigma2_z": repr(s2z)}, args, out)
-    print(f"synth: n={n} m={m} n_test={n_test}; dataset config at {cfg_path}")
+    print(f"synth: n={n} m={m} n_test={n_test}; dataset config at {cfg_path}, "
+          f"with {', '.join(_SYNTH_CONFIGS)} beside it (fit into {out / 'fit'}, "
+          f"predict into {out / 'pred'})")
 
 
 if __name__ == "__main__":

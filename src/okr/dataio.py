@@ -16,6 +16,7 @@ uint64 dims, row-major float64 payload) so model round trips are bit-exact.
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,12 +25,12 @@ import numpy as np
 
 from . import kernels
 from .decode import Ranking
-from .krr import EXACT, NYSTROM, KrrModel
+from .krr import EXACT, NYSTROM, KrrModel, fold_readout
 from .linalg import RegularizedSolver
 from .oel import OelModel
 
 MAGIC = b"OKRMAT01"
-BUNDLE_VERSION = "3"
+BUNDLE_VERSION = "4"
 
 DENSE = "dense"
 BITSET = "bitset"
@@ -211,31 +212,50 @@ def save_permutations(path, P) -> None:
 # binary matrices
 
 
-def save_matrix_binary(path, M) -> None:
+def save_matrix_binary(path, M) -> str:
     """Fixed binary layout: MAGIC, little-endian uint64 (rows, cols), then
-    row-major little-endian float64 payload; identical bytes on any platform."""
+    row-major little-endian float64 payload; identical bytes on any platform.
+    Returns the sha256 hex digest of the bytes written."""
     M = np.ascontiguousarray(np.atleast_2d(M), dtype="<f8")
     if M.ndim != 2:
         raise ValueError(f"only 2-d matrices are persisted, got ndim={M.ndim}")
+    header = MAGIC + np.array(M.shape, dtype="<u8").tobytes()
+    digest = hashlib.sha256(header)
+    digest.update(M.data)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.array(M.shape, dtype="<u8").tobytes())
-        fh.write(M.tobytes())
+        fh.write(header)
+        fh.write(M.data)
+    return digest.hexdigest()
+
+
+def _read_file(path) -> bytearray:
+    """The whole file, read once into a writable buffer."""
+    try:
+        with open(path, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            del buf[fh.readinto(buf):]
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return buf
+
+
+def _parse_matrix(path, buf: bytearray) -> np.ndarray:
+    """The matrix in a buffer holding a whole binary matrix file, as a
+    writable array over that buffer (no copy)."""
+    if buf[:8] != MAGIC:
+        raise DataError(f"{path}: bad magic {bytes(buf[:8])!r}, not a matrix file")
+    if len(buf) < 24:
+        raise DataError(f"{path}: {len(buf)} bytes, too short for a matrix header")
+    rows, cols = np.frombuffer(buf, dtype="<u8", count=2, offset=8)
+    expect = 24 + rows * cols * 8
+    if len(buf) != expect:
+        raise DataError(f"{path}: payload is {len(buf)} bytes, expected {expect} "
+                        f"for a {rows}x{cols} matrix")
+    return np.frombuffer(buf, dtype="<f8", offset=24).reshape(int(rows), int(cols))
 
 
 def load_matrix_binary(path) -> np.ndarray:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if blob[:8] != MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:8]!r}, not a matrix file")
-    rows, cols = np.frombuffer(blob[8:24], dtype="<u8")
-    expect = 24 + rows * cols * 8
-    if len(blob) != expect:
-        raise DataError(f"{path}: payload is {len(blob)} bytes, expected {expect} "
-                        f"for a {rows}x{cols} matrix")
-    return np.frombuffer(blob[24:], dtype="<f8").reshape(int(rows), int(cols)).copy()
+    return _parse_matrix(path, _read_file(path))
 
 
 def load_gram(path, tol: float = 1e-10) -> np.ndarray:
@@ -456,7 +476,9 @@ def load_dataset(config: dict, base_dir=None) -> Dataset:
     y_unsup = y_loader(path_of("data.y_unsup")) if path_of("data.y_unsup") else None
     y_test = y_loader(path_of("data.y_test")) if path_of("data.y_test") else None
     candidates = y_loader(path_of("data.candidates")) if path_of("data.candidates") else None
-    n_cand = None if candidates is None else candidates.shape[0]
+    # without data.candidates, decoding ranks the supervised then pool outputs
+    n_cand = (candidates.shape[0] if candidates is not None
+              else y_sup.shape[0] + (0 if y_unsup is None else y_unsup.shape[0]))
     candidate_map = (load_candidate_map(path_of("data.candidate_map"), n_cand)
                      if path_of("data.candidate_map") else None)
     truth_index = (load_index_vector(path_of("data.truth_index"))
@@ -610,9 +632,7 @@ def save_model(bundle: ModelBundle, dirpath) -> None:
     manifest["bundle_version"] = BUNDLE_VERSION
     manifest["matrix_names"] = ",".join(sorted(bundle.matrices))
     for name, M in bundle.matrices.items():
-        fname = dirpath / f"{name}.mat"
-        save_matrix_binary(fname, M)
-        manifest[f"sha256.{name}"] = hashlib.sha256(fname.read_bytes()).hexdigest()
+        manifest[f"sha256.{name}"] = save_matrix_binary(dirpath / f"{name}.mat", M)
     lines = [f"{k} = {manifest[k]}" for k in sorted(manifest)]
     lines.append(f"manifest_sha256 = {_manifest_digest(lines)}")
     (dirpath / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -642,10 +662,10 @@ def load_model(dirpath) -> ModelBundle:
         fname = dirpath / f"{name}.mat"
         if not fname.exists():
             raise DataError(f"{fname}: matrix listed in manifest is missing")
-        digest = hashlib.sha256(fname.read_bytes()).hexdigest()
-        if digest != manifest.get(f"sha256.{name}"):
+        buf = _read_file(fname)
+        if hashlib.sha256(buf).hexdigest() != manifest.get(f"sha256.{name}"):
             raise DataError(f"{fname}: checksum mismatch")
-        matrices[name] = load_matrix_binary(fname)
+        matrices[name] = _parse_matrix(fname, buf)
     return ModelBundle(manifest=manifest, matrices=matrices)
 
 
@@ -666,20 +686,28 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
                        extra_manifest: dict | None = None,
                        extra_matrices: dict | None = None) -> ModelBundle:
     """Pack fitted models (plus caller-provided context such as training
-    features and kernel parameters) into a persistable bundle."""
+    features and kernel parameters) into a persistable bundle.
+
+    An embedded bundle serves test inputs through the folded readout
+    T_x = krr.fold_readout(krr_model, T) (oel_T_x) and candidates through
+    oel_R, so it keeps no ridge solve state; only a regression-only bundle
+    (no oel_model) stores the Cholesky factor (krr_factor) or the Nystrom
+    dual weights (krr_dual). Nystrom bundles keep the anchor indices."""
     manifest = {
         "krr.mode": krr_model.mode,
         "krr.lambda": repr(krr_model.lam),
         "krr.n": str(krr_model.n),
     }
     matrices: dict = {}
-    if krr_model.mode == EXACT:
-        manifest["krr.shift"] = repr(krr_model.solver.shift)
-        matrices["krr_factor"] = krr_model.solver.factor
-    else:
-        matrices["krr_dual"] = krr_model.dual_weights
+    if krr_model.mode == NYSTROM:
         matrices["krr_anchors"] = krr_model.anchors.astype(np.float64)[None, :]
-    if oel_model is not None:
+    if oel_model is None:
+        if krr_model.mode == EXACT:
+            manifest["krr.shift"] = repr(krr_model.solver.shift)
+            matrices["krr_factor"] = krr_model.solver.factor
+        else:
+            matrices["krr_dual"] = krr_model.dual_weights
+    else:
         manifest.update({
             "oel.c": repr(oel_model.c),
             "oel.n": str(oel_model.n),
@@ -688,10 +716,9 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
             "oel.gram_trace": repr(oel_model.gram_trace),
             "oel.ortho_defect": repr(oel_model.ortho_defect),
         })
-        matrices["oel_beta"] = oel_model.beta
         matrices["oel_mu"] = oel_model.mu[:, None]
         matrices["oel_R"] = oel_model.R
-        matrices["oel_T"] = oel_model.T
+        matrices["oel_T_x"] = fold_readout(krr_model, oel_model.T)
     manifest.update(extra_manifest or {})
     matrices.update(extra_matrices or {})
     return ModelBundle(manifest=manifest, matrices=matrices)
@@ -699,29 +726,32 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
 
 def models_from_bundle(bundle: ModelBundle):
     """Rebuild (krr_model, oel_model_or_None) from a loaded bundle,
-    reproducing the original predictions bit for bit."""
+    reproducing the original predictions bit for bit. The ridge model of an
+    embedded bundle has no solve state: it only says which kernel columns
+    (training inputs or anchors) the folded readout T_x reads."""
     man = bundle.manifest
+    mode = man["krr.mode"]
     lam = float(man["krr.lambda"])
     n = int(man["krr.n"])
-    if man["krr.mode"] == EXACT:
-        solver = RegularizedSolver.from_factor(bundle.matrices["krr_factor"],
-                                               float(man["krr.shift"]))
-        krr_model = KrrModel(EXACT, lam, n, solver=solver)
-    else:
-        anchors = bundle.matrices["krr_anchors"].ravel().astype(np.int64)
-        krr_model = KrrModel(NYSTROM, lam, n, dual_weights=bundle.matrices["krr_dual"],
-                             anchors=anchors)
+    anchors = (bundle.matrices["krr_anchors"].ravel().astype(np.int64)
+               if mode == NYSTROM else None)
     if "oel.p" not in man:
-        return krr_model, None
-    c = float(man["oel.c"])
-    m = int(man["oel.m"])
-    beta = bundle.matrices["oel_beta"]
-    if beta.shape != (n + m, int(man["oel.p"])):
-        raise DataError(f"beta shape {beta.shape} inconsistent with manifest "
-                        f"(n={n}, m={m}, p={man['oel.p']})")
+        if mode == EXACT:
+            solver = RegularizedSolver.from_factor(bundle.matrices["krr_factor"],
+                                                   float(man["krr.shift"]))
+            return KrrModel(EXACT, lam, n, solver=solver), None
+        return KrrModel(NYSTROM, lam, n, dual_weights=bundle.matrices["krr_dual"],
+                        anchors=anchors), None
+    krr_model = KrrModel(mode, lam, n, anchors=anchors)
+    p = int(man["oel.p"])
+    R, T_x = bundle.matrices["oel_R"], bundle.matrices["oel_T_x"]
+    if R.shape[0] != p or T_x.shape != (p, krr_model.alpha_rows):
+        raise DataError(f"readouts oel_R {R.shape} and oel_T_x {T_x.shape} inconsistent "
+                        f"with the manifest (p={p}, {mode} ridge reading "
+                        f"{krr_model.alpha_rows} kernel rows)")
     oel_model = OelModel(
-        beta=beta, mu=bundle.matrices["oel_mu"].ravel(), c=c, n=n, m=m,
-        R=bundle.matrices["oel_R"], T=bundle.matrices["oel_T"],
+        beta=None, mu=bundle.matrices["oel_mu"].ravel(), c=float(man["oel.c"]), n=n,
+        m=int(man["oel.m"]), R=R, T=None, T_x=T_x,
         gram_trace=float(man["oel.gram_trace"]),
         ortho_defect=float(man["oel.ortho_defect"]))
     return krr_model, oel_model

@@ -5,12 +5,16 @@ regression value h(x) = sum_i alpha_i(x) psi(y_i) is never materialized,
 downstream code consumes alpha columns together with output-kernel columns.
 Regularization follows the n*lambda convention, i.e. the solve is against
 (K_x + n*lambda*I), so lambda values are comparable across sample sizes.
+
+A p-row readout T of alpha columns (oel's test readout) folds into a p-row
+readout of the input-kernel columns themselves: T alpha(x) = T_x kappa(x)
+with T_x = fold_readout(model, T), so serving it needs neither the solve
+state nor scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import NumericalError, RegularizedSolver, check_symmetric
 
@@ -23,7 +27,9 @@ class KrrModel:
 
     Exact mode keeps a factorization of (K_x + n*lambda*I). Nystrom mode
     keeps the q x n dual weight matrix mapping anchor kernel columns to
-    alpha weights over the n training outputs.
+    alpha weights over the n training outputs. A model rebuilt from an
+    embedded bundle keeps neither (solver and dual_weights are None): it
+    only records which kernel columns the folded readout reads.
     """
 
     def __init__(self, mode: str, lam: float, n: int, solver: RegularizedSolver | None = None,
@@ -83,19 +89,20 @@ def fit_krr_nystrom(K_x_cols, K_x_qq, lam: float, anchors) -> KrrModel:
         raise ValueError("anchors contain duplicate indices")
     if q > n:
         raise ValueError(f"more anchors ({q}) than training points ({n})")
+    from scipy.linalg import cho_factor, cho_solve
 
     M = K_x_cols.T @ K_x_cols + (n * lam) * K_x_qq
     M = 0.5 * (M + M.T)
     try:
-        factor = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError:
+        factor = cho_factor(M, lower=True)
+    except np.linalg.LinAlgError:
         jitter = 1e-10 * np.trace(K_x_qq) / q
         try:
-            factor = scipy.linalg.cho_factor(M + jitter * np.eye(q), lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            factor = cho_factor(M + jitter * np.eye(q), lower=True)
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"Nystrom anchor system rank deficient even with jitter {jitter:.3g}") from exc
-    dual = scipy.linalg.cho_solve(factor, K_x_cols.T)
+    dual = cho_solve(factor, K_x_cols.T)
     return KrrModel(NYSTROM, lam, n, dual_weights=dual, anchors=anchors)
 
 
@@ -104,8 +111,12 @@ def predict_alpha(model: KrrModel, kappa_test) -> np.ndarray:
 
     kappa_test has one column per test point: k_x against the n training
     points in exact mode, against the q anchors in Nystrom mode. Returns the
-    n x t matrix whose column j is alpha(x_test_j).
+    n x t matrix whose column j is alpha(x_test_j). Needs the solve state,
+    which a model rebuilt from an embedded bundle does not keep.
     """
+    if (model.solver if model.mode == EXACT else model.dual_weights) is None:
+        raise ValueError("ridge model without its solve state (rebuilt from an embedded "
+                         "bundle): use the folded readout (fold_readout)")
     kappa = np.asarray(kappa_test, dtype=np.float64)
     squeeze = kappa.ndim == 1
     if squeeze:
@@ -118,6 +129,23 @@ def predict_alpha(model: KrrModel, kappa_test) -> np.ndarray:
     else:
         alpha = model.dual_weights.T @ kappa
     return alpha[:, 0] if squeeze else alpha
+
+
+def fold_readout(model: KrrModel, T) -> np.ndarray:
+    """T_x with T alpha(x) = T_x kappa(x) for every kernel column kappa(x)
+    that predict_alpha takes.
+
+    T is p x n (it reads alpha columns); T_x is p x alpha_rows. Exact mode:
+    T_x = T (K_x + n*lambda*I)^-1, one solve with p right-hand sides (the
+    shifted Gram is symmetric). Nystrom mode: alpha(x) = B^T kappa_q(x), so
+    T_x = T B^T (p x q).
+    """
+    T = np.asarray(T, dtype=np.float64)
+    if T.ndim != 2 or T.shape[1] != model.n:
+        raise ValueError(f"T must have {model.n} columns, got shape {T.shape}")
+    if model.mode == EXACT:
+        return np.ascontiguousarray(model.solver.solve(T.T).T)
+    return T @ model.dual_weights.T
 
 
 def train_alpha_times(model: KrrModel, K_x_cols, M) -> np.ndarray:

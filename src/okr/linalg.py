@@ -8,7 +8,11 @@ residual diagonal entry is below PIVOT_RTOL times the largest diagonal
 entry, which bounds the trace of the residual K - F F^T by N times that.
 The exact top p come from implicitly restarted Lanczos (ARPACK) when p is
 small next to the dimension, with a full LAPACK eigendecomposition as the
-fallback whenever Lanczos does not converge or its result fails a check."""
+fallback whenever Lanczos does not converge or its result fails a check.
+
+scipy is imported inside the functions that factor, solve or
+eigendecompose, so importing this module (and everything that imports it)
+loads numpy only."""
 
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # eigenvalues of a PSD input below this are rounding noise and clamped to
 # zero; anything more negative means the matrix was not PSD to begin with
@@ -81,13 +84,15 @@ class RegularizedSolver:
     def __init__(self, K, shift: float):
         if not shift > 0:
             raise ValueError(f"shift must be positive, got {shift}")
+        from scipy.linalg import cho_factor
+
         K = check_symmetric(K, what="K")
         self.n = K.shape[0]
         self.shift = float(shift)
         shifted = K + self.shift * np.eye(self.n)
         try:
-            self._factor = scipy.linalg.cho_factor(shifted, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            self._factor = cho_factor(shifted, lower=True)
+        except np.linalg.LinAlgError as exc:
             # cho_factor reports the first non-positive pivot index
             raise NumericalError(
                 f"Cholesky of (K + {shift:g} I) failed: {exc}; "
@@ -110,10 +115,12 @@ class RegularizedSolver:
 
     def solve(self, B) -> np.ndarray:
         """Return (K + shift*I)^{-1} B for a conformable vector or matrix B."""
+        from scipy.linalg import cho_solve
+
         B = np.asarray(B, dtype=np.float64)
         if B.shape[0] != self.n:
             raise ValueError(f"B has {B.shape[0]} rows, expected {self.n}")
-        return scipy.linalg.cho_solve(self._factor, B)
+        return cho_solve(self._factor, B)
 
 
 def solve_regularized(K, shift: float) -> RegularizedSolver:
@@ -274,6 +281,8 @@ def eig_topk_exact(K, p: int) -> EigPair:
     the same margin); otherwise, and for larger p or smaller N, a full
     symmetric eigendecomposition (LAPACK) is used. EigPair.solver names the
     one that produced the result."""
+    from scipy.linalg import eigh
+
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
@@ -282,7 +291,7 @@ def eig_topk_exact(K, p: int) -> EigPair:
         found = _lanczos_topk(K, p)
         if found is not None:
             return _finalize(*found, solver="lanczos")
-    w, V = scipy.linalg.eigh(K)
+    w, V = eigh(K)
     order = np.argsort(w)[::-1][:p]
     return _finalize(w[order], V[:, order], solver="eigh")
 
@@ -293,6 +302,8 @@ def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
     p + oversample, power_iters subspace iterations (one re-orthonormalized
     multiply by K each), then an exact eigendecomposition in the sketched
     basis truncated to p. Deterministic given seed (PCG64)."""
+    from scipy.linalg import eigh, qr
+
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
@@ -304,11 +315,11 @@ def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
         raise ValueError(f"sketch width p + oversample = {width} exceeds dim {n}")
     rng = np.random.default_rng(seed)
     Y = K @ rng.standard_normal((n, width))
-    Q, _ = scipy.linalg.qr(Y, mode="economic")
+    Q, _ = qr(Y, mode="economic")
     for _ in range(power_iters):
-        Q, _ = scipy.linalg.qr(K @ Q, mode="economic")
+        Q, _ = qr(K @ Q, mode="economic")
     B = Q.T @ (K @ Q)
     B = 0.5 * (B + B.T)
-    w, V = scipy.linalg.eigh(B)
+    w, V = eigh(B)
     order = np.argsort(w)[::-1][:p]
     return _finalize(w[order], Q @ V[:, order], solver="randomized")

@@ -8,7 +8,10 @@ point is linear in its kernel column, so a fit ends by folding the
 eigenvector coefficients into two p-row readout matrices: R maps the
 output-kernel columns of a decode candidate against the model's reference
 outputs to its embedding, and T maps the alpha column of a test prediction
-to its embedding.
+to its embedding. Since alpha(x) is linear in the input-kernel column
+kappa(x), T folds further into T_x = krr.fold_readout(krr_model, T), and a
+served model embeds a test input as T_x kappa(x) (embed_inputs) with no
+ridge solve. A model bundle stores R and T_x.
 
 There are two ways to the top p:
 
@@ -29,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .krr import KrrModel, fit_krr, predict_alpha
@@ -168,9 +170,15 @@ class OelModel:
     is what makes the p coordinates an orthonormal system in feature space.
     The readouts are
 
-        R  (p x n_ref): a candidate embeds as R C, with C the output-kernel
-           columns of the candidate against the reference outputs;
-        T  (p x n):     a test prediction embeds as T alpha(x).
+        R   (p x n_ref): a candidate embeds as R C, with C the output-kernel
+            columns of the candidate against the reference outputs;
+        T   (p x n):     a test prediction embeds as T alpha(x);
+        T_x (p x alpha_rows of the ridge model): a test input embeds as
+            T_x kappa(x), T with the ridge solve folded in
+            (krr.fold_readout).
+
+    A fit sets beta, R and T. A model rebuilt from a bundle has R and T_x
+    and None for beta and T, which serving does not read.
 
     ref_rows indexes the reference outputs among the n supervised then m
     unsupervised outputs (all of them for a dense fit, the pivots for a
@@ -181,7 +189,7 @@ class OelModel:
     """
 
     def __init__(self, beta, mu, c, n, m, R, T, gram_trace, ortho_defect,
-                 ref_rows=None, eigensolver=None):
+                 ref_rows=None, eigensolver=None, T_x=None):
         self.beta = beta
         self.mu = mu
         self.c = float(c)
@@ -189,6 +197,7 @@ class OelModel:
         self.m = int(m)
         self.R = R
         self.T = T
+        self.T_x = T_x
         self.gram_trace = float(gram_trace)
         self.ortho_defect = float(ortho_defect)
         self.ref_rows = ref_rows
@@ -197,7 +206,7 @@ class OelModel:
     @property
     def p(self) -> int:
         """Effective embedding dimension (after dropping near-null columns)."""
-        return self.beta.shape[1]
+        return self.R.shape[0]
 
     @property
     def scale_sup(self) -> float:
@@ -344,6 +353,8 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     readouts R = V_p^T L^-1 against the pivot outputs (L = F[pivots]) and
     T = V_p^T F_s^T. Requires p < r; callers take the dense path otherwise.
     """
+    from scipy.linalg import eigh, solve_triangular
+
     n, m, r = factor.n, factor.m, factor.r
     _check_balance(c, m)
     if not 1 <= p < r:
@@ -357,7 +368,7 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     if m:
         G[n:] = np.sqrt((1.0 - c) / m) * factor.F_u
     M = G.T @ G
-    w, V = scipy.linalg.eigh(0.5 * (M + M.T), subset_by_index=[r - p, r - 1])
+    w, V = eigh(0.5 * (M + M.T), subset_by_index=[r - p, r - 1])
     # G^T G is PSD by construction: a negative eigenvalue is rounding
     mu, V = _drop_null(np.maximum(w[::-1], 0.0), V[:, ::-1], p)
     beta = G @ V / mu
@@ -368,7 +379,7 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     Gtb = G.T @ beta
     defect = _certify(Gtb.T @ Gtb)
     L = factor.F[factor.pivots]
-    R = scipy.linalg.solve_triangular(L, V, lower=True, trans="T").T
+    R = solve_triangular(L, V, lower=True, trans="T").T
     T = V.T @ factor.F_s.T
     return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T=T,
                     gram_trace=float(np.einsum("ij,ij->", G, G)), ortho_defect=defect,
@@ -401,7 +412,24 @@ def embed_tests(model: OelModel, A_test) -> np.ndarray:
 
     A_test holds alpha(x_test_j) in column j; column j of the result is the
     p-vector G h(x_test_j) = T alpha(x_test_j)."""
+    if model.T is None:
+        raise ValueError("model rebuilt from a bundle keeps only the folded test "
+                         "readout: use embed_inputs")
     return model.T @ _check_cols("A_test", A_test, model.n, None)
+
+
+def embed_inputs(model: OelModel, kappa) -> np.ndarray:
+    """Embed test inputs from their input-kernel columns through the folded
+    readout T_x, with no ridge solve.
+
+    kappa holds in column j the kernel column of x_test_j that
+    krr.predict_alpha would take (against the n training inputs, or the q
+    Nystrom anchors); column j of the result equals
+    embed_tests(model, predict_alpha(krr_model, kappa))[:, j] up to rounding.
+    """
+    if model.T_x is None:
+        raise ValueError("model has no folded test readout (krr.fold_readout)")
+    return model.T_x @ _check_cols("kappa", kappa, model.T_x.shape[1], None)
 
 
 def surrogate_sq_errors(Z_pred: np.ndarray, Z_true: np.ndarray,

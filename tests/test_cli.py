@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import okr
-from okr import cli, dataio, kernels
+from okr import cli, dataio, kernels, krr
 from okr.decode import decode_oel
 
 
@@ -115,14 +117,14 @@ class TestFitPredictEvaluate:
         cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
         assert len(cand_f) == 46
         bundle = dataio.load_model(fit_out / "model")
-        krr_model, oel_model = dataio.models_from_bundle(bundle)
+        _, oel_model = dataio.models_from_bundle(bundle)
         spec = kernels.KernelSpec(kernels.LINEAR)
-        A_test = okr.predict_alpha(krr_model,
-                                   kernels.gram(spec, bundle.matrices["x_train"], ds.x_test))
+        Z_test = okr.embed_inputs(oel_model,
+                                  kernels.gram(spec, bundle.matrices["x_train"], ds.x_test))
         Z_cand = okr.embed_candidates(
             oel_model, kernels.gram(spec, bundle.matrices["y_ref_features"], cand_f))
         expect = tmp_path / "whole.tsv"
-        dataio.save_rankings(expect, decode_oel(okr.embed_tests(oel_model, A_test), Z_cand,
+        dataio.save_rankings(expect, decode_oel(Z_test, Z_cand,
                                                 kernels.self_norms(spec, cand_f), k=3,
                                                 query_cands=ds.candidate_map))
         assert rank_path.read_bytes() == expect.read_bytes()
@@ -190,6 +192,79 @@ class TestFitPredictEvaluate:
                                   tag="pn", seed=3)
         _, rankings = dataio.load_rankings(rank_path)
         assert len(rankings) == 6
+
+
+class TestFoldedReadout:
+    """Embedded predict embeds a test input as T_x kappa, with the ridge
+    solve folded into T_x at fit; it must rank exactly as decoding
+    T predict_alpha(kappa) with the fitted models does."""
+
+    KEYS = ("kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0", "kernel.y.kind = gaussian",
+            "kernel.y.sigma2 = 4.0", "krr.lambda = 1e-3", "oel.p = 4", "oel.c = 0.5")
+
+    @staticmethod
+    def _gram_workspace(tmp_path):
+        """The synth dataset with its Gaussian input Gram (and the
+        train-vs-test block) stored as binary matrices."""
+        data_dir, dataset_cfg = synth_workspace(tmp_path)
+        keys = dict(line.split(" = ") for line in dataset_cfg.strip().splitlines())
+        ds = dataio.load_dataset(keys, data_dir)
+        spec = kernels.KernelSpec(kernels.GAUSSIAN, sigma2=1.0)
+        dataio.save_matrix_binary(data_dir / "k.mat", kernels.gram(spec, ds.x))
+        dataio.save_matrix_binary(data_dir / "k_test.mat", kernels.gram(spec, ds.x, ds.x_test))
+        keys.update({"data.x_format": "gram", "data.x": "k.mat", "data.x_test": "k_test.mat"})
+        return data_dir, "\n".join(f"{k} = {v}" for k, v in keys.items())
+
+    @pytest.mark.parametrize("case", ["exact", "nystrom_features", "nystrom_gram"])
+    def test_embedded_predict_ranks_as_unfolded(self, tmp_path, monkeypatch, case):
+        gram = case == "nystrom_gram"
+        data_dir, dataset_cfg = (self._gram_workspace(tmp_path) if gram
+                                 else synth_workspace(tmp_path))
+        keys = self.KEYS + (() if case == "exact" else ("krr.nystrom_q = 12",))
+        fitted = {}
+        pack = dataio.bundle_from_models
+
+        def capture(krr_model, oel_model=None, *rest):
+            fitted.update(krr=krr_model, oel=oel_model)
+            return pack(krr_model, oel_model, *rest)
+
+        monkeypatch.setattr(dataio, "bundle_from_models", capture)
+        run_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *keys)
+        assert run("fit", "--config", str(run_cfg), "--out", str(tmp_path / "fit")) == 0
+        pred_cfg = write_cfg(data_dir / "pred.cfg", dataset_cfg,
+                             f"model.dir = {tmp_path / 'fit' / 'model'}", "decode.k = 5")
+        assert run("predict", "--config", str(pred_cfg), "--out", str(tmp_path / "pred")) == 0
+
+        krr_model, oel_model = fitted["krr"], fitted["oel"]
+        assert krr_model.mode == (krr.EXACT if case == "exact" else krr.NYSTROM)
+        ds = dataio.load_dataset(
+            dict(line.split(" = ") for line in dataset_cfg.strip().splitlines()), data_dir)
+        if gram:
+            kappa = ds.x_test[krr_model.anchors]
+        else:
+            ref = ds.x if case == "exact" else ds.x[krr_model.anchors]
+            kappa = kernels.gram(kernels.KernelSpec(kernels.GAUSSIAN, sigma2=1.0), ref,
+                                 ds.x_test)
+        Z_test = oel_model.T @ krr.predict_alpha(krr_model, kappa)
+        T_x = krr.fold_readout(krr_model, oel_model.T)
+        bundle = dataio.load_model(tmp_path / "fit" / "model")
+        assert bundle.matrices["oel_T_x"].tobytes() == T_x.tobytes()
+        assert not {"krr_factor", "krr_dual"} & bundle.matrices.keys()
+        # both sides sum the same terms in another order, so they agree to
+        # rounding relative to the size of those terms, |T_x| |kappa| (the
+        # Nystrom dual weights make T_x entries of ~1e4 here, against
+        # embeddings below 1)
+        scale = np.abs(T_x) @ np.abs(kappa)
+        assert np.all(np.abs(T_x @ kappa - Z_test) <= 1e-12 * scale)
+
+        spec_y = kernels.KernelSpec(kernels.GAUSSIAN, sigma2=4.0)
+        cand = ds.candidate_outputs()
+        Z_cand = okr.embed_candidates(oel_model, kernels.gram(
+            spec_y, oel_model.reference_outputs(ds.y_sup, ds.y_unsup), cand))
+        expect = tmp_path / "unfolded.tsv"
+        dataio.save_rankings(expect, decode_oel(Z_test, Z_cand,
+                                                kernels.self_norms(spec_y, cand), k=5))
+        assert (tmp_path / "pred" / "rankings.tsv").read_bytes() == expect.read_bytes()
 
 
 class TestTuneAndBench:
@@ -356,6 +431,47 @@ def _failing_fit_oel(*args, **kwargs):
     raise RuntimeError("unexpected failure inside fit_oel_factored")
 
 
+def _index_error_fit_oel(*args, **kwargs):
+    raise IndexError("index 9 is out of bounds inside fit_oel_factored")
+
+
+def _gaussian_gram_files(tmp_path, n, tag, n_test=0):
+    """Gaussian input Gram of n random points (and its block against n_test
+    more) as binary matrices, with 2-d dense outputs; returns the data keys."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n + n_test, 2))
+    spec = kernels.KernelSpec(kernels.GAUSSIAN, sigma2=1.0)
+    dataio.save_matrix_binary(tmp_path / f"{tag}.mat", kernels.gram(spec, X[:n]))
+    dataio.save_dense(tmp_path / f"y{n}.csv", X[:n] @ rng.standard_normal((2, 2)))
+    keys = ["data.kind = dense", "data.x_format = gram", f"data.x = {tag}.mat",
+            f"data.y = y{n}.csv"]
+    if n_test:
+        dataio.save_matrix_binary(tmp_path / f"{tag}_test.mat",
+                                  kernels.gram(spec, X[:n], X[n:]))
+        keys.append(f"data.x_test = {tag}_test.mat")
+    return keys
+
+
+def _gram_candidate_map_cfg(tmp_path):
+    """Gram-mode fit config whose candidate map names candidate 6 of the 6
+    default candidates (the supervised outputs)."""
+    keys = _gaussian_gram_files(tmp_path, 6, "k6")
+    (tmp_path / "map.txt").write_text("0 1\n0 6\n")
+    return write_cfg(tmp_path / "bad.cfg", *keys, "data.candidate_map = map.txt",
+                     *FIT_KEYS)
+
+
+def _gram_rows_cfg(tmp_path):
+    """predict config pairing a Nystrom model fit on a 6 x 6 input Gram with
+    the Gram blocks of a 4-point dataset."""
+    fit_cfg = write_cfg(tmp_path / "fit.cfg", *_gaussian_gram_files(tmp_path, 6, "k6"),
+                        *FIT_KEYS, "krr.nystrom_q = 3")
+    assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
+    return "predict", write_cfg(tmp_path / "pred.cfg",
+                                *_gaussian_gram_files(tmp_path, 4, "k4", n_test=2),
+                                f"model.dir = {tmp_path / 'fit' / 'model'}")
+
+
 # (case, function writing the config, patch (module attribute, replacement)
 #  or None, exit code, run.log label, text the run.log entry must contain)
 BAD_FIT_INPUTS = [
@@ -381,6 +497,11 @@ BAD_FIT_INPUTS = [
      cli.EXIT_DATA, "data error", "x.csv: not UTF-8"),
     ("unexpected_exception", _fit_cfg, ("okr.oel.fit_oel_factored", _failing_fit_oel),
      cli.EXIT_INTERNAL, "internal error", "unexpected failure inside fit_oel_factored"),
+    ("gram_candidate_id_out_of_range", _gram_candidate_map_cfg, None,
+     cli.EXIT_DATA, "data error", "map.txt:2: candidate id 6 outside [0, 6)"),
+    ("unexpected_index_error", _fit_cfg, ("okr.oel.fit_oel_factored", _index_error_fit_oel),
+     cli.EXIT_INTERNAL, "internal error",
+     "IndexError: index 9 is out of bounds inside fit_oel_factored"),
 ]
 
 
@@ -434,7 +555,10 @@ BAD_RUN_INPUTS = [
     ("evaluate_query_without_pairs", lambda d: _rankings_cfg(d, "0\n"),
      cli.EXIT_DATA, "data error", "rankings.tsv:1: query 0 ranks no candidate"),
     ("predict_v2_bundle", _v2_bundle_cfg,
-     cli.EXIT_DATA, "data error", "bundle version '2' unsupported (expected 3); refit"),
+     cli.EXIT_DATA, "data error", "bundle version '2' unsupported (expected 4); refit"),
+    ("predict_gram_block_rows_mismatch", _gram_rows_cfg,
+     cli.EXIT_DATA, "data error",
+     "k4_test.mat: test Gram block has 4 rows, but the model was fit on 6 training points"),
 ]
 
 
@@ -509,6 +633,66 @@ class TestEigensolverRecord:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         assert "oel.eigensolver = eigh" in self._fingerprints_resolved(tmp_path)
+
+
+def _probe(code, *argv):
+    """Last stdout line of a fresh interpreter running code with argv."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    return out.strip().splitlines()[-1]
+
+
+class TestLazyScipy:
+    # scipy loads only where a factorization, solve or eigendecomposition
+    # runs; its import costs more than embedded predict or evaluate itself
+    CLI_PROBE = ("import sys; from okr import cli; "
+                 "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
+
+    def test_embedded_predict_and_evaluate_run_without_scipy(self, tmp_path):
+        data_dir, dataset_cfg = synth_workspace(tmp_path)
+        run_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+        for tag, extra in (("fit", ()), ("fit_iokr", ("--iokr-only",))):
+            assert run("fit", "--config", str(run_cfg), "--out", str(tmp_path / tag),
+                       *extra) == 0
+        for tag, fit in (("pred", "fit"), ("pred_iokr", "fit_iokr")):
+            write_cfg(data_dir / f"{tag}.cfg", dataset_cfg,
+                      f"model.dir = {tmp_path / fit / 'model'}", "decode.k = 3")
+        write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
+                  f"evaluate.rankings = {tmp_path / 'pred_out' / 'rankings.tsv'}")
+
+        def command(name, tag):
+            return _probe(self.CLI_PROBE, name, "--config", str(data_dir / f"{tag}.cfg"),
+                          "--out", str(tmp_path / f"{tag}_out"))
+
+        assert command("predict", "pred") == "0 False"
+        assert command("evaluate", "eval") == "0 False"
+        # the regression-only bundle still solves for alpha, through scipy
+        assert command("predict", "pred_iokr") == "0 True"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_quickstart():
+    """The commands of the README's fenced block that starts with
+    `okr synth`, one argv list per line."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    block = next(b for b in blocks if b.startswith("okr synth"))
+    return [shlex.split(line.split("#", 1)[0]) for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    def test_quickstart_block_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_quickstart()
+        assert [argv[:2] for argv in commands] == [
+            ["okr", "synth"], ["okr", "fit"], ["okr", "predict"], ["okr", "evaluate"],
+            ["okr", "tune"]]
+        for argv in commands:
+            assert cli.main(argv[1:]) == 0, " ".join(argv)
 
 
 class TestThreadCap:

@@ -354,16 +354,19 @@ class TestModelPersistence:
         bundle = dataio.bundle_from_models(krr_model, oel_model)
         dataio.save_model(bundle, tmp_path / "model")
         loaded = dataio.load_model(tmp_path / "model")
-        krr2, oel2 = dataio.models_from_bundle(loaded)
-
+        _, oel2 = dataio.models_from_bundle(loaded)
         kappa = K_x[:, :3] if not nystrom else K_x[krr_model.anchors, :3]
-        a1 = okr.predict_alpha(krr_model, kappa)
-        a2 = okr.predict_alpha(krr2, kappa)
-        assert a1.tobytes() == a2.tobytes()
 
-        z1 = okr.embed_tests(oel_model, a1)
-        z2 = okr.embed_tests(oel2, a2)
-        assert z1.tobytes() == z2.tobytes()
+        # the embedded bundle serves tests through the folded readout
+        T_x = okr.fold_readout(krr_model, oel_model.T)
+        assert oel2.T_x.tobytes() == T_x.tobytes()
+        assert okr.embed_inputs(oel2, kappa).tobytes() == (T_x @ kappa).tobytes()
+
+        # the regression-only bundle keeps the solve state
+        dataio.save_model(dataio.bundle_from_models(krr_model), tmp_path / "iokr")
+        krr3, _ = dataio.models_from_bundle(dataio.load_model(tmp_path / "iokr"))
+        a1 = okr.predict_alpha(krr_model, kappa)
+        assert a1.tobytes() == okr.predict_alpha(krr3, kappa).tobytes()
 
         rng = np.random.default_rng(9)
         cands = rng.standard_normal((5, Y.shape[1]))
@@ -386,7 +389,7 @@ class TestModelPersistence:
         krr_model, oel_model, *_ = self._fit_models()
         dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
                           tmp_path / "model")
-        target = tmp_path / "model" / "oel_beta.mat"
+        target = tmp_path / "model" / "oel_R.mat"
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
@@ -444,18 +447,46 @@ class TestModelPersistence:
                            match="bundle version '2' unsupported .*refit"):
             dataio.load_model(tmp_path / "model")
 
+    def test_v3_bundle_rejected(self, tmp_path):
+        # a version-3 bundle served tests through the ridge factor and the
+        # unfolded readout oel_T; it must be refit
+        krr_model, oel_model, *_ = self._fit_models()
+        dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
+                          tmp_path / "model")
+        self._rewrite_version(tmp_path / "model", "3")
+        with pytest.raises(dataio.DataError,
+                           match="bundle version '3' unsupported .*expected 4.*refit"):
+            dataio.load_model(tmp_path / "model")
+
     def test_embedding_matrices_have_p_rows(self, tmp_path):
-        # apart from beta ((n+m) x p), every stored embedding matrix is a
-        # p-row readout: nothing of size n x n or n x m is persisted
+        # every stored embedding matrix is a p-row readout (or mu): nothing
+        # of size n x n, n x m or (n+m) x p is persisted
         krr_model, oel_model, *_ = self._fit_models()
         dataio.save_model(dataio.bundle_from_models(krr_model, oel_model),
                           tmp_path / "model")
         loaded = dataio.load_model(tmp_path / "model")
-        names = [name for name in loaded.matrices
-                 if name.startswith("oel_") and name != "oel_beta"]
-        assert names
+        names = [name for name in loaded.matrices if name.startswith("oel_")]
+        assert sorted(names) == ["oel_R", "oel_T_x", "oel_mu"]
         for name in names:
             assert loaded.matrices[name].shape[0] == oel_model.p, name
+
+    @pytest.mark.parametrize("nystrom", [False, True])
+    def test_only_regression_bundles_keep_ridge_state(self, tmp_path, nystrom):
+        krr_model, oel_model, *_ = self._fit_models(nystrom=nystrom)
+        embedded = dataio.bundle_from_models(krr_model, oel_model).matrices
+        iokr = dataio.bundle_from_models(krr_model).matrices
+        state = "krr_dual" if nystrom else "krr_factor"
+        assert state in iokr and state not in embedded
+        assert not {"krr_factor", "krr_dual"} & embedded.keys()
+        assert ("krr_anchors" in embedded) == nystrom
+        assert embedded["oel_T_x"].shape == (oel_model.p, krr_model.alpha_rows)
+
+    def test_readout_shape_mismatch_is_data_error(self, tmp_path):
+        krr_model, oel_model, *_ = self._fit_models()
+        bundle = dataio.bundle_from_models(krr_model, oel_model)
+        bundle.matrices["oel_T_x"] = bundle.matrices["oel_T_x"][:, :-1]
+        with pytest.raises(dataio.DataError, match="inconsistent with the manifest"):
+            dataio.models_from_bundle(bundle)
 
     def test_stored_bytes_little_endian(self, tmp_path):
         # beta bytes on disk are the little-endian payload regardless of host
