@@ -159,17 +159,6 @@ def _snapshot(cfg, resolved, args, out) -> None:
     write_snapshot(merged, out / "config.resolved")
 
 
-def _output_spec(cfg, base):
-    from . import kernels
-    from .config import UsageError, kernel_spec
-
-    spec = kernel_spec(cfg, "kernel.y", base)
-    if spec.kind == kernels.PRECOMPUTED:
-        raise UsageError("kernel.y must be computable over output features "
-                         "(gaussian, linear, tanimoto or gaussian_tanimoto)")
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # fit / predict / evaluate
 
@@ -178,13 +167,13 @@ def _cmd_fit(args, out):
     import numpy as np
 
     from . import dataio, kernels, krr, oel
-    from .config import UsageError, get_float, get_int, get_str
+    from .config import UsageError, get_float, get_int, get_str, kernel_spec
 
     cfg, base = _load_cfg(args)
     seed = _root_seed(args, cfg)
     ds = dataio.load_dataset(cfg, base)
     gram_mode = ds.x_format == "gram"
-    out_spec = _output_spec(cfg, base)
+    out_spec = kernel_spec(cfg, "kernel.y")
     lam = get_float(cfg, "krr.lambda", required=True)
     q = get_int(cfg, "krr.nystrom_q")
     resolved = {"seed": seed, "krr.lambda": repr(lam), "iokr_only": args.iokr_only}
@@ -203,9 +192,7 @@ def _cmd_fit(args, out):
 
     in_spec = None
     if not gram_mode:
-        from .config import kernel_spec
-
-        in_spec = kernel_spec(cfg, "kernel.x", base)
+        in_spec = kernel_spec(cfg, "kernel.x")
         manifest["kernel.x.kind"] = in_spec.kind
         if in_spec.sigma2 is not None:
             manifest["kernel.x.sigma2"] = repr(in_spec.sigma2)
@@ -290,14 +277,7 @@ def _spec_from_manifest(man, prefix):
                       sigma2=None if sigma2 is None else float(sigma2))
 
 
-# candidates per block of predict's streamed candidate embedding (the
-# reference outputs x block Gram is 33 MB for 1000 reference outputs)
-_EMBED_BLOCK = 4096
-
-
 def _cmd_predict(args, out):
-    import numpy as np
-
     from . import dataio, kernels, krr, oel
     from .config import get_int, get_str
     from .dataio import DataError
@@ -328,30 +308,38 @@ def _cmd_predict(args, out):
         in_spec = _spec_from_manifest(man, "kernel.x")
         ref = (bundle.matrices["x_train"] if krr_model.mode == krr.EXACT
                else bundle.matrices["x_anchors"])
+        if ds.x_test.shape[1] != ref.shape[1]:
+            raise DataError(f"{base / cfg['data.x_test']}: test inputs have "
+                            f"{ds.x_test.shape[1]} features, but the model was fit on "
+                            f"{ref.shape[1]}")
         kappa = kernels.gram(in_spec, ref, ds.x_test)
 
     out_spec = _spec_from_manifest(man, "kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
+    # the reference outputs: all n training outputs for full-dimensional
+    # decoding, the ones the embedding's candidate readout reads otherwise
+    Y_ref = bundle.matrices["y_train_features" if oel_model is None else "y_ref_features"]
+    if cand_f.shape[1] != Y_ref.shape[1]:
+        key = "data.candidates" if "data.candidates" in cfg else "data.y"
+        raise DataError(f"{base / cfg[key]}: candidate outputs have {cand_f.shape[1]} "
+                        f"features, but the model's outputs have {Y_ref.shape[1]}")
     cand_norms = kernels.self_norms(out_spec, cand_f)
-    from .decode import decode_iokr, decode_oel
+    from .decode import CandidateBlocks, decode_iokr, decode_oel
 
-    if oel_model is not None:
-        # embed the candidates block by block against the reference outputs:
-        # the whole candidate Gram never exists
-        Y_ref = bundle.matrices["y_ref_features"]
-        n_cand = len(cand_f)
-        Z_cand = np.empty((oel_model.p, n_cand))
-        for start in range(0, n_cand, _EMBED_BLOCK):
-            blk = cand_f[start:start + _EMBED_BLOCK]
-            Z_cand[:, start:start + len(blk)] = oel.embed_candidates(
-                oel_model, kernels.gram(out_spec, Y_ref, blk))
-        rankings = decode_oel(oel.embed_inputs(oel_model, kappa), Z_cand,
-                              cand_norms, k=k, query_cands=ds.candidate_map)
-    else:
-        Y_s = bundle.matrices["y_train_features"]
-        rankings = decode_iokr(krr.predict_alpha(krr_model, kappa),
-                               kernels.gram(out_spec, Y_s, cand_f), cand_norms,
+    # the decoder asks for the candidates' kernel columns a block at a time,
+    # so the whole candidate Gram never exists
+    def cand_gram(start, stop):
+        return kernels.gram(out_spec, Y_ref, cand_f[start:stop])
+
+    if oel_model is None:
+        cands = CandidateBlocks((len(Y_ref), len(cand_f)), cand_gram)
+        rankings = decode_iokr(krr.predict_alpha(krr_model, kappa), cands, cand_norms,
                                k=k, query_cands=ds.candidate_map)
+    else:
+        cands = CandidateBlocks((oel_model.p, len(cand_f)), lambda start, stop: (
+            oel.embed_candidates(oel_model, cand_gram(start, stop))))
+        rankings = decode_oel(oel.embed_inputs(oel_model, kappa), cands, cand_norms,
+                              k=k, query_cands=ds.candidate_map)
     rank_path = out / "rankings.tsv"
     dataio.save_rankings(rank_path, rankings)
     _snapshot(cfg, {"decode.k": k, "model.dir": model_dir}, args, out)
@@ -365,7 +353,7 @@ def _cmd_evaluate(args, out):
     import numpy as np
 
     from . import dataio, kernels, metrics
-    from .config import get_int_list, get_str
+    from .config import get_int_list, get_str, kernel_spec
     from .dataio import DataError
 
     cfg, base = _load_cfg(args)
@@ -377,7 +365,7 @@ def _cmd_evaluate(args, out):
         raise DataError("evaluate needs data.y_test ground truth")
     if len(rankings) != ds.y_test.shape[0]:
         raise DataError(f"{len(rankings)} rankings but {ds.y_test.shape[0]} truth rows")
-    out_spec = _output_spec(cfg, base)
+    out_spec = kernel_spec(cfg, "kernel.y")
 
     cand_f = dataio.output_features(ds.output_kind, cand)
     true_f = dataio.output_features(ds.output_kind, ds.y_test)
@@ -436,8 +424,8 @@ def _cmd_tune(args, out):
     cfg, base = _load_cfg(args)
     seed = _root_seed(args, cfg)
     ds = dataio.load_dataset(cfg, base)
-    out_spec = _output_spec(cfg, base)
-    in_spec = None if ds.x_format == "gram" else kernel_spec(cfg, "kernel.x", base)
+    out_spec = kernel_spec(cfg, "kernel.y")
+    in_spec = None if ds.x_format == "gram" else kernel_spec(cfg, "kernel.x")
     metric = get_str(cfg, "tune.metric", "surrogate_mse")
     protocol = get_str(cfg, "tune.protocol", "ssv")
 

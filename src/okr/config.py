@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import dataio, kernels
+from . import kernels
 
 
 class UsageError(Exception):
@@ -90,22 +90,24 @@ def get_int_list(cfg: dict, key: str, default=None):
         raise UsageError(f"config key {key!r}: expected comma-separated integers") from exc
 
 
-def kernel_spec(cfg: dict, prefix: str, base_dir=None,
+def kernel_spec(cfg: dict, prefix: str,
                 required: bool = True) -> kernels.KernelSpec | None:
-    """Build a KernelSpec from <prefix>.kind, <prefix>.sigma2 and
-    <prefix>.path (precomputed source, binary matrix format)."""
+    """Build a KernelSpec from <prefix>.kind and <prefix>.sigma2.
+
+    A config names only kernels computed from feature rows. The precomputed
+    kind, which reads a stored value matrix, is library-only: an input Gram
+    is data, given as data.x with data.x_format = gram."""
     kind = get_str(cfg, f"{prefix}.kind")
     if kind is None:
         if required:
             raise UsageError(f"missing required config key {prefix}.kind")
         return None
-    sigma2 = get_float(cfg, f"{prefix}.sigma2")
-    source = None
-    path = get_str(cfg, f"{prefix}.path")
-    if path is not None:
-        base = Path(base_dir) if base_dir else Path(".")
-        source = dataio.load_matrix_binary(base / path)
+    if kind == kernels.PRECOMPUTED:
+        raise UsageError(f"{prefix}.kind = precomputed is not available in a config: "
+                         "kernels are computed from feature rows (gaussian, linear, "
+                         "tanimoto or gaussian_tanimoto); give a precomputed input Gram "
+                         "as data.x with data.x_format = gram")
     try:
-        return kernels.KernelSpec(kind=kind, sigma2=sigma2, source=source)
+        return kernels.KernelSpec(kind=kind, sigma2=get_float(cfg, f"{prefix}.sigma2"))
     except ValueError as exc:
         raise UsageError(f"bad kernel config under {prefix!r}: {exc}") from exc

@@ -64,11 +64,14 @@ def _as_indices(A, what: str) -> np.ndarray:
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # ||a||^2 + ||b||^2 - 2<a,b>, clipped: rounding can push tiny values below 0
-    sq = (np.einsum("ij,ij->i", A, A)[:, None]
-          + np.einsum("ij,ij->i", B, B)[None, :]
-          - 2.0 * (A @ B.T))
-    return np.maximum(sq, 0.0)
+    # ||a||^2 + ||b||^2 - 2<a,b>, clipped: rounding can push tiny values below
+    # 0. Built in two buffers: scaling by -2 is exact and x + (-y) is x - y,
+    # so the values are those of the expression written out
+    G = A @ B.T
+    G *= -2.0
+    sq = np.einsum("ij,ij->i", A, A)[:, None] + np.einsum("ij,ij->i", B, B)[None, :]
+    sq += G
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _check_binary_rows(M: np.ndarray, what: str) -> None:
@@ -106,7 +109,10 @@ def gram(spec: KernelSpec, A, B=None) -> np.ndarray:
     if spec.kind == LINEAR:
         K = A @ B.T
     elif spec.kind == GAUSSIAN:
-        K = np.exp(-_sq_dists(A, B) / (2.0 * spec.sigma2))
+        # x / -c is -x / c exactly (round to nearest is sign-symmetric)
+        K = _sq_dists(A, B)
+        K /= -2.0 * spec.sigma2
+        np.exp(K, out=K)
     elif spec.kind == TANIMOTO:
         _check_binary_rows(A, "A")
         if not symmetric:

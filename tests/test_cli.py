@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import okr
-from okr import cli, dataio, kernels, krr
+from okr import cli, dataio, decode, kernels, krr
 from okr.decode import decode_oel
 
 
@@ -105,29 +105,55 @@ class TestFitPredictEvaluate:
         assert r1.read_bytes() == r2.read_bytes()
 
     def test_streamed_candidate_embedding_matches_whole(self, tmp_path, monkeypatch):
-        # 16-wide blocks split the 46 candidates into three embedding
-        # blocks, the last one partial
-        monkeypatch.setattr(cli, "_EMBED_BLOCK", 16)
-        data_dir, dataset_cfg, _, fit_out = self._fit(tmp_path)
-        rank_path = self._predict(tmp_path, data_dir, dataset_cfg, fit_out)
-
-        ds = dataio.load_dataset(
-            dict(line.split(" = ") for line in dataset_cfg.strip().splitlines()),
-            data_dir)
-        cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
-        assert len(cand_f) == 46
-        bundle = dataio.load_model(fit_out / "model")
-        _, oel_model = dataio.models_from_bundle(bundle)
+        # 16-wide blocks split the 46 candidates into three blocks, the last
+        # one partial; both bundles must rank as decoding the whole matrix
+        monkeypatch.setattr(decode, "_BLOCK", 16)
         spec = kernels.KernelSpec(kernels.LINEAR)
-        Z_test = okr.embed_inputs(oel_model,
-                                  kernels.gram(spec, bundle.matrices["x_train"], ds.x_test))
-        Z_cand = okr.embed_candidates(
-            oel_model, kernels.gram(spec, bundle.matrices["y_ref_features"], cand_f))
-        expect = tmp_path / "whole.tsv"
-        dataio.save_rankings(expect, decode_oel(Z_test, Z_cand,
-                                                kernels.self_norms(spec, cand_f), k=3,
-                                                query_cands=ds.candidate_map))
-        assert rank_path.read_bytes() == expect.read_bytes()
+        for tag, extra in (("embedded", ()), ("iokr", ("--iokr-only",))):
+            data_dir, dataset_cfg, _, fit_out = self._fit(tmp_path / tag, *extra)
+            rank_path = self._predict(tmp_path / tag, data_dir, dataset_cfg, fit_out)
+
+            ds = dataio.load_dataset(
+                dict(line.split(" = ") for line in dataset_cfg.strip().splitlines()),
+                data_dir)
+            cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
+            assert len(cand_f) == 46
+            bundle = dataio.load_model(fit_out / "model")
+            krr_model, oel_model = dataio.models_from_bundle(bundle)
+            kappa = kernels.gram(spec, bundle.matrices["x_train"], ds.x_test)
+            if oel_model is None:
+                rankings = decode.decode_iokr(
+                    krr.predict_alpha(krr_model, kappa),
+                    kernels.gram(spec, bundle.matrices["y_train_features"], cand_f),
+                    kernels.self_norms(spec, cand_f), k=3)
+            else:
+                rankings = decode_oel(
+                    okr.embed_inputs(oel_model, kappa),
+                    okr.embed_candidates(oel_model, kernels.gram(
+                        spec, bundle.matrices["y_ref_features"], cand_f)),
+                    kernels.self_norms(spec, cand_f), k=3)
+            expect = tmp_path / tag / "whole.tsv"
+            dataio.save_rankings(expect, rankings)
+            assert rank_path.read_bytes() == expect.read_bytes(), tag
+
+    @pytest.mark.parametrize("extra", [(), ("--iokr-only",)], ids=["embedded", "iokr"])
+    def test_candidate_grams_stay_within_one_block(self, tmp_path, monkeypatch, extra):
+        # global-candidate predict builds no kernel matrix wider than one
+        # decode block, so its memory does not grow with N
+        data_dir, dataset_cfg, _, fit_out = self._fit(tmp_path, *extra)
+        monkeypatch.setattr(decode, "_BLOCK", 16)
+        widths = []
+        gram = kernels.gram
+
+        def recording_gram(*args, **kwargs):
+            K = gram(*args, **kwargs)
+            widths.append(K.shape[1])
+            return K
+
+        monkeypatch.setattr(kernels, "gram", recording_gram)
+        self._predict(tmp_path, data_dir, dataset_cfg, fit_out)
+        # the 6-query test kernel, then 16 + 16 + 14 candidate columns
+        assert widths == [6, 16, 16, 14]
 
     @pytest.mark.filterwarnings("ignore:only 1 of the requested")
     def test_full_rank_embedding_matches_iokr_path(self, tmp_path):
@@ -502,6 +528,10 @@ BAD_FIT_INPUTS = [
     ("unexpected_index_error", _fit_cfg, ("okr.oel.fit_oel_factored", _index_error_fit_oel),
      cli.EXIT_INTERNAL, "internal error",
      "IndexError: index 9 is out of bounds inside fit_oel_factored"),
+    ("precomputed_input_kernel_on_features",
+     lambda d: _fit_cfg(d, "kernel.x.kind = precomputed"), None,
+     cli.EXIT_USAGE, "usage error",
+     "kernel.x.kind = precomputed is not available in a config"),
 ]
 
 
@@ -545,6 +575,28 @@ def _v2_bundle_cfg(tmp_path):
                                 f"model.dir = {tmp_path / 'fit' / 'model'}")
 
 
+def _predict_width_cfg(tmp_path, key):
+    """predict config over a fitted 30 + 10 synth bundle (1-d inputs, 2-d
+    outputs) whose data.x_test or data.candidates file is rewritten with 3
+    columns; the candidates come with 3-column supervised outputs, so the
+    dataset itself is consistent."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    fit_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+    assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
+    rng = np.random.default_rng(0)
+    dataio.save_dense(data_dir / "wide.csv", rng.standard_normal((6, 3)))
+    if key == "data.x_test":
+        lines = [ln for ln in dataset_cfg.splitlines() if not ln.startswith(key)]
+        lines.append(f"{key} = wide.csv")
+    else:
+        dataio.save_dense(data_dir / "y_wide.csv", rng.standard_normal((30, 3)))
+        lines = [ln for ln in dataset_cfg.splitlines()
+                 if not ln.startswith(("data.y", "data.candidates"))]
+        lines += ["data.y = y_wide.csv", "data.candidates = wide.csv"]
+    return "predict", write_cfg(data_dir / "pred.cfg", *lines,
+                                f"model.dir = {tmp_path / 'fit' / 'model'}")
+
+
 # (case, function writing (subcommand, config), exit code, run.log label,
 #  text the run.log entry must contain)
 BAD_RUN_INPUTS = [
@@ -559,6 +611,13 @@ BAD_RUN_INPUTS = [
     ("predict_gram_block_rows_mismatch", _gram_rows_cfg,
      cli.EXIT_DATA, "data error",
      "k4_test.mat: test Gram block has 4 rows, but the model was fit on 6 training points"),
+    ("predict_test_input_width_mismatch", lambda d: _predict_width_cfg(d, "data.x_test"),
+     cli.EXIT_DATA, "data error",
+     "wide.csv: test inputs have 3 features, but the model was fit on 1"),
+    ("predict_candidate_width_mismatch",
+     lambda d: _predict_width_cfg(d, "data.candidates"),
+     cli.EXIT_DATA, "data error",
+     "wide.csv: candidate outputs have 3 features, but the model's outputs have 2"),
 ]
 
 

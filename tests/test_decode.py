@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okr
-from okr.decode import _BLOCK, decode_iokr, decode_oel
+from okr.decode import _BLOCK, CandidateBlocks, decode_iokr, decode_oel
 
 from _oracles import brute_force_decode, build_explicit
 
@@ -175,3 +175,39 @@ def test_topk_matches_full_sort(k, t, n_cand, seed):
         order = np.lexsort((np.arange(n_cand), full))[:min(k, n_cand)]
         np.testing.assert_array_equal(ranking.indices, order)
         np.testing.assert_array_equal(ranking.scores, full[order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([decode_oel, decode_iokr]), st.integers(1, 8), st.integers(1, 6),
+       _N_CAND, st.booleans(), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_block_source_matches_whole_matrix(decoder, k, t, n_cand, nans, lists, seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    # candidate columns built per block as a product of half-integer factors:
+    # exact, so the whole product holds the same values bit for bit
+    B = rng.integers(-2, 3, (dim, 3)) / 2.0
+    W = rng.integers(-2, 3, (3, n_cand)) / 2.0
+    if nans:
+        W[:, rng.random(n_cand) < 0.1] = np.nan
+    asked = []
+
+    def columns(start, stop):
+        asked.append((start, stop))
+        return B @ W[:, start:stop]
+
+    E_test = rng.integers(-2, 3, (dim, t)) / 2.0
+    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
+    query_cands = None
+    if lists:
+        query_cands = [rng.choice(n_cand, size=rng.integers(1, min(n_cand, 40) + 1),
+                                  replace=False) for _ in range(t)]
+    got = decoder(E_test, CandidateBlocks((dim, n_cand), columns), norms, k=k,
+                  query_cands=query_cands)
+    expect = decoder(E_test, B @ W, norms, k=k, query_cands=query_cands)
+    assert len(got) == len(expect) == t
+    for a, b in zip(got, expect):
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.scores, b.scores)
+    # every block is asked for exactly once, in order
+    assert asked == [(start, min(start + _BLOCK, n_cand))
+                     for start in range(0, n_cand, _BLOCK)]
