@@ -46,7 +46,8 @@ A_test = okr.predict_alpha(krr_model, kappa)
 
 
 def mean_tau(rankings):
-    preds = R_tr[[r.indices[0] for r in rankings]]
+    ids, _ = rankings
+    preds = R_tr[ids[:, 0]]
     return float(np.mean([metrics.kendall_tau(t, p)
                           for t, p in zip(R_te, preds)]))
 

@@ -56,17 +56,17 @@ lam, p, c, ks = 1e-4, 24, 0.75, (1, 5, 10)
 krr_model = okr.fit_krr(K_x, lam)
 A_test = okr.predict_alpha(krr_model, kappa)
 
-full = decode_iokr(A_test, C_s, cand_norms, k=10, query_cands=query_cands)
-acc_full = metrics.topk_accuracy(full, truth_index, ks)
+full_ids, _ = decode_iokr(A_test, C_s, cand_norms, k=10, query_cands=query_cands)
+acc_full = metrics.topk_accuracy(full_ids, truth_index, ks)
 
 _, model = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=p, c=c,
                                 K_y_su=kernels.gram(out_spec, Y, Y_pool),
                                 K_y_uu=kernels.gram(out_spec, Y_pool),
                                 krr_model=krr_model)
-emb = decode_oel(oel.embed_tests(model, A_test),
-                 oel.embed_candidates(model, np.vstack([C_s, C_u])),
-                 cand_norms, k=10, query_cands=query_cands)
-acc_emb = metrics.topk_accuracy(emb, truth_index, ks)
+emb_ids, _ = decode_oel(oel.embed_tests(model, A_test),
+                        oel.embed_candidates(model, np.vstack([C_s, C_u])),
+                        cand_norms, k=10, query_cands=query_cands)
+acc_emb = metrics.topk_accuracy(emb_ids, truth_index, ks)
 
 print(f"{n} labeled fingerprints, {m} unlabeled pool, {n_test} queries, "
       f"~121 candidates each\n")

@@ -69,19 +69,19 @@ def test_loss(cfg):
     krr_model = okr.fit_krr(K_x, cfg.lam)
     A_test = okr.predict_alpha(krr_model, kappa)
     if cfg.p is None:
-        rankings = decode_iokr(A_test, C_s, cand_norms, k=1)
+        ids, _ = decode_iokr(A_test, C_s, cand_norms, k=1)
     else:
         _, model = okr.fit_oel_with_krr(
             K_x, kernels.gram(out_spec, y_sup), lam=cfg.lam, p=cfg.p, c=cfg.c,
             K_y_su=kernels.gram(out_spec, y_sup, y_unsup),
             K_y_uu=kernels.gram(out_spec, y_unsup),
             method="randomized", seed=0, krr_model=krr_model)
-        rankings = decode_oel(oel.embed_tests(model, A_test),
-                              oel.embed_candidates(
-                                  model, np.vstack([
-                                      C_s, kernels.gram(out_spec, y_unsup, candidates)])),
-                              cand_norms, k=1)
-    pred = candidates[[r.indices[0] for r in rankings]]
+        ids, _ = decode_oel(oel.embed_tests(model, A_test),
+                            oel.embed_candidates(
+                                model, np.vstack([
+                                    C_s, kernels.gram(out_spec, y_unsup, candidates)])),
+                            cand_norms, k=1)
+    pred = candidates[ids[:, 0]]
     k_yp = kernels.pair_values(out_spec, y_te, pred)
     ones = np.ones(len(y_te))
     return metrics.report_from_values("gaussian loss",

@@ -25,7 +25,7 @@ _EXPORTS = {
     "oel": ("MixedGram", "OelModel", "OutputFactor", "assemble_mixed_gram", "fit_oel",
             "factor_outputs", "fit_oel_factored", "fit_oel_with_krr", "embed_candidates",
             "embed_tests", "embed_inputs", "surrogate_sq_errors"),
-    "decode": ("Ranking", "decode_oel", "decode_iokr"),
+    "decode": ("decode_oel", "decode_iokr"),
     "metrics": ("MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
                 "topk_accuracy", "kendall_tau", "hamming"),
     "dataio": ("DataError", "Dataset", "ModelBundle", "Holdout", "KFold",

@@ -2,7 +2,7 @@
 
 Subcommands: fit, predict, evaluate, tune, bench-decode, synth. All runs are
 driven by a flat "key = value" config file (--config); the flags --out,
---seed, --threads, --iokr-only and --share-krr override or extend the file.
+--seed, --threads, --iokr-only (fit, tune), --share-krr (tune) override it.
 Every run writes the fully resolved configuration to <out>/config.resolved
 and appends error details to <out>/run.log. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure, 4 internal error (any other
@@ -78,11 +78,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
         p.add_argument("--threads", type=int, default=None,
                        help="cap BLAS worker threads (best effort)")
-        p.add_argument("--iokr-only", action="store_true",
-                       help="skip the learned embedding; full-dimensional decoding")
-        p.add_argument("--share-krr", action="store_true",
-                       help="reuse ridge solves across grid points with equal (lambda, "
-                            "width, q); identical results, less compute")
+        if name in ("fit", "tune"):
+            p.add_argument("--iokr-only", action="store_true",
+                           help="skip the learned embedding; full-dimensional decoding")
+        if name == "tune":
+            p.add_argument("--share-krr", action="store_true",
+                           help="reuse ridge solves across grid points with equal (lambda, "
+                                "width, q); identical results, less compute")
     return parser
 
 
@@ -333,18 +335,18 @@ def _cmd_predict(args, out):
 
     if oel_model is None:
         cands = CandidateBlocks((len(Y_ref), len(cand_f)), cand_gram)
-        rankings = decode_iokr(krr.predict_alpha(krr_model, kappa), cands, cand_norms,
-                               k=k, query_cands=ds.candidate_map)
+        ids, scores = decode_iokr(krr.predict_alpha(krr_model, kappa), cands, cand_norms,
+                                  k=k, query_cands=ds.candidate_map)
     else:
         cands = CandidateBlocks((oel_model.p, len(cand_f)), lambda start, stop: (
             oel.embed_candidates(oel_model, cand_gram(start, stop))))
-        rankings = decode_oel(oel.embed_inputs(oel_model, kappa), cands, cand_norms,
-                              k=k, query_cands=ds.candidate_map)
+        ids, scores = decode_oel(oel.embed_inputs(oel_model, kappa), cands, cand_norms,
+                                 k=k, query_cands=ds.candidate_map)
     rank_path = out / "rankings.tsv"
-    dataio.save_rankings(rank_path, rankings)
+    dataio.save_rankings(rank_path, ids, scores)
     _snapshot(cfg, {"decode.k": k, "model.dir": model_dir}, args, out)
     mode = "full-dimensional" if oel_model is None else f"embedded (p={oel_model.p})"
-    print(f"predict: {len(rankings)} queries, {mode} decoding; rankings in {rank_path}")
+    print(f"predict: {len(ids)} queries, {mode} decoding; rankings in {rank_path}")
 
 
 def _cmd_evaluate(args, out):
@@ -360,16 +362,16 @@ def _cmd_evaluate(args, out):
     rank_rel = get_str(cfg, "evaluate.rankings", required=True)
     ds = dataio.load_dataset(cfg, base)
     cand = ds.candidate_outputs()
-    _, rankings = dataio.load_rankings(base / rank_rel, n_candidates=cand.shape[0])
+    ids, _ = dataio.load_rankings(base / rank_rel, n_candidates=cand.shape[0])
     if ds.y_test is None:
         raise DataError("evaluate needs data.y_test ground truth")
-    if len(rankings) != ds.y_test.shape[0]:
-        raise DataError(f"{len(rankings)} rankings but {ds.y_test.shape[0]} truth rows")
+    if len(ids) != ds.y_test.shape[0]:
+        raise DataError(f"{len(ids)} rankings but {ds.y_test.shape[0]} truth rows")
     out_spec = kernel_spec(cfg, "kernel.y")
 
     cand_f = dataio.output_features(ds.output_kind, cand)
     true_f = dataio.output_features(ds.output_kind, ds.y_test)
-    pred_idx = np.array([r.indices[0] for r in rankings])
+    pred_idx = ids[:, 0]
     pred_f = cand_f[pred_idx]
 
     reports = []
@@ -392,9 +394,9 @@ def _cmd_evaluate(args, out):
                       or (ds.candidate_map is not None and t not in ds.candidate_map[j])
                       for j, t in enumerate(ds.truth_index))
         if outside:
-            warnings.warn(f"{outside} of {len(rankings)} queries have a true candidate "
+            warnings.warn(f"{outside} of {len(ids)} queries have a true candidate "
                           "outside their candidate set; counted as misses", stacklevel=2)
-        ranks = metrics.truth_ranks(rankings, ds.truth_index)
+        ranks = metrics.truth_ranks(ids, ds.truth_index)
         for k in ks:
             reports.append(metrics.report_from_values(f"top{k}_accuracy",
                                                       (ranks <= k).astype(np.float64)))

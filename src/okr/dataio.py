@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .decode import Ranking
 from .krr import EXACT, NYSTROM, KrrModel, fold_readout
 from .linalg import RegularizedSolver
 from .oel import OelModel
@@ -273,45 +272,49 @@ def load_gram(path, tol: float = 1e-10) -> np.ndarray:
 # rankings
 
 
-def save_rankings(path, rankings, query_ids=None) -> None:
-    """One line per query: the query id, then tab-separated cid:score pairs
-    with scores at 6 significant digits."""
-    if query_ids is None:
-        query_ids = range(len(rankings))
+def save_rankings(path, ids, scores) -> None:
+    """One line per row of ids: the row number as query id, then its
+    cid:score pairs without the padding (id -1), scores at 6 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        for qid, ranking in zip(query_ids, rankings):
-            pairs = "".join(f"\t{int(c)}:{s:.6g}" for c, s in
-                            zip(ranking.indices, ranking.scores))
+        for qid, (row_ids, row_scores) in enumerate(zip(ids.tolist(), scores.tolist())):
+            pairs = "".join(f"\t{c}:{s:.6g}" for c, s in zip(row_ids, row_scores) if c >= 0)
             fh.write(f"{qid}{pairs}\n")
 
 
 def load_rankings(path, n_candidates=None):
-    """Returns (query_ids, rankings) parsed from a rankings file. Given
+    """Returns (ids, scores) parsed from a rankings file, as the decoders
+    return them: t x w arrays padded with id -1 and score NaN past the end
+    of a shorter line. The query ids must run 0..t-1 in file order. Given
     n_candidates, every line must rank at least one candidate and every
     candidate id must lie in [0, n_candidates)."""
-    qids, rankings = [], []
+    rows = []
     for i, ln in enumerate(_read_lines(path)):
         if not ln.strip():
             continue
         toks = ln.split("\t")
         try:
-            qids.append(int(toks[0]))
-            cids, scores = [], []
-            for tok in toks[1:]:
-                c, s = tok.split(":", 1)
-                cids.append(int(c))
-                scores.append(float(s))
+            qid = int(toks[0])
+            pairs = [tok.split(":", 1) for tok in toks[1:]]
+            cids = [int(c) for c, _ in pairs]
+            scores = [float(s) for _, s in pairs]
         except ValueError:
             _fail(path, i + 1, f"malformed ranking line {ln!r}")
+        if qid != len(rows):
+            how = "repeated" if 0 <= qid < len(rows) else "out of order"
+            _fail(path, i + 1, f"query id {qid} {how}; expected {len(rows)}")
         if n_candidates is not None:
             if not cids:
-                _fail(path, i + 1, f"query {qids[-1]} ranks no candidate")
+                _fail(path, i + 1, f"query {qid} ranks no candidate")
             bad = [c for c in cids if not 0 <= c < n_candidates]
             if bad:
                 _fail(path, i + 1, f"candidate id {bad[0]} outside [0, {n_candidates})")
-        rankings.append(Ranking(indices=np.array(cids, dtype=np.int64),
-                                scores=np.array(scores)))
-    return qids, rankings
+        rows.append((cids, scores))
+    width = max((len(cids) for cids, _ in rows), default=0)
+    ids = np.full((len(rows), width), -1, dtype=np.int64)
+    vals = np.full(ids.shape, np.nan)
+    for j, (cids, scores) in enumerate(rows):
+        ids[j, :len(cids)], vals[j, :len(cids)] = cids, scores
+    return ids, vals
 
 
 def load_candidate_map(path, n_candidates=None):
@@ -484,10 +487,15 @@ def load_dataset(config: dict, base_dir=None) -> Dataset:
     truth_index = (load_index_vector(path_of("data.truth_index"))
                    if path_of("data.truth_index") else None)
 
-    return Dataset(output_kind=kind, x=x, y_sup=y_sup, x_format=x_format,
-                   y_unsup=y_unsup, x_test=x_test, y_test=y_test,
-                   candidates=candidates, candidate_map=candidate_map,
-                   truth_index=truth_index)
+    ds = Dataset(output_kind=kind, x=x, y_sup=y_sup, x_format=x_format,
+                 y_unsup=y_unsup, x_test=x_test, y_test=y_test,
+                 candidates=candidates, candidate_map=candidate_map, truth_index=truth_index)
+    n_queries = ds.n_test or (0 if y_test is None else y_test.shape[0])
+    for key, what, entries in (("data.candidate_map", "candidate lists", candidate_map),
+                               ("data.truth_index", "true candidates", truth_index)):
+        if n_queries and entries is not None and len(entries) != n_queries:
+            _fail(path_of(key), 0, f"{len(entries)} {what} for {n_queries} test queries")
+    return ds
 
 
 def synth_remark1(n: int, m: int, n_test: int, sigma2_x: float, sigma2_z: float,

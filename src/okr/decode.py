@@ -10,27 +10,20 @@ The same machinery serves the full-dimensional decoder (inner products
 through n output-kernel columns, O(n) per candidate) and the learned
 low-rank decoder (inner products in R^p, O(p) per candidate).
 
-Rankings order candidates by (score, candidate id): equal scores rank the
-smaller id first, NaN scores rank last, and the result is the same as a full
-sort of every score.
+Both decoders return two t x w arrays (ids, scores): row j holds query j's
+best candidates ordered by (score, candidate id), equal scores ranking the
+smaller id first and NaN scores last, the same as a full sort of every
+score. Against all N candidates w = min(k, N); with per-query candidate
+lists w = min(k, longest list), and a shorter list's row ends in padding,
+id -1 with score NaN.
 
 The candidates come as an E x N matrix (E = p embedded, E = n
-full-dimensional) or as a CandidateBlocks source that builds the E x w
-columns of one block of candidates on request, so the whole matrix need
-never exist. With per-query candidate lists the source is assembled whole,
-block by block, since each query reads its own scattered columns.
-
-Decoding against all N candidates streams over blocks of _BLOCK candidates,
-asks the source for each block once, and keeps a running top-k per query.
-Each block is scored into one reused queries x block buffer. A query's
-threshold is the smaller of the block's k-th smallest score and the query's
-running k-th best. Both are upper bounds on the final k-th best, so a score
-above the threshold can never enter the top k. Only scores at or below it
-survive (every tie on the threshold included), and only the survivors are
-merged into the running lists, by a stable per-row sort on score over a
-layout that keeps equal scores in ascending id order. The threshold
-comparison and the merge are exact, so the output is identical to the full
-sort, ties included.
+full-dimensional) or as a CandidateBlocks source of blocks of its columns,
+so the whole matrix need never exist. All N candidates are scored a block
+of _BLOCK at a time into one reused queries x block buffer; per-query lists
+read scattered columns of the assembled matrix and are scored into padded
+rows, in batches no larger than that buffer. Every block and every batch
+goes through one selection step, _merge_topk.
 """
 
 from __future__ import annotations
@@ -39,36 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """Candidates of one query ordered by ascending score; ties broken by
-    ascending candidate index."""
-
-    indices: np.ndarray
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
-def _select_topk(scores: np.ndarray, ids: np.ndarray, k: int) -> Ranking:
-    """k smallest scores as if the whole list were sorted by (score, id),
-    but with bounded partial selection when k << N."""
-    n = scores.size
-    kk = min(k, n)
-    if kk < n:
-        part = np.argpartition(scores, kk - 1)[:kk]
-        # keep every candidate tied with the selection boundary so that the
-        # final (score, id) sort sees all tie contenders ("not above" also
-        # keeps every NaN when the boundary itself is NaN)
-        pool = np.flatnonzero(~(scores > scores[part].max()))
-    else:
-        pool = np.arange(n)
-    order = np.lexsort((ids[pool], scores[pool]))[:kk]
-    pool = pool[order]
-    return Ranking(indices=ids[pool], scores=scores[pool])
 
 
 @dataclass(frozen=True)
@@ -103,11 +66,52 @@ class CandidateBlocks:
 _BLOCK = 2048
 
 
+def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
+                ids: np.ndarray, kk: int):
+    """Merge the scores S (rows x w) of the candidates ids (rows x w, each
+    row in ascending id order, padding last) into the running lists
+    best_ids, best_vals (rows x kept, (score, id)-ordered) and return the
+    best min(kk, kept + w) of each row.
+
+    A row's threshold is the smaller of its k-th smallest score in S and its
+    running k-th best. Both are upper bounds on the final k-th best, so a
+    score above the threshold can never enter the top k. Only scores at or
+    below it survive (every tie on the threshold included), and only the
+    survivors are merged into the running lists, by a stable per-row sort on
+    score over a layout that keeps equal scores in ascending id order. The
+    threshold comparison and the merge are exact, so the output is identical
+    to the full sort, ties included."""
+    t, w = S.shape
+    kept = best_vals.shape[1]
+    if w >= kk:
+        thr = np.partition(S, kk - 1, axis=1)[:, kk - 1].copy()
+    else:
+        thr = np.full(t, np.inf)
+    if kept == kk:
+        # fmin: a NaN k-th best (fewer than kk real scores) sets no bound
+        np.fmin(thr, best_vals[:, -1], out=thr)
+    # "not above" keeps ties on the threshold, and keeps everything in a
+    # row whose threshold is NaN
+    hit = np.flatnonzero(~(S > thr[:, None]))
+    rows, cols = np.divmod(hit, w)
+    # lay each row out as [running list, survivors in id order], padded
+    # with NaN (sorted last, after every real entry); a stable sort by
+    # score then orders equal scores by id
+    counts = np.bincount(rows, minlength=t)
+    pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
+    vals = np.full((t, kept + counts.max()), np.nan)
+    out_ids = np.empty(vals.shape, dtype=np.int64)
+    vals[:, :kept] = best_vals
+    out_ids[:, :kept] = best_ids
+    vals[rows, pos] = S.ravel()[hit]
+    out_ids[rows, pos] = ids[rows, cols]
+    sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
+    return np.take_along_axis(out_ids, sel, axis=1), np.take_along_axis(vals, sel, axis=1)
+
+
 def _decode_global(E_test: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,
-                   k: int) -> list[Ranking]:
-    """All-candidates decoding with a threshold-pruned running top-k; memory
-    stays O(queries x block) however large N grows (see the module
-    docstring)."""
+                   k: int):
+    """All-candidates decoding; memory stays O(queries x block) however large N grows."""
     t = E_test.shape[1]
     n_cand = cands.shape[1]
     kk = min(k, n_cand)
@@ -115,56 +119,43 @@ def _decode_global(E_test: np.ndarray, cands: CandidateBlocks, self_norms: np.nd
     # same BLAS kernel as a C-ordered E_test^T, so every score is
     # bit-identical to self_norms - 2 (E_test^T E_cand)
     neg2_Et = -2.0 * np.ascontiguousarray(E_test.T)
-    width = min(_BLOCK, n_cand)
-    score_buf = np.empty(t * width)
-    part_buf = np.empty(t * width)
-    over_buf = np.empty(t * width, dtype=bool)
-    row_idx = np.arange(t)[:, None]
-    # running lists: per row, (score, id)-ordered
+    score_buf = np.empty(t * min(_BLOCK, n_cand))
     best_ids = np.empty((t, 0), dtype=np.int64)
     best_vals = np.empty((t, 0))
     for start in range(0, n_cand, _BLOCK):
         stop = min(start + _BLOCK, n_cand)
-        w = stop - start
-        kept = best_vals.shape[1]
-        S = score_buf[:t * w].reshape(t, w)
+        S = score_buf[:t * (stop - start)].reshape(t, stop - start)
         np.matmul(neg2_Et, cands.columns(start, stop), out=S)
         S += self_norms[start:stop]
-        if w >= kk:
-            P = part_buf[:t * w].reshape(t, w)
-            np.copyto(P, S)
-            P.partition(kk - 1, axis=1)
-            thr = P[:, kk - 1].copy()
-        else:
-            thr = np.full(t, np.inf)
-        if kept == kk:
-            # fmin: a NaN k-th best (fewer than kk real scores) sets no bound
-            np.fmin(thr, best_vals[:, -1], out=thr)
-        # "not above" keeps ties on the threshold, and keeps everything in a
-        # row whose threshold is NaN
-        over = over_buf[:t * w].reshape(t, w)
-        np.greater(S, thr[:, None], out=over)
-        np.logical_not(over, out=over)
-        hit = np.flatnonzero(over)
-        rows, cols = np.divmod(hit, w)
-        # lay each row out as [running list, survivors in id order], padded
-        # with NaN (sorted last, after every real entry); a stable sort by
-        # score then orders equal scores by id
-        counts = np.bincount(rows, minlength=t)
-        pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
-        vals = np.full((t, kept + counts.max()), np.nan)
-        ids = np.empty(vals.shape, dtype=np.int64)
-        vals[:, :kept] = best_vals
-        ids[:, :kept] = best_ids
-        vals[rows, pos] = S.ravel()[hit]
-        ids[rows, pos] = cols + start
-        sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
-        best_ids, best_vals = ids[row_idx, sel], vals[row_idx, sel]
-    return list(map(Ranking, best_ids, best_vals))
+        block_ids = np.broadcast_to(np.arange(start, stop), S.shape)
+        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, block_ids, kk)
+    return best_ids, best_vals
+
+
+def _decode_lists(E_test: np.ndarray, E_cand: np.ndarray, self_norms: np.ndarray, k: int,
+                  lists: list[np.ndarray]):
+    """Per-query candidate lists, ranked in batches of padded score rows."""
+    t, n_cand = E_test.shape[1], E_cand.shape[1]
+    longest = max(ids.size for ids in lists)
+    # at least one query per batch, and no more padded entries than the
+    # all-candidates score buffer holds
+    batch = max(1, t * min(_BLOCK, n_cand) // longest)
+    ranked = []
+    for j0 in range(0, t, batch):
+        I = np.full((len(lists[j0:j0 + batch]), longest), -1, dtype=np.int64)
+        S = np.full(I.shape, np.nan)
+        for r, ids in enumerate(lists[j0:j0 + batch]):
+            I[r, :ids.size] = ids
+            S[r, :ids.size] = self_norms[ids] - 2.0 * (E_cand[:, ids].T @ E_test[:, j0 + r])
+        # sorted as unsigned, the padding id -1 comes after every real id
+        order = np.argsort(I.view(np.uint64), axis=1, kind="stable")
+        I, S = np.take_along_axis(I, order, axis=1), np.take_along_axis(S, order, axis=1)
+        ranked.append(_merge_topk(I[:, :0], S[:, :0], S, I, min(k, longest)))
+    return tuple(np.vstack(parts) for parts in zip(*ranked))
 
 
 def _decode(E_test: np.ndarray, E_cand: np.ndarray | CandidateBlocks,
-            self_norms: np.ndarray, k: int, query_cands) -> list[Ranking]:
+            self_norms: np.ndarray, k: int, query_cands):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     E_test = np.asarray(E_test, dtype=np.float64)
@@ -190,37 +181,36 @@ def _decode(E_test: np.ndarray, E_cand: np.ndarray | CandidateBlocks,
 
     if len(query_cands) != n_queries:
         raise ValueError(f"{len(query_cands)} candidate lists for {n_queries} queries")
-    if isinstance(E_cand, CandidateBlocks):
-        E_cand = E_cand.whole()
-    out = []
-    for j, ids in enumerate(query_cands):
-        ids = np.asarray(ids)
+    lists = [np.asarray(ids) for ids in query_cands]
+    for j, ids in enumerate(lists):
         if ids.size == 0:
             raise ValueError(f"query {j} has an empty candidate list")
         if ids.min() < 0 or ids.max() >= n_cand:
             raise ValueError(f"query {j} candidate ids out of range [0, {n_cand})")
-        scores = self_norms[ids] - 2.0 * (E_cand[:, ids].T @ E_test[:, j])
-        out.append(_select_topk(scores, ids, k))
-    return out
+    if isinstance(E_cand, CandidateBlocks):
+        E_cand = E_cand.whole()
+    return _decode_lists(E_test, E_cand, self_norms, k, lists)
 
 
-def decode_oel(Z_test, Z_cand, self_norms, k: int = 1, query_cands=None) -> list[Ranking]:
+def decode_oel(Z_test, Z_cand, self_norms, k: int = 1, query_cands=None):
     """Rank candidates for each test column of the p x t embedded predictions
     Z_test against the p x N embedded candidates Z_cand, given as an array or
     as a CandidateBlocks source of their columns.
 
     query_cands optionally restricts query j to an index list into the
-    candidate columns; otherwise all N candidates are scored. Returns one
-    Ranking of length min(k, #candidates) per query.
+    candidate columns; otherwise all N candidates are scored. Returns
+    (ids, scores), t x w int64 ids and float64 scores in rank order, with w
+    and the padding of short lists as in the module docstring.
     """
     return _decode(Z_test, Z_cand, self_norms, k, query_cands)
 
 
-def decode_iokr(A_test, C_s, self_norms, k: int = 1, query_cands=None) -> list[Ranking]:
+def decode_iokr(A_test, C_s, self_norms, k: int = 1, query_cands=None):
     """Full-dimensional decoding: alpha columns against output-kernel columns.
 
     A_test is n x t (alpha(x_j) in column j), C_s is n x N with
     k_y(y_i^train, y_c), as an array or as a CandidateBlocks source of its
     columns; the inner product <h(x_j), psi(y_c)> is alpha(x_j)^T C_s[:, c].
+    Returns (ids, scores) as decode_oel does.
     """
     return _decode(A_test, C_s, self_norms, k, query_cands)

@@ -75,28 +75,27 @@ def f1_example_mean(Y_true, Y_pred) -> float:
     return float(np.mean([f1_example(t, p) for t, p in zip(T, P)]))
 
 
-def truth_ranks(rankings, truth) -> np.ndarray:
+def truth_ranks(ids, truth) -> np.ndarray:
     """1-based rank of each query's true candidate in its ranking, inf where
-    the ranking does not contain it. rankings is one Ranking per query,
-    truth the true candidate index per query."""
+    the ranking does not contain it. ids holds the ranked candidate ids, one
+    row per query (padding -1 as the decoders return it), truth the true
+    candidate index per query."""
+    ids = np.asarray(ids)
     truth = np.asarray(truth)
-    if len(rankings) != truth.size:
-        raise ValueError(f"{len(rankings)} rankings for {truth.size} truths")
-    positions = np.full(truth.size, np.inf)
-    for j, (ranking, t) in enumerate(zip(rankings, truth)):
-        hit = np.flatnonzero(ranking.indices == t)
-        if hit.size:
-            positions[j] = hit[0] + 1
-    return positions
+    if ids.shape[0] != truth.size:
+        raise ValueError(f"{ids.shape[0]} rankings for {truth.size} truths")
+    hit = (ids == truth[:, None]) & (ids >= 0)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1.0, np.inf)
 
 
-def topk_accuracy(rankings, truth, ks) -> dict[int, float]:
-    """Fraction of queries whose true candidate appears within rank <= k.
+def topk_accuracy(ids, truth, ks) -> dict[int, float]:
+    """Fraction of queries whose true candidate appears within rank <= k;
+    ids and truth as in truth_ranks.
 
     A truth missing from its ranking counts as a miss at every k and
     triggers a warning (candidate sets are expected to contain the truth).
     """
-    positions = truth_ranks(rankings, truth)
+    positions = truth_ranks(ids, truth)
     missing = int(np.count_nonzero(np.isinf(positions)))
     if missing:
         warnings.warn(f"{missing} of {positions.size} queries have no true candidate in their "

@@ -280,13 +280,13 @@ def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
             else Y_tr)
     cand_norms = kernels.self_norms(out_spec, cand)
     if use_oel:
-        rankings = decode_oel(oel.embed_tests(model, ridge.A_val),
-                              oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, cand)),
-                              cand_norms, k=1)
+        ids, _ = decode_oel(oel.embed_tests(model, ridge.A_val),
+                            oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, cand)),
+                            cand_norms, k=1)
     else:
-        rankings = decode_iokr(ridge.A_val, kernels.gram(out_spec, Y_tr, cand),
-                               cand_norms, k=1)
-    pred_idx = np.array([r.indices[0] for r in rankings])
+        ids, _ = decode_iokr(ridge.A_val, kernels.gram(out_spec, Y_tr, cand),
+                             cand_norms, k=1)
+    pred_idx = ids[:, 0]
     pred = cand[pred_idx]
 
     if metric == "rkhs_loss":

@@ -78,8 +78,8 @@ class TestFitPredictEvaluate:
         data_dir, dataset_cfg, run_cfg, fit_out = self._fit(tmp_path)
         assert (fit_out / "model" / "manifest.txt").exists()
         rank_path = self._predict(tmp_path, data_dir, dataset_cfg, fit_out)
-        qids, rankings = dataio.load_rankings(rank_path)
-        assert len(rankings) == 6 and len(rankings[0]) == 3
+        ids, scores = dataio.load_rankings(rank_path)
+        assert ids.shape == scores.shape == (6, 3)
 
         eval_cfg = write_cfg(data_dir / "eval.cfg", dataset_cfg,
                              "kernel.y.kind = linear", "evaluate.topk = 1,3",
@@ -122,18 +122,18 @@ class TestFitPredictEvaluate:
             krr_model, oel_model = dataio.models_from_bundle(bundle)
             kappa = kernels.gram(spec, bundle.matrices["x_train"], ds.x_test)
             if oel_model is None:
-                rankings = decode.decode_iokr(
+                ids, scores = decode.decode_iokr(
                     krr.predict_alpha(krr_model, kappa),
                     kernels.gram(spec, bundle.matrices["y_train_features"], cand_f),
                     kernels.self_norms(spec, cand_f), k=3)
             else:
-                rankings = decode_oel(
+                ids, scores = decode_oel(
                     okr.embed_inputs(oel_model, kappa),
                     okr.embed_candidates(oel_model, kernels.gram(
                         spec, bundle.matrices["y_ref_features"], cand_f)),
                     kernels.self_norms(spec, cand_f), k=3)
             expect = tmp_path / tag / "whole.tsv"
-            dataio.save_rankings(expect, rankings)
+            dataio.save_rankings(expect, ids, scores)
             assert rank_path.read_bytes() == expect.read_bytes(), tag
 
     @pytest.mark.parametrize("extra", [(), ("--iokr-only",)], ids=["embedded", "iokr"])
@@ -171,11 +171,10 @@ class TestFitPredictEvaluate:
                    "--seed", "7", "--iokr-only") == 0
         r_oel = self._predict(tmp_path, data_dir, dataset_cfg, fit_oel, tag="po")
         r_iokr = self._predict(tmp_path, data_dir, dataset_cfg, fit_iokr, tag="pi")
-        _, a = dataio.load_rankings(r_oel)
-        _, b = dataio.load_rankings(r_iokr)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.indices, rb.indices)
-            np.testing.assert_allclose(ra.scores, rb.scores, atol=1e-5)
+        ids_oel, scores_oel = dataio.load_rankings(r_oel)
+        ids_iokr, scores_iokr = dataio.load_rankings(r_iokr)
+        np.testing.assert_array_equal(ids_oel, ids_iokr)
+        np.testing.assert_allclose(scores_oel, scores_iokr, atol=1e-5)
 
     def test_evaluate_perfect_rankings(self, tmp_path):
         # rankings that point every query at its true candidate: zero loss
@@ -183,11 +182,9 @@ class TestFitPredictEvaluate:
         ds = dataio.load_dataset(
             dict(line.split(" = ") for line in dataset_cfg.strip().splitlines()),
             data_dir)
-        from okr.decode import Ranking
-        rankings = [Ranking(indices=np.array([t]), scores=np.array([0.0]))
-                    for t in ds.truth_index]
         rank_path = tmp_path / "perfect.tsv"
-        dataio.save_rankings(rank_path, rankings)
+        dataio.save_rankings(rank_path, ds.truth_index[:, None],
+                             np.zeros((ds.truth_index.size, 1)))
         eval_cfg = write_cfg(data_dir / "eval.cfg", dataset_cfg,
                              "kernel.y.kind = linear", "evaluate.topk = 1",
                              f"evaluate.rankings = {rank_path}")
@@ -216,8 +213,8 @@ class TestFitPredictEvaluate:
                    "--seed", "3") == 0
         rank_path = self._predict(tmp_path, data_dir, dataset_cfg, fit_out,
                                   tag="pn", seed=3)
-        _, rankings = dataio.load_rankings(rank_path)
-        assert len(rankings) == 6
+        ids, _ = dataio.load_rankings(rank_path)
+        assert len(ids) == 6
 
 
 class TestFoldedReadout:
@@ -288,8 +285,8 @@ class TestFoldedReadout:
         Z_cand = okr.embed_candidates(oel_model, kernels.gram(
             spec_y, oel_model.reference_outputs(ds.y_sup, ds.y_unsup), cand))
         expect = tmp_path / "unfolded.tsv"
-        dataio.save_rankings(expect, decode_oel(Z_test, Z_cand,
-                                                kernels.self_norms(spec_y, cand), k=5))
+        dataio.save_rankings(expect, *decode_oel(Z_test, Z_cand,
+                                                 kernels.self_norms(spec_y, cand), k=5))
         assert (tmp_path / "pred" / "rankings.tsv").read_bytes() == expect.read_bytes()
 
 
@@ -390,6 +387,14 @@ class TestOtherOutputKinds:
 class TestErrors:
     def test_unknown_subcommand_usage_exit(self, capsys):
         assert run("frobnicate") == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [("predict", "--iokr-only"), ("evaluate", "--iokr-only"),
+                                      ("fit", "--share-krr"), ("evaluate", "--share-krr"),
+                                      ("synth", "--share-krr")])
+    def test_flag_on_subcommand_that_ignores_it_usage_exit(self, tmp_path, capsys, argv):
+        # --iokr-only is read by fit and tune only, --share-krr by tune only
+        assert run(*argv, "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_missing_required_key_usage_exit(self, tmp_path, capsys):
         data_dir, dataset_cfg = synth_workspace(tmp_path)
@@ -550,14 +555,35 @@ def test_bad_fit_input_exit_code_and_log(tmp_path, capsys, monkeypatch,
     assert f"--- {label} ---" in log and "Traceback" in log and message in log
 
 
-def _rankings_cfg(tmp_path, bad_line):
+def _rankings_cfg(tmp_path, bad_lines, *extra_keys):
     """evaluate config over a 30 + 10 synth dataset (46 candidates, 6 queries)
-    whose rankings file has bad_line as its first line."""
+    whose rankings file starts with bad_lines, plus extra_keys."""
     data_dir, dataset_cfg = synth_workspace(tmp_path)
     rank_path = tmp_path / "rankings.tsv"
-    rank_path.write_text(bad_line + "".join(f"{j}\t{j}:0.5\n" for j in range(1, 6)))
+    rank_path.write_text(bad_lines + "".join(f"{j}\t{j}:0.5\n"
+                                             for j in range(bad_lines.count("\n"), 6)))
     return "evaluate", write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
-                                 f"evaluate.rankings = {rank_path}")
+                                 f"evaluate.rankings = {rank_path}", *extra_keys)
+
+
+def _short_truth_cfg(tmp_path):
+    """_rankings_cfg with valid rankings and 3 true candidates for the 6
+    queries."""
+    command, cfg = _rankings_cfg(tmp_path, "", "data.truth_index = short_truth.txt")
+    (cfg.parent / "short_truth.txt").write_text("0\n1\n2\n")
+    return command, cfg
+
+
+def _short_map_cfg(tmp_path):
+    """predict config over a fitted 30 + 10 synth bundle whose candidate map
+    lists candidates for 2 of the 6 test queries."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    fit_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+    assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
+    (data_dir / "short_map.txt").write_text("0 1\n0 2\n1 3\n")
+    return "predict", write_cfg(data_dir / "pred.cfg", dataset_cfg,
+                                "data.candidate_map = short_map.txt",
+                                f"model.dir = {tmp_path / 'fit' / 'model'}")
 
 
 def _v2_bundle_cfg(tmp_path):
@@ -606,6 +632,14 @@ BAD_RUN_INPUTS = [
      cli.EXIT_DATA, "data error", "rankings.tsv:1: candidate id 46 outside [0, 46)"),
     ("evaluate_query_without_pairs", lambda d: _rankings_cfg(d, "0\n"),
      cli.EXIT_DATA, "data error", "rankings.tsv:1: query 0 ranks no candidate"),
+    ("evaluate_query_lines_swapped", lambda d: _rankings_cfg(d, "1\t1:0.5\n0\t0:0.5\n"),
+     cli.EXIT_DATA, "data error", "rankings.tsv:1: query id 1 out of order; expected 0"),
+    ("evaluate_query_id_repeated", lambda d: _rankings_cfg(d, "0\t0:0.5\n0\t1:0.5\n"),
+     cli.EXIT_DATA, "data error", "rankings.tsv:2: query id 0 repeated; expected 1"),
+    ("evaluate_truth_index_too_short", _short_truth_cfg,
+     cli.EXIT_DATA, "data error", "short_truth.txt: 3 true candidates for 6 test queries"),
+    ("predict_candidate_map_too_short", _short_map_cfg,
+     cli.EXIT_DATA, "data error", "short_map.txt: 2 candidate lists for 6 test queries"),
     ("predict_v2_bundle", _v2_bundle_cfg,
      cli.EXIT_DATA, "data error", "bundle version '2' unsupported (expected 4); refit"),
     ("predict_gram_block_rows_mismatch", _gram_rows_cfg,
@@ -752,6 +786,13 @@ class TestReadme:
             ["okr", "tune"]]
         for argv in commands:
             assert cli.main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_every_export_resolves():
+    # the lazy export table names each public name's module; a name the
+    # module no longer defines must not stay listed
+    for name in okr.__all__:
+        assert getattr(okr, name) is not None, name
 
 
 class TestThreadCap:

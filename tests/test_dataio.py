@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import okr
 from okr import dataio, kernels
-from okr.decode import Ranking
 
 from _oracles import random_psd
 
@@ -142,19 +141,18 @@ class TestBinaryMatrix:
 
 class TestRankings:
     def test_roundtrip(self, tmp_path):
-        rankings = [Ranking(indices=np.array([3, 1]), scores=np.array([-0.5, 2.0])),
-                    Ranking(indices=np.array([0]), scores=np.array([1.25]))]
+        ids = np.array([[3, 1], [0, -1]])
+        scores = np.array([[-0.5, 2.0], [1.25, np.nan]])
         p = tmp_path / "r.tsv"
-        dataio.save_rankings(p, rankings)
-        qids, back = dataio.load_rankings(p)
-        assert qids == [0, 1]
-        np.testing.assert_array_equal(back[0].indices, [3, 1])
-        np.testing.assert_allclose(back[0].scores, [-0.5, 2.0])
+        dataio.save_rankings(p, ids, scores)
+        assert p.read_text() == "0\t3:-0.5\t1:2\n1\t0:1.25\n"
+        back_ids, back_scores = dataio.load_rankings(p)
+        np.testing.assert_array_equal(back_ids, ids)
+        np.testing.assert_allclose(back_scores, scores)
 
     def test_six_significant_digits(self, tmp_path):
-        rankings = [Ranking(indices=np.array([0]), scores=np.array([1.23456789]))]
         p = tmp_path / "r.tsv"
-        dataio.save_rankings(p, rankings)
+        dataio.save_rankings(p, np.array([[0]]), np.array([[1.23456789]]))
         assert p.read_text() == "0\t0:1.23457\n"
 
 

@@ -13,46 +13,44 @@ class TestDecodeOel:
     def test_hand_scores(self):
         Z_test = np.array([[1.0]])
         Z_cand = np.array([[0.9, 0.1, -1.0]])
-        rankings = decode_oel(Z_test, Z_cand, np.ones(3), k=3)
-        np.testing.assert_array_equal(rankings[0].indices, [0, 1, 2])
-        np.testing.assert_allclose(rankings[0].scores, [-0.8, 0.8, 3.0], atol=1e-14)
+        ids, scores = decode_oel(Z_test, Z_cand, np.ones(3), k=3)
+        np.testing.assert_array_equal(ids, [[0, 1, 2]])
+        np.testing.assert_allclose(scores, [[-0.8, 0.8, 3.0]], atol=1e-14)
 
     def test_duplicate_candidates_tie_by_index(self):
         Z_test = np.array([[1.0], [0.5]])
         Z_cand = np.array([[0.2, 0.9, 0.9, 0.1], [0.0, 0.3, 0.3, 0.2]])
-        rankings = decode_oel(Z_test, Z_cand, np.ones(4), k=4)
-        idx = rankings[0].indices.tolist()
+        ids, _ = decode_oel(Z_test, Z_cand, np.ones(4), k=4)
+        idx = ids[0].tolist()
         assert idx.index(1) + 1 == idx.index(2)  # duplicates adjacent, low id first
 
     def test_all_equal_scores_yield_index_order(self):
-        rankings = decode_oel(np.zeros((2, 1)), np.zeros((2, 5)), np.ones(5), k=5)
-        np.testing.assert_array_equal(rankings[0].indices, np.arange(5))
+        ids, _ = decode_oel(np.zeros((2, 1)), np.zeros((2, 5)), np.ones(5), k=5)
+        np.testing.assert_array_equal(ids, [np.arange(5)])
 
     def test_boundary_tie_prefers_smaller_index(self):
         # scores (0, 1, 1, 1): the k=2 cut falls inside the tie group
         Z_test = np.array([[1.0]])
         Z_cand = np.array([[0.5, 0.0, 0.0, 0.0]])
-        rankings = decode_oel(Z_test, Z_cand, np.ones(4), k=2)
-        np.testing.assert_array_equal(rankings[0].indices, [0, 1])
+        ids, _ = decode_oel(Z_test, Z_cand, np.ones(4), k=2)
+        np.testing.assert_array_equal(ids, [[0, 1]])
 
     @pytest.mark.parametrize("lists", [None, [np.arange(4)]])
     def test_nan_scores_rank_last(self, lists):
         Z_cand = np.array([[np.nan, 0.5, np.nan, 0.0]])
-        rankings = decode_oel(np.ones((1, 1)), Z_cand, np.ones(4), k=3,
-                              query_cands=lists)
-        np.testing.assert_array_equal(rankings[0].indices, [1, 3, 0])
+        ids, _ = decode_oel(np.ones((1, 1)), Z_cand, np.ones(4), k=3, query_cands=lists)
+        np.testing.assert_array_equal(ids, [[1, 3, 0]])
 
     def test_k_longer_than_candidates(self):
-        rankings = decode_oel(np.ones((1, 1)), np.ones((1, 3)), np.ones(3), k=10)
-        assert len(rankings[0]) == 3
+        ids, scores = decode_oel(np.ones((1, 1)), np.ones((1, 3)), np.ones(3), k=10)
+        assert ids.shape == scores.shape == (1, 3)
 
     def test_scores_nondecreasing(self):
         rng = np.random.default_rng(0)
-        rankings = decode_oel(rng.standard_normal((4, 6)),
-                              rng.standard_normal((4, 50)),
-                              rng.uniform(0.0, 2.0, 50), k=50)
-        for r in rankings:
-            assert np.all(np.diff(r.scores) >= 0)
+        _, scores = decode_oel(rng.standard_normal((4, 6)),
+                               rng.standard_normal((4, 50)),
+                               rng.uniform(0.0, 2.0, 50), k=50)
+        assert np.all(np.diff(scores, axis=1) >= 0)
 
     def test_per_query_candidate_lists(self):
         rng = np.random.default_rng(1)
@@ -60,13 +58,13 @@ class TestDecodeOel:
         Z_cand = rng.standard_normal((3, 10))
         norms = rng.uniform(0.5, 1.5, 10)
         lists = [np.array([7, 2, 5]), np.array([0, 1])]
-        rankings = decode_oel(Z_test, Z_cand, norms, k=2, query_cands=lists)
-        assert set(rankings[0].indices) <= {7, 2, 5}
-        assert set(rankings[1].indices) <= {0, 1}
+        ids, scores = decode_oel(Z_test, Z_cand, norms, k=2, query_cands=lists)
+        assert set(ids[0]) <= {7, 2, 5}
+        assert set(ids[1]) <= {0, 1}
         # restricted scoring agrees with the global scoring on those ids
-        full = decode_oel(Z_test, Z_cand, norms, k=10)
-        global_scores = dict(zip(full[0].indices, full[0].scores))
-        for cid, score in zip(rankings[0].indices, rankings[0].scores):
+        full_ids, full_scores = decode_oel(Z_test, Z_cand, norms, k=10)
+        global_scores = dict(zip(full_ids[0], full_scores[0]))
+        for cid, score in zip(ids[0], scores[0]):
             assert score == pytest.approx(global_scores[cid], abs=1e-12)
 
     def test_empty_candidate_list_rejected(self):
@@ -83,10 +81,9 @@ class TestDecodeOel:
         Z_test = rng.standard_normal((3, 4))
         Z_cand = rng.standard_normal((3, 20))
         norms = rng.uniform(0.0, 1.0, 20)
-        base = decode_oel(Z_test, Z_cand, norms, k=20)
-        shifted = decode_oel(Z_test, Z_cand, norms + 5.0, k=20)
-        for a, b in zip(base, shifted):
-            np.testing.assert_array_equal(a.indices, b.indices)
+        base, _ = decode_oel(Z_test, Z_cand, norms, k=20)
+        shifted, _ = decode_oel(Z_test, Z_cand, norms + 5.0, k=20)
+        np.testing.assert_array_equal(base, shifted)
 
 
 class TestDecodeIokr:
@@ -94,18 +91,17 @@ class TestDecodeIokr:
         # alpha = e_i, candidates = training outputs, normalized kernel
         n = 6
         C_s = np.eye(n) * 0.3 + 0.7 * np.ones((n, n)) * 0.1
-        rankings = decode_iokr(np.eye(n), C_s, np.ones(n), k=1)
-        for i, r in enumerate(rankings):
-            assert r.indices[0] == i
+        ids, _ = decode_iokr(np.eye(n), C_s, np.ones(n), k=1)
+        np.testing.assert_array_equal(ids[:, 0], np.arange(n))
 
     def test_zero_alpha_index_order(self):
-        rankings = decode_iokr(np.zeros((4, 1)), np.ones((4, 7)), np.ones(7), k=7)
-        np.testing.assert_array_equal(rankings[0].indices, np.arange(7))
+        ids, _ = decode_iokr(np.zeros((4, 1)), np.ones((4, 7)), np.ones(7), k=7)
+        np.testing.assert_array_equal(ids, [np.arange(7)])
 
     def test_hand_tie(self):
-        rankings = decode_iokr(np.array([[0.5], [0.5]]), np.eye(2), np.ones(2), k=1)
-        assert rankings[0].indices[0] == 0
-        assert rankings[0].scores[0] == pytest.approx(0.0)
+        ids, scores = decode_iokr(np.array([[0.5], [0.5]]), np.eye(2), np.ones(2), k=1)
+        assert ids[0, 0] == 0
+        assert scores[0, 0] == pytest.approx(0.0)
 
 
 class TestOracleEquivalence:
@@ -123,7 +119,7 @@ class TestOracleEquivalence:
             Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
             Z_cand = okr.embed_candidates(model, Y_ref @ cands.T)
             norms = np.einsum("ij,ij->i", cands, cands)
-            got = [r.indices[0] for r in decode_oel(Z_test, Z_cand, norms, k=1)]
+            got = decode_oel(Z_test, Z_cand, norms, k=1)[0][:, 0]
             expect = brute_force_decode(prob, A_test, cands)
             np.testing.assert_array_equal(got, expect)
 
@@ -143,14 +139,14 @@ class TestOracleEquivalence:
             A_test = okr.predict_alpha(prob.krr_model, kappa)
             norms = np.einsum("ij,ij->i", cands, cands)
             C_s = prob.Y @ cands.T
-            r_oel = decode_oel(okr.embed_tests(model, A_test),
-                               okr.embed_candidates(
-                                   model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
-                               norms, k=25)
-            r_iokr = decode_iokr(A_test, C_s, norms, k=25)
-            for a, b in zip(r_oel, r_iokr):
-                np.testing.assert_array_equal(a.indices, b.indices)
-                np.testing.assert_allclose(a.scores, b.scores, atol=1e-8)
+            ids_oel, scores_oel = decode_oel(
+                okr.embed_tests(model, A_test),
+                okr.embed_candidates(
+                    model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
+                norms, k=25)
+            ids_iokr, scores_iokr = decode_iokr(A_test, C_s, norms, k=25)
+            np.testing.assert_array_equal(ids_oel, ids_iokr)
+            np.testing.assert_allclose(scores_oel, scores_iokr, atol=1e-8)
 
 
 # candidate counts from small lists to just around one and two score blocks,
@@ -160,21 +156,33 @@ _N_CAND = st.one_of(st.integers(1, 30),
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 6), _N_CAND, st.integers(0, 2 ** 31 - 1))
-def test_topk_matches_full_sort(k, t, n_cand, seed):
+@given(st.integers(1, 8), st.integers(1, 6), _N_CAND, st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_topk_matches_full_sort(k, t, n_cand, lists, seed):
     rng = np.random.default_rng(seed)
     # half-integer embeddings make every inner product exact, whatever the
     # summation order; with the coarse norms they force many exact ties
     scores_basis = rng.integers(-2, 3, (2, n_cand)) / 2.0
     Z_test = rng.integers(-2, 3, (2, t)) / 2.0
     norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
-    rankings = decode_oel(Z_test, scores_basis, norms, k=k)
-    assert len(rankings) == t
     scores = norms - 2.0 * (Z_test.T @ scores_basis)
-    for ranking, full in zip(rankings, scores):
-        order = np.lexsort((np.arange(n_cand), full))[:min(k, n_cand)]
-        np.testing.assert_array_equal(ranking.indices, order)
-        np.testing.assert_array_equal(ranking.scores, full[order])
+    if lists:
+        # unsorted lists of different lengths, with repeated ids
+        query_cands = [rng.integers(0, n_cand, int(rng.integers(1, 40))) for _ in range(t)]
+    else:
+        query_cands = None
+    ids, vals = decode_oel(Z_test, scores_basis, norms, k=k, query_cands=query_cands)
+    width = min(k, n_cand if not lists else max(map(len, query_cands)))
+    assert ids.shape == vals.shape == (t, width)
+    assert ids.dtype == np.int64 and vals.dtype == np.float64
+    for j in range(t):
+        cands = np.arange(n_cand) if not lists else query_cands[j]
+        order = np.lexsort((cands, scores[j, cands]))[:width]
+        n = order.size
+        np.testing.assert_array_equal(ids[j, :n], cands[order])
+        np.testing.assert_array_equal(vals[j, :n], scores[j, cands[order]])
+        # a list shorter than the width ends in padding
+        assert np.all(ids[j, n:] == -1) and np.all(np.isnan(vals[j, n:]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,10 +212,9 @@ def test_block_source_matches_whole_matrix(decoder, k, t, n_cand, nans, lists, s
     got = decoder(E_test, CandidateBlocks((dim, n_cand), columns), norms, k=k,
                   query_cands=query_cands)
     expect = decoder(E_test, B @ W, norms, k=k, query_cands=query_cands)
-    assert len(got) == len(expect) == t
-    for a, b in zip(got, expect):
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.scores, b.scores)
+    assert len(got[0]) == len(expect[0]) == t
+    np.testing.assert_array_equal(got[0], expect[0])
+    np.testing.assert_array_equal(got[1], expect[1])
     # every block is asked for exactly once, in order
     assert asked == [(start, min(start + _BLOCK, n_cand))
                      for start in range(0, n_cand, _BLOCK)]

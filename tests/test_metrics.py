@@ -6,12 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okr import kernels, metrics
-from okr.decode import Ranking
-
-
-def ranking_of(indices):
-    indices = np.asarray(indices)
-    return Ranking(indices=indices, scores=np.arange(indices.size, dtype=float))
 
 
 class TestRkhsLoss:
@@ -71,32 +65,29 @@ class TestF1:
 
 class TestTopK:
     def test_always_first(self):
-        rankings = [ranking_of([3, 1]), ranking_of([0, 2])]
-        acc = metrics.topk_accuracy(rankings, [3, 0], ks=[1, 5])
+        acc = metrics.topk_accuracy(np.array([[3, 1], [0, 2]]), [3, 0], ks=[1, 5])
         assert acc == {1: 1.0, 5: 1.0}
 
     def test_rank_seven(self):
-        rankings = [ranking_of(list(range(10)))]
-        acc = metrics.topk_accuracy(rankings, [6], ks=[5, 10])
+        acc = metrics.topk_accuracy(np.arange(10)[None, :], [6], ks=[5, 10])
         assert acc == {5: 0.0, 10: 1.0}
 
     def test_counting_example(self):
-        rankings = [ranking_of(list(range(20))) for _ in range(4)]
+        ids = np.tile(np.arange(20), (4, 1))
         truth = [0, 1, 5, 10]   # ranks 1, 2, 6, 11
-        acc = metrics.topk_accuracy(rankings, truth, ks=[1, 5, 10])
+        acc = metrics.topk_accuracy(ids, truth, ks=[1, 5, 10])
         assert acc == {1: 0.25, 5: 0.5, 10: 0.75}
 
     def test_missing_truth_warns_and_misses(self):
-        rankings = [ranking_of([1, 2])]
         with pytest.warns(UserWarning, match="no true candidate"):
-            acc = metrics.topk_accuracy(rankings, [9], ks=[2])
+            acc = metrics.topk_accuracy(np.array([[1, 2]]), [9], ks=[2])
         assert acc == {2: 0.0}
 
     def test_nondecreasing_in_k(self):
         rng = np.random.default_rng(0)
-        rankings = [ranking_of(rng.permutation(30)) for _ in range(10)]
+        ids = np.stack([rng.permutation(30) for _ in range(10)])
         truth = rng.integers(0, 30, 10)
-        acc = metrics.topk_accuracy(rankings, truth, ks=range(1, 31))
+        acc = metrics.topk_accuracy(ids, truth, ks=range(1, 31))
         vals = [acc[k] for k in range(1, 31)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 

@@ -253,9 +253,9 @@ class TestFactored:
             Y_ref = model.reference_outputs(ds.y_sup, ds.y_unsup)
             Z_cand = oel.embed_candidates(model, kernels.gram(self.GY, Y_ref, ds.candidates))
             runs.append(decode_oel(oel.embed_tests(model, A_test), Z_cand, norms, k=10))
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_allclose(a.scores, b.scores, rtol=0, atol=1e-10)
+        (ids_a, scores_a), (ids_b, scores_b) = runs
+        np.testing.assert_array_equal(ids_a, ids_b)
+        np.testing.assert_allclose(scores_a, scores_b, rtol=0, atol=1e-10)
 
     def test_readouts_read_the_pivots(self):
         ds, factor, _, model, _ = self._fits(False)
