@@ -3,6 +3,10 @@
 Subcommands: fit, predict, evaluate, tune, bench-decode, synth. All runs are
 driven by a flat "key = value" config file (--config); the flags --out,
 --seed, --threads, --iokr-only (fit, tune), --share-krr (tune) override it.
+--threads N caps the BLAS worker pools at N threads, except in predict:
+there N is the number of decode worker threads (at most one per CPU the
+process may use), and BLAS runs on one thread so the two do not
+oversubscribe the cores.
 Every run writes the fully resolved configuration to <out>/config.resolved
 and appends error details to <out>/run.log. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure, 4 internal error (any other
@@ -77,7 +81,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="okr_out", help="output directory (default: okr_out)")
         p.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
         p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker threads (best effort)")
+                       help="decode worker threads, with BLAS on one thread" if name == "predict"
+                       else "cap BLAS worker threads (best effort)")
         if name in ("fit", "tune"):
             p.add_argument("--iokr-only", action="store_true",
                            help="skip the learned embedding; full-dimensional decoding")
@@ -96,7 +101,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     if args.threads is not None:
-        _cap_threads(max(1, args.threads))
+        # predict decodes on --threads workers of its own instead
+        _cap_threads(1 if args.command == "predict" else max(1, args.threads))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,11 +287,14 @@ def _spec_from_manifest(man, prefix):
 
 def _cmd_predict(args, out):
     from . import dataio, kernels, krr, oel
-    from .config import get_int, get_str
+    from .config import UsageError, get_int, get_str
     from .dataio import DataError
 
     cfg, base = _load_cfg(args)
     model_dir = get_str(cfg, "model.dir", required=True)
+    k = get_int(cfg, "decode.k", 1)
+    if k < 1:
+        raise UsageError(f"decode.k must be >= 1, got {k}")
     bundle = dataio.load_model(base / model_dir)
     krr_model, oel_model = dataio.models_from_bundle(bundle)
     man = bundle.manifest
@@ -295,7 +304,6 @@ def _cmd_predict(args, out):
                         f"model's {man['output.kind']!r}")
     if ds.n_test == 0:
         raise DataError("predict needs data.x_test")
-    k = get_int(cfg, "decode.k", 1)
 
     # kappa: the test inputs' kernel columns as the ridge model reads them
     if man["input.mode"] == "gram":
@@ -329,19 +337,22 @@ def _cmd_predict(args, out):
     from .decode import CandidateBlocks, decode_iokr, decode_oel
 
     # the decoder asks for the candidates' kernel columns a block at a time,
-    # so the whole candidate Gram never exists
+    # so the whole candidate Gram never exists; with --threads N it asks from
+    # N worker threads at once
+    workers = args.threads or 1
+
     def cand_gram(start, stop):
         return kernels.gram(out_spec, Y_ref, cand_f[start:stop])
 
     if oel_model is None:
         cands = CandidateBlocks((len(Y_ref), len(cand_f)), cand_gram)
         ids, scores = decode_iokr(krr.predict_alpha(krr_model, kappa), cands, cand_norms,
-                                  k=k, query_cands=ds.candidate_map)
+                                  k=k, query_cands=ds.candidate_map, workers=workers)
     else:
         cands = CandidateBlocks((oel_model.p, len(cand_f)), lambda start, stop: (
             oel.embed_candidates(oel_model, cand_gram(start, stop))))
         ids, scores = decode_oel(oel.embed_inputs(oel_model, kappa), cands, cand_norms,
-                                 k=k, query_cands=ds.candidate_map)
+                                 k=k, query_cands=ds.candidate_map, workers=workers)
     rank_path = out / "rankings.tsv"
     dataio.save_rankings(rank_path, ids, scores)
     _snapshot(cfg, {"decode.k": k, "model.dir": model_dir}, args, out)
@@ -355,11 +366,14 @@ def _cmd_evaluate(args, out):
     import numpy as np
 
     from . import dataio, kernels, metrics
-    from .config import get_int_list, get_str, kernel_spec
+    from .config import UsageError, get_int_list, get_str, kernel_spec
     from .dataio import DataError
 
     cfg, base = _load_cfg(args)
     rank_rel = get_str(cfg, "evaluate.rankings", required=True)
+    ks = get_int_list(cfg, "evaluate.topk", (1, 5, 10))
+    if any(k < 1 for k in ks):
+        raise UsageError(f"evaluate.topk values must be >= 1, got {','.join(map(str, ks))}")
     ds = dataio.load_dataset(cfg, base)
     cand = ds.candidate_outputs()
     ids, _ = dataio.load_rankings(base / rank_rel, n_candidates=cand.shape[0])
@@ -389,7 +403,6 @@ def _cmd_evaluate(args, out):
         taus = [metrics.kendall_tau(t, p) for t, p in zip(ds.y_test, cand[pred_idx])]
         reports.append(metrics.report_from_values("kendall_tau", taus))
     if ds.truth_index is not None:
-        ks = get_int_list(cfg, "evaluate.topk", (1, 5, 10))
         outside = sum(not 0 <= t < cand.shape[0]
                       or (ds.candidate_map is not None and t not in ds.candidate_map[j])
                       for j, t in enumerate(ds.truth_index))

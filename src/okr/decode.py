@@ -20,15 +20,34 @@ id -1 with score NaN.
 The candidates come as an E x N matrix (E = p embedded, E = n
 full-dimensional) or as a CandidateBlocks source of blocks of its columns,
 so the whole matrix need never exist. All N candidates are scored a block
-of _BLOCK at a time into one reused queries x block buffer; per-query lists
-read scattered columns of the assembled matrix and are scored into padded
-rows, in batches no larger than that buffer. Every block and every batch
-goes through one selection step, _merge_topk.
+at a time into one reused queries x block buffer; per-query lists read
+scattered columns of the assembled matrix and are scored into padded rows,
+in batches no larger than that buffer. Every block and every batch goes
+through one selection step, _merge_topk.
+
+Scoring all N candidates can run on several worker threads (workers=, one
+by default). _runs splits the candidate range into one contiguous run of
+whole blocks per worker; each worker builds, scores and selects its own
+blocks into its own running top-k, and one final _merge_topk joins the runs
+in id order, so the result is the same as one worker's, ties and NaNs
+included. (Only BLAS may differ: it can round the score of a block one
+column wide, a matrix-vector product, in the last bit, and the worker count
+moves the block edges.) numpy releases the GIL in the GEMM, the kernel arithmetic and the
+selection, so the workers overlap; the caller should keep BLAS itself to one
+thread, or the two pools oversubscribe the cores. One worker scores blocks
+of _BLOCK candidates; w > 1 workers score blocks of _BLOCK / (2 w), half as
+many columns in all. Each thread's allocator arena keeps its own freed
+scratch (the score buffer, the partition copy and masks of _merge_topk), so
+at _BLOCK / w columns each the workers together held more memory than one
+worker does.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Event
 from typing import Callable
 
 import numpy as np
@@ -39,7 +58,8 @@ class CandidateBlocks:
     """An E x N candidate matrix served a block of columns at a time.
 
     columns(start, stop) returns the E x (stop - start) float64 columns of
-    candidates [start, stop); decoding asks for each block once."""
+    candidates [start, stop); decoding asks for each block once, from
+    several threads at a time when it runs on more than one worker."""
 
     shape: tuple[int, int]
     columns: Callable[[int, int], np.ndarray]
@@ -66,12 +86,44 @@ class CandidateBlocks:
 _BLOCK = 2048
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _runs(n_cand: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
+    """The block width and the contiguous candidate runs [start, stop), one
+    per worker, that decode n_cand candidates on up to workers threads.
+
+    The worker count is clamped to the CPUs this process may use and to the
+    number of blocks; a candidate set that fits in one _BLOCK gets one
+    worker. One worker keeps blocks of _BLOCK, w workers blocks of
+    _BLOCK // (2 w), and every run but the last holds whole blocks."""
+    workers = min(workers, _cores())
+    if workers <= 1 or n_cand <= _BLOCK:
+        return _BLOCK, [(0, n_cand)]
+    width = max(1, _BLOCK // (2 * workers))
+    n_blocks = -(-n_cand // width)
+    workers = min(workers, n_blocks)
+    cuts = [width * (n_blocks * i // workers) for i in range(workers)] + [n_cand]
+    return width, list(zip(cuts[:-1], cuts[1:]))
+
+
 def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
                 ids: np.ndarray, kk: int):
-    """Merge the scores S (rows x w) of the candidates ids (rows x w, each
-    row in ascending id order, padding last) into the running lists
-    best_ids, best_vals (rows x kept, (score, id)-ordered) and return the
-    best min(kk, kept + w) of each row.
+    """Merge the scores S (rows x w) of the candidates ids (rows x w) into
+    the running lists best_ids, best_vals (rows x kept, (score, id)-ordered)
+    and return the best min(kk, kept + w) of each row.
+
+    The merge needs two things of each row of ids: every id exceeds those of
+    the running list, and entries with equal scores (NaN counting as equal
+    to NaN) stand in ascending id order, padding last. A row in ascending id
+    order has both; so has a later run's (score, id)-ordered output, or
+    several such outputs side by side in id order, which is how the workers'
+    runs are joined.
 
     A row's threshold is the smaller of its k-th smallest score in S and its
     running k-th best. Both are upper bounds on the final k-th best, so a
@@ -94,9 +146,9 @@ def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
     # row whose threshold is NaN
     hit = np.flatnonzero(~(S > thr[:, None]))
     rows, cols = np.divmod(hit, w)
-    # lay each row out as [running list, survivors in id order], padded
-    # with NaN (sorted last, after every real entry); a stable sort by
-    # score then orders equal scores by id
+    # lay each row out as [running list, survivors in the order of S],
+    # padded with NaN (sorted last, after every real entry); a stable sort
+    # by score then orders equal scores by id
     counts = np.bincount(rows, minlength=t)
     pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
     vals = np.full((t, kept + counts.max()), np.nan)
@@ -109,27 +161,54 @@ def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
     return np.take_along_axis(out_ids, sel, axis=1), np.take_along_axis(vals, sel, axis=1)
 
 
+def _decode_run(neg2_Et: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,
+                kk: int, start: int, stop: int, width: int, failed: Event):
+    """The running top-kk of candidates [start, stop), scored width at a time."""
+    t = neg2_Et.shape[0]
+    score_buf = np.empty(t * min(width, stop - start))
+    best_ids = np.empty((t, 0), dtype=np.int64)
+    best_vals = np.empty((t, 0))
+    for b0 in range(start, stop, width):
+        if failed.is_set():     # another worker failed; its error is raised
+            break
+        b1 = min(b0 + width, stop)
+        S = score_buf[:t * (b1 - b0)].reshape(t, b1 - b0)
+        np.matmul(neg2_Et, cands.columns(b0, b1), out=S)
+        S += self_norms[b0:b1]
+        block_ids = np.broadcast_to(np.arange(b0, b1), S.shape)
+        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, block_ids, kk)
+    return best_ids, best_vals
+
+
 def _decode_global(E_test: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,
-                   k: int):
-    """All-candidates decoding; memory stays O(queries x block) however large N grows."""
-    t = E_test.shape[1]
+                   k: int, workers: int = 1):
+    """All-candidates decoding on up to workers threads; memory stays
+    O(queries x block) however large N grows."""
     n_cand = cands.shape[1]
     kk = min(k, n_cand)
     # -2 E_test^T in C order: scaling by -2 is exact and the layout picks the
     # same BLAS kernel as a C-ordered E_test^T, so every score is
     # bit-identical to self_norms - 2 (E_test^T E_cand)
     neg2_Et = -2.0 * np.ascontiguousarray(E_test.T)
-    score_buf = np.empty(t * min(_BLOCK, n_cand))
-    best_ids = np.empty((t, 0), dtype=np.int64)
-    best_vals = np.empty((t, 0))
-    for start in range(0, n_cand, _BLOCK):
-        stop = min(start + _BLOCK, n_cand)
-        S = score_buf[:t * (stop - start)].reshape(t, stop - start)
-        np.matmul(neg2_Et, cands.columns(start, stop), out=S)
-        S += self_norms[start:stop]
-        block_ids = np.broadcast_to(np.arange(start, stop), S.shape)
-        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, block_ids, kk)
-    return best_ids, best_vals
+    width, runs = _runs(n_cand, workers)
+    failed = Event()
+    if len(runs) == 1:
+        return _decode_run(neg2_Et, cands, self_norms, kk, 0, n_cand, width, failed)
+
+    def run(bounds):
+        try:
+            return _decode_run(neg2_Et, cands, self_norms, kk, *bounds, width, failed)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(len(runs)) as pool:
+        futures = [pool.submit(run, bounds) for bounds in runs]
+    parts = [f.result() for f in futures]
+    # every run after the first is (score, id)-ordered with ids above those
+    # of the runs before it, so side by side they are valid input to one merge
+    return _merge_topk(*parts[0], np.hstack([p[1] for p in parts[1:]]),
+                       np.hstack([p[0] for p in parts[1:]]), kk)
 
 
 def _decode_lists(E_test: np.ndarray, E_cand: np.ndarray, self_norms: np.ndarray, k: int,
@@ -155,7 +234,7 @@ def _decode_lists(E_test: np.ndarray, E_cand: np.ndarray, self_norms: np.ndarray
 
 
 def _decode(E_test: np.ndarray, E_cand: np.ndarray | CandidateBlocks,
-            self_norms: np.ndarray, k: int, query_cands):
+            self_norms: np.ndarray, k: int, query_cands, workers: int):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     E_test = np.asarray(E_test, dtype=np.float64)
@@ -177,7 +256,7 @@ def _decode(E_test: np.ndarray, E_cand: np.ndarray | CandidateBlocks,
         raise ValueError(f"self_norms has shape {self_norms.shape}, expected ({n_cand},)")
 
     if query_cands is None:
-        return _decode_global(E_test, cands, self_norms, k)
+        return _decode_global(E_test, cands, self_norms, k, workers)
 
     if len(query_cands) != n_queries:
         raise ValueError(f"{len(query_cands)} candidate lists for {n_queries} queries")
@@ -192,25 +271,29 @@ def _decode(E_test: np.ndarray, E_cand: np.ndarray | CandidateBlocks,
     return _decode_lists(E_test, E_cand, self_norms, k, lists)
 
 
-def decode_oel(Z_test, Z_cand, self_norms, k: int = 1, query_cands=None):
+def decode_oel(Z_test, Z_cand, self_norms, k: int = 1, query_cands=None,
+               workers: int = 1):
     """Rank candidates for each test column of the p x t embedded predictions
     Z_test against the p x N embedded candidates Z_cand, given as an array or
     as a CandidateBlocks source of their columns.
 
     query_cands optionally restricts query j to an index list into the
-    candidate columns; otherwise all N candidates are scored. Returns
-    (ids, scores), t x w int64 ids and float64 scores in rank order, with w
-    and the padding of short lists as in the module docstring.
+    candidate columns; otherwise all N candidates are scored, on up to
+    workers threads (see the module docstring; per-query lists use one).
+    Returns (ids, scores), t x w int64 ids and float64 scores in rank order,
+    with w and the padding of short lists as in the module docstring, and as
+    one worker returns them.
     """
-    return _decode(Z_test, Z_cand, self_norms, k, query_cands)
+    return _decode(Z_test, Z_cand, self_norms, k, query_cands, workers)
 
 
-def decode_iokr(A_test, C_s, self_norms, k: int = 1, query_cands=None):
+def decode_iokr(A_test, C_s, self_norms, k: int = 1, query_cands=None,
+                workers: int = 1):
     """Full-dimensional decoding: alpha columns against output-kernel columns.
 
     A_test is n x t (alpha(x_j) in column j), C_s is n x N with
     k_y(y_i^train, y_c), as an array or as a CandidateBlocks source of its
     columns; the inner product <h(x_j), psi(y_c)> is alpha(x_j)^T C_s[:, c].
-    Returns (ids, scores) as decode_oel does.
+    Takes workers and returns (ids, scores) as decode_oel does.
     """
-    return _decode(A_test, C_s, self_norms, k, query_cands)
+    return _decode(A_test, C_s, self_norms, k, query_cands, workers)

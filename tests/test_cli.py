@@ -601,6 +601,15 @@ def _v2_bundle_cfg(tmp_path):
                                 f"model.dir = {tmp_path / 'fit' / 'model'}")
 
 
+def _decode_k_cfg(tmp_path, k):
+    """predict config over a fitted 30 + 10 synth bundle with decode.k = k."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    fit_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+    assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
+    return "predict", write_cfg(data_dir / "pred.cfg", dataset_cfg, f"decode.k = {k}",
+                                f"model.dir = {tmp_path / 'fit' / 'model'}")
+
+
 def _predict_width_cfg(tmp_path, key):
     """predict config over a fitted 30 + 10 synth bundle (1-d inputs, 2-d
     outputs) whose data.x_test or data.candidates file is rewritten with 3
@@ -652,6 +661,14 @@ BAD_RUN_INPUTS = [
      lambda d: _predict_width_cfg(d, "data.candidates"),
      cli.EXIT_DATA, "data error",
      "wide.csv: candidate outputs have 3 features, but the model's outputs have 2"),
+    ("predict_decode_k_zero", lambda d: _decode_k_cfg(d, 0),
+     cli.EXIT_USAGE, "usage error", "decode.k must be >= 1, got 0"),
+    ("predict_decode_k_negative", lambda d: _decode_k_cfg(d, -2),
+     cli.EXIT_USAGE, "usage error", "decode.k must be >= 1, got -2"),
+    ("evaluate_topk_zero", lambda d: _rankings_cfg(d, "", "evaluate.topk = 0"),
+     cli.EXIT_USAGE, "usage error", "evaluate.topk values must be >= 1, got 0"),
+    ("evaluate_topk_negative", lambda d: _rankings_cfg(d, "", "evaluate.topk = 1,-1"),
+     cli.EXIT_USAGE, "usage error", "evaluate.topk values must be >= 1, got 1,-1"),
 ]
 
 
@@ -796,6 +813,43 @@ def test_every_export_resolves():
 
 
 class TestThreadCap:
+    # a fresh interpreter per command, so that --threads sets the BLAS pool
+    # before numpy loads; prints the exit code and the BLAS cap in force
+    CAP_PROBE = ("import os, sys; from okr import cli; code = cli.main(sys.argv[1:]); "
+                 "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+    def test_predict_workers_leave_rankings_byte_identical(self, tmp_path):
+        # the 46 default candidates fit in one block; the 5000 of the second
+        # set split into whole blocks over two workers, and its duplicated
+        # candidates tie across the two runs
+        data_dir, dataset_cfg = synth_workspace(tmp_path)
+        run_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
+        rng = np.random.default_rng(11)
+        many = rng.standard_normal((5000, 2))
+        many[3000:3100] = many[:100]
+        dataio.save_dense(data_dir / "many.csv", many)
+        for bundle, extra in (("fit", ()), ("fit_iokr", ("--iokr-only",))):
+            assert run("fit", "--config", str(run_cfg), "--out", str(tmp_path / bundle),
+                       *extra) == 0
+            for cands in ("default", "many"):
+                keys = ["data.candidates = many.csv"] if cands == "many" else []
+                cfg = write_cfg(data_dir / f"{bundle}_{cands}.cfg", dataset_cfg, *keys,
+                                f"model.dir = {tmp_path / bundle / 'model'}", "decode.k = 5")
+                rankings = []
+                for threads in ("1", "2"):
+                    out = tmp_path / f"{bundle}_{cands}_{threads}"
+                    assert _probe(self.CAP_PROBE, "predict", "--config", str(cfg), "--out",
+                                  str(out), "--threads", threads) == "0 1"
+                    rankings.append((out / "rankings.tsv").read_bytes())
+                assert rankings[0] == rankings[1], (bundle, cands)
+                assert rankings[0].count(b"\n") == 6
+
+    def test_other_commands_cap_blas_at_threads(self, tmp_path):
+        cfg = write_cfg(tmp_path / "synth.cfg", "synth.n = 20", "synth.m = 5",
+                        "synth.n_test = 3")
+        assert _probe(self.CAP_PROBE, "synth", "--config", str(cfg), "--out",
+                      str(tmp_path / "s"), "--threads", "2") == "0 2"
+
     def test_import_leaves_numpy_unloaded(self):
         # --threads caps the BLAS pools through the environment, which only
         # works while numpy (and with it the BLAS library) is not yet loaded

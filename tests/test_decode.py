@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okr
+from okr import decode
 from okr.decode import _BLOCK, CandidateBlocks, decode_iokr, decode_oel
 
 from _oracles import brute_force_decode, build_explicit
@@ -218,3 +223,107 @@ def test_block_source_matches_whole_matrix(decoder, k, t, n_cand, nans, lists, s
     # every block is asked for exactly once, in order
     assert asked == [(start, min(start + _BLOCK, n_cand))
                      for start in range(0, n_cand, _BLOCK)]
+
+
+# per-worker block widths at 2, 3 and 4 workers: 512, 341 and 256
+_WORKER_N = [1, 511, 513, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@pytest.mark.parametrize("n_cand", _WORKER_N)
+@pytest.mark.parametrize("blocks", [False, True], ids=["array", "blocks"])
+@pytest.mark.parametrize("decoder", [decode_oel, decode_iokr])
+def test_worker_count_leaves_rankings_unchanged(monkeypatch, decoder, blocks, n_cand):
+    # four CPUs whatever the machine, so 3 and 4 workers really split
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    rng = np.random.default_rng(n_cand)
+    dim, t = 3, 5
+    # half-integer values make every score exact: BLAS may round a 1-wide
+    # block (a matrix-vector product) differently from a wide one, so only
+    # exact scores are independent of the block layout. Duplicate columns
+    # far apart tie across the workers' runs, and NaN columns rank last
+    E_cand = rng.integers(-2, 3, (dim, n_cand)) / 2.0
+    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
+    if n_cand > 4:
+        E_cand[:, -2] = E_cand[:, 1]
+        norms[-2] = norms[1]
+        E_cand[:, rng.random(n_cand) < 0.05] = np.nan
+    E_test = rng.integers(-2, 3, (dim, t)) / 2.0
+    asked = []
+
+    def columns(start, stop):
+        asked.append((start, stop))
+        return E_cand[:, start:stop]
+
+    source = CandidateBlocks(E_cand.shape, columns) if blocks else E_cand
+    # k = 700 is longer than any worker's run at N = _BLOCK + 1
+    for k in (1, 10, 700):
+        expect = decoder(E_test, E_cand, norms, k=k)
+        for workers in (1, 2, 3, 4):
+            asked.clear()
+            ids, scores = decoder(E_test, source, norms, k=k, workers=workers)
+            np.testing.assert_array_equal(ids, expect[0])
+            np.testing.assert_array_equal(scores.view(np.int64), expect[1].view(np.int64))
+            if blocks:
+                # the workers ask for every candidate exactly once between them
+                edges = sorted(asked)
+                assert edges[0][0] == 0 and edges[-1][1] == n_cand
+                assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+
+
+def test_runs_split_whole_blocks(monkeypatch):
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    assert decode._runs(_BLOCK, 4) == (_BLOCK, [(0, _BLOCK)])
+    assert decode._runs(10 ** 5, 1) == (_BLOCK, [(0, 10 ** 5)])
+    width, runs = decode._runs(10 ** 5, 2)
+    assert width == _BLOCK // 4
+    assert runs[0][0] == 0 and runs[-1][1] == 10 ** 5
+    assert all(a[1] == b[0] and a[1] % width == 0 for a, b in zip(runs, runs[1:]))
+
+
+def test_runs_clamp_worker_count(monkeypatch):
+    # _runs only computes the split, so an extreme worker count starts no thread
+    huge = 10 ** 9
+    assert len(decode._runs(10 ** 6, huge)[1]) <= len(os.sched_getaffinity(0))
+    # with more CPUs than candidates the blocks are 1 wide, one per candidate
+    monkeypatch.setattr(decode, "_cores", lambda: 10 ** 5)
+    width, runs = decode._runs(3 * _BLOCK, huge)
+    assert len(runs) <= -(-3 * _BLOCK // width)
+    assert all(stop > start for start, stop in runs)
+
+
+def test_worker_failure_raises_and_joins_threads(monkeypatch):
+    monkeypatch.setattr(decode, "_cores", lambda: 2)
+    n_cand = 3 * _BLOCK
+    E_cand = np.ones((2, n_cand))
+
+    def columns(start, stop):
+        if start <= 2 * _BLOCK < stop:
+            raise KeyError("candidate block failed")
+        return E_cand[:, start:stop]
+
+    before = set(threading.enumerate())
+    with pytest.raises(KeyError, match="candidate block failed"):
+        decode_oel(np.ones((2, 3)), CandidateBlocks(E_cand.shape, columns), np.ones(n_cand),
+                   k=5, workers=2)
+    assert set(threading.enumerate()) == before
+
+
+def test_workers_agree_under_frequent_thread_switches(monkeypatch):
+    # more workers than this machine may have cores, switching threads every
+    # microsecond: the runs share only read-only inputs, so nothing may move
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    rng = np.random.default_rng(8)
+    n_cand = 3 * _BLOCK + 5
+    E_cand = rng.integers(-2, 3, (2, n_cand)) / 2.0
+    E_test = rng.integers(-2, 3, (2, 7)) / 2.0
+    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
+    expect = decode_oel(E_test, E_cand, norms, k=10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ids, scores = decode_oel(E_test, E_cand, norms, k=10, workers=4)
+            np.testing.assert_array_equal(ids, expect[0])
+            np.testing.assert_array_equal(scores, expect[1])
+    finally:
+        sys.setswitchinterval(interval)
