@@ -33,7 +33,6 @@ Phi_tr = dataio.output_features("permutation", R_tr)
 in_spec = kernels.KernelSpec("gaussian", sigma2=float(d_in))
 out_spec = kernels.KernelSpec("linear")
 K_x = kernels.gram(in_spec, X_tr)
-K_y = kernels.gram(out_spec, Phi_tr)
 kappa = kernels.gram(in_spec, X_tr, X_te)
 
 # candidates: the training rankings; kernel columns and self-norms once
@@ -56,11 +55,13 @@ tau_full = mean_tau(decode_iokr(A_test, C_s, cand_norms, k=1))
 print(f"{n} training rankings over {K_items} items, {n_test} test inputs")
 print(f"full-dimensional decoding: mean Kendall tau = {tau_full:.3f}")
 
+# the output factor and A F_s are computed once and shared by every p
+outputs, products = oel.OutputSet(out_spec, Phi_tr), {}
 for p in (3, 6, 12):
-    _, model = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=p, c=1.0,
-                                    krr_model=krr_model)
+    model = oel.fit_embedding(krr_model, K_x, outputs, p, products=products)
+    C_ref = kernels.gram(out_spec, model.reference_outputs(Phi_tr), Phi_tr)
     rankings = decode_oel(oel.embed_tests(model, A_test),
-                          oel.embed_candidates(model, C_s),
+                          oel.embed_candidates(model, C_ref),
                           cand_norms, k=1)
     print(f"embedded decoding, p={p:>2}:  mean Kendall tau = "
           f"{mean_tau(rankings):.3f}")

@@ -46,10 +46,8 @@ query_cands = [np.sort(np.concatenate([
 in_spec = kernels.KernelSpec("gaussian", sigma2=float(d_in))
 out_spec = kernels.KernelSpec("gaussian_tanimoto", sigma2=1.0)
 K_x = kernels.gram(in_spec, X)
-K_y = kernels.gram(out_spec, Y)
 kappa = kernels.gram(in_spec, X, X_te)
 C_s = kernels.gram(out_spec, Y, candidates)
-C_u = kernels.gram(out_spec, Y_pool, candidates)
 cand_norms = kernels.self_norms(out_spec, candidates)
 
 lam, p, c, ks = 1e-4, 24, 0.75, (1, 5, 10)
@@ -59,12 +57,9 @@ A_test = okr.predict_alpha(krr_model, kappa)
 full_ids, _ = decode_iokr(A_test, C_s, cand_norms, k=10, query_cands=query_cands)
 acc_full = metrics.topk_accuracy(full_ids, truth_index, ks)
 
-_, model = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=p, c=c,
-                                K_y_su=kernels.gram(out_spec, Y, Y_pool),
-                                K_y_uu=kernels.gram(out_spec, Y_pool),
-                                krr_model=krr_model)
-emb_ids, _ = decode_oel(oel.embed_tests(model, A_test),
-                        oel.embed_candidates(model, np.vstack([C_s, C_u])),
+model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(out_spec, Y, Y_pool), p, c)
+C_ref = kernels.gram(out_spec, model.reference_outputs(Y, Y_pool), candidates)
+emb_ids, _ = decode_oel(oel.embed_tests(model, A_test), oel.embed_candidates(model, C_ref),
                         cand_norms, k=10, query_cands=query_cands)
 acc_emb = metrics.topk_accuracy(emb_ids, truth_index, ks)
 

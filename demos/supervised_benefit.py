@@ -27,25 +27,21 @@ ds = dataio.synth_remark1(N_SUP, N_UNSUP, N_TEST, sigma2_x=1.0, sigma2_z=4.0,
                           seed=0)
 
 K_x = kernels.gram(lin, ds.x)
-K_y = kernels.gram(lin, ds.y_sup)
-K_su = kernels.gram(lin, ds.y_sup, ds.y_unsup)
-K_uu = kernels.gram(lin, ds.y_unsup)
 kappa_test = kernels.gram(lin, ds.x, ds.x_test)
 true_norms = kernels.self_norms(lin, ds.y_test)
-Y_ref = np.vstack([ds.y_sup, ds.y_unsup])     # the reference outputs of fit_oel
+Y_ref = np.vstack([ds.y_sup, ds.y_unsup])     # the reference outputs of a dense fit
 C_true = kernels.gram(lin, Y_ref, ds.y_test)
 
 krr_model = okr.fit_krr(K_x, LAM)
+outputs = oel.OutputSet(lin, ds.y_sup, ds.y_unsup)
 A_test = okr.predict_alpha(krr_model, kappa_test)
 
 print(f"n={N_SUP} supervised pairs, m={N_UNSUP} unlabeled outputs, "
       f"{N_TEST} test points, p=1\n")
 print("    c   test surrogate error   embedding axis (x, z)")
 for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-    _, model = okr.fit_oel_with_krr(K_x, K_y, lam=LAM, p=1, c=c,
-                                    K_y_su=K_su, K_y_uu=K_uu,
-                                    method="randomized", seed=0,
-                                    krr_model=krr_model)
+    # the randomized method always takes the dense path
+    model = oel.fit_embedding(krr_model, K_x, outputs, 1, c, method="randomized", seed=0)
     z_pred = oel.embed_tests(model, A_test)
     z_true = oel.embed_candidates(model, C_true)
     err = float(np.mean(oel.surrogate_sq_errors(z_pred, z_true, true_norms)))

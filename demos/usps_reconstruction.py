@@ -71,16 +71,11 @@ def test_loss(cfg):
     if cfg.p is None:
         ids, _ = decode_iokr(A_test, C_s, cand_norms, k=1)
     else:
-        _, model = okr.fit_oel_with_krr(
-            K_x, kernels.gram(out_spec, y_sup), lam=cfg.lam, p=cfg.p, c=cfg.c,
-            K_y_su=kernels.gram(out_spec, y_sup, y_unsup),
-            K_y_uu=kernels.gram(out_spec, y_unsup),
-            method="randomized", seed=0, krr_model=krr_model)
+        model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(out_spec, y_sup, y_unsup),
+                                  cfg.p, cfg.c, method="randomized", seed=0)
+        C_ref = kernels.gram(out_spec, model.reference_outputs(y_sup, y_unsup), candidates)
         ids, _ = decode_oel(oel.embed_tests(model, A_test),
-                            oel.embed_candidates(
-                                model, np.vstack([
-                                    C_s, kernels.gram(out_spec, y_unsup, candidates)])),
-                            cand_norms, k=1)
+                            oel.embed_candidates(model, C_ref), cand_norms, k=1)
     pred = candidates[ids[:, 0]]
     k_yp = kernels.pair_values(out_spec, y_te, pred)
     ones = np.ones(len(y_te))

@@ -179,11 +179,15 @@ def _cmd_fit(args, out):
 
     cfg, base = _load_cfg(args)
     seed = _root_seed(args, cfg)
+    lam = get_float(cfg, "krr.lambda", required=True)
+    if not lam > 0:
+        raise UsageError(f"krr.lambda must be > 0, got {lam}")
     ds = dataio.load_dataset(cfg, base)
     gram_mode = ds.x_format == "gram"
     out_spec = kernel_spec(cfg, "kernel.y")
-    lam = get_float(cfg, "krr.lambda", required=True)
     q = get_int(cfg, "krr.nystrom_q")
+    if q is not None and not 1 <= q <= ds.n:
+        raise UsageError(f"krr.nystrom_q must be in [1, n] = [1, {ds.n}], got {q}")
     resolved = {"seed": seed, "krr.lambda": repr(lam), "iokr_only": args.iokr_only}
 
     yf = dataio.output_features(ds.output_kind, ds.y_sup)
@@ -205,10 +209,9 @@ def _cmd_fit(args, out):
         if in_spec.sigma2 is not None:
             manifest["kernel.x.sigma2"] = repr(in_spec.sigma2)
 
-    # K_cols: the training kernel columns the ridge model was fit on (the
-    # n x n Gram, or the n x q anchor columns); kappa_train: the training
-    # inputs' kernel columns as predict_alpha takes them
-    if q:
+    # K_cols: the training kernel columns the ridge model is fit on (the
+    # n x n Gram, or the n x q anchor columns)
+    if q is not None:
         anchor_seed = get_int(cfg, "krr.seed", dataio.named_seed(seed, "anchors"))
         resolved["krr.nystrom_q"] = q
         resolved["krr.seed"] = anchor_seed
@@ -222,9 +225,8 @@ def _cmd_fit(args, out):
             K_qq = kernels.gram(in_spec, X_anchor)
             extra_mats["x_anchors"] = X_anchor
         krr_model = krr.fit_krr_nystrom(K_cols, K_qq, lam, anchors)
-        kappa_train = K_cols.T
     else:
-        K_cols = kappa_train = ds.x if gram_mode else kernels.gram(in_spec, ds.x)
+        K_cols = ds.x if gram_mode else kernels.gram(in_spec, ds.x)
         krr_model = krr.fit_krr(K_cols, lam)
         if not gram_mode:
             extra_mats["x_train"] = ds.x
@@ -255,18 +257,9 @@ def _cmd_fit(args, out):
                          "oel.seed": sketch_seed, "oel.oversample": oversample,
                          "oel.power_iters": power_iters})
         yfu = dataio.output_features(ds.output_kind, ds.y_unsup) if ds.m else None
-        factor = oel.factor_outputs(out_spec, yf, yfu) if method == "exact" else None
-        if oel.takes_factored_path(factor, p):
-            oel_model = oel.fit_oel_factored(
-                factor, krr.train_alpha_times(krr_model, K_cols, factor.F_s), p, c)
-        else:
-            K_y_su = None if yfu is None else kernels.gram(out_spec, yf, yfu)
-            K_y_uu = None if yfu is None else kernels.gram(out_spec, yfu)
-            mixed = oel.assemble_mixed_gram(krr.predict_alpha(krr_model, kappa_train),
-                                            kernels.gram(out_spec, yf), K_y_su=K_y_su,
-                                            K_y_uu=K_y_uu, c=c)
-            oel_model = oel.fit_oel(mixed, p, method=method, seed=sketch_seed,
-                                    oversample=oversample, power_iters=power_iters)
+        oel_model = oel.fit_embedding(krr_model, K_cols, oel.OutputSet(out_spec, yf, yfu),
+                                      p, c, method=method, seed=sketch_seed,
+                                      oversample=oversample, power_iters=power_iters)
         extra_mats["y_ref_features"] = oel_model.reference_outputs(yf, yfu)
         resolved["oel.eigensolver"] = oel_model.eigensolver
 
@@ -434,34 +427,65 @@ def _cmd_evaluate(args, out):
 def _cmd_tune(args, out):
     from . import dataio, tuning
     from .config import (UsageError, get_float, get_float_list, get_int,
-                         get_int_list, get_str, kernel_spec)
+                         get_int_list, get_str, kernel_spec, write_snapshot)
 
     cfg, base = _load_cfg(args)
     seed = _root_seed(args, cfg)
+    metric = get_str(cfg, "tune.metric", "surrogate_mse")
+    if metric not in tuning.METRICS:
+        raise UsageError(f"tune.metric must be one of {', '.join(sorted(tuning.METRICS))}, "
+                         f"got {metric!r}")
+    protocol = get_str(cfg, "tune.protocol", "ssv")
+    if protocol == "ssv":
+        reps = get_int(cfg, "tune.reps", 5)
+        ratio = get_float(cfg, "tune.ratio", 0.8)
+        if reps < 1:
+            raise UsageError(f"tune.reps must be >= 1, got {reps}")
+        if not 0.0 < ratio < 1.0:
+            raise UsageError(f"tune.ratio must lie in (0, 1), got {ratio}")
+    elif protocol == "nested":
+        outer = get_int(cfg, "tune.outer", 5)
+        inner = get_int(cfg, "tune.inner", 4)
+        if min(outer, inner) < 2:
+            raise UsageError(f"tune.outer and tune.inner must be >= 2, got {outer} and {inner}")
+    else:
+        raise UsageError(f"tune.protocol must be 'ssv' or 'nested', got {protocol!r}")
+
+    # every grid the config sets, checked value by value; None takes the default
+    grid_rules = [("tune.lams", get_float_list, lambda v: v > 0, "> 0"),
+                  ("tune.sigma2_ins", get_float_list, lambda v: v > 0, "> 0"),
+                  ("tune.sigma2_outs", get_float_list, lambda v: v > 0, "> 0"),
+                  ("tune.qs", get_int_list, lambda v: v >= 1, ">= 1")]
+    if not args.iokr_only:
+        grid_rules += [("tune.ps", get_int_list, lambda v: v >= 1, ">= 1"),
+                       ("tune.cs", get_float_list, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")]
+    grids = {}
+    for key, read, ok, need in grid_rules:
+        grids[key] = read(cfg, key)
+        if grids[key] is not None and not (grids[key] and all(map(ok, grids[key]))):
+            raise UsageError(f"{key} values must be {need}, got {cfg[key]!r}")
+
     ds = dataio.load_dataset(cfg, base)
+    for key, bound, name in (("tune.ps", ds.n + ds.m, "n + m"), ("tune.qs", ds.n, "n")):
+        if grids.get(key) and max(grids[key]) > bound:
+            raise UsageError(f"{key} values must be <= {name} = {bound}, got {cfg[key]!r}")
     out_spec = kernel_spec(cfg, "kernel.y")
     in_spec = None if ds.x_format == "gram" else kernel_spec(cfg, "kernel.x")
-    metric = get_str(cfg, "tune.metric", "surrogate_mse")
-    protocol = get_str(cfg, "tune.protocol", "ssv")
 
     defaults = tuning.default_space(max(1, ds.n + ds.m))
     if args.iokr_only:
         ps, cs = (None,), (None,)
     else:
-        ps = get_int_list(cfg, "tune.ps", defaults.ps)
-        cs = get_float_list(cfg, "tune.cs", defaults.cs if ds.m else (1.0,))
-    space = tuning.SearchSpace(
-        lams=get_float_list(cfg, "tune.lams", defaults.lams),
-        ps=ps, cs=cs,
-        sigma2_ins=get_float_list(cfg, "tune.sigma2_ins", (None,)),
-        sigma2_outs=get_float_list(cfg, "tune.sigma2_outs", (None,)),
-        qs=get_int_list(cfg, "tune.qs", (None,)))
+        ps = grids["tune.ps"] or defaults.ps
+        cs = grids["tune.cs"] or (defaults.cs if ds.m else (1.0,))
+    space = tuning.SearchSpace(lams=grids["tune.lams"] or defaults.lams, ps=ps, cs=cs,
+                               sigma2_ins=grids["tune.sigma2_ins"] or (None,),
+                               sigma2_outs=grids["tune.sigma2_outs"] or (None,),
+                               qs=grids["tune.qs"] or (None,))
     resolved = {"seed": seed, "tune.metric": metric, "tune.protocol": protocol,
                 "share_krr": args.share_krr}
 
     if protocol == "ssv":
-        reps = get_int(cfg, "tune.reps", 5)
-        ratio = get_float(cfg, "tune.ratio", 0.8)
         resolved.update({"tune.reps": reps, "tune.ratio": repr(ratio)})
         result = tuning.grid_search_ssv(ds, space, in_spec, out_spec, metric=metric,
                                         reps=reps, ratio=ratio, seed=seed,
@@ -479,16 +503,12 @@ def _cmd_tune(args, out):
             best_cfg["kernel.y.sigma2"] = repr(float(best.sigma2_out))
         if best.q is not None:
             best_cfg["krr.nystrom_q"] = str(best.q)
-        from .config import write_snapshot
-
         write_snapshot(best_cfg, out / "best.cfg")
         _snapshot(cfg, resolved, args, out)
         print(f"tune: {len(space.configs())} grid points x {reps} reps; "
               f"best {metric} = {result.best_score:.6g} at {best}")
         print(f"table in {out / 'tune_table.tsv'}, best config in {out / 'best.cfg'}")
-    elif protocol == "nested":
-        outer = get_int(cfg, "tune.outer", 5)
-        inner = get_int(cfg, "tune.inner", 4)
+    else:
         resolved.update({"tune.outer": outer, "tune.inner": inner})
         result = tuning.nested_cv(ds, space, in_spec, out_spec, metric=metric,
                                   outer=outer, inner=inner, seed=seed,
@@ -497,8 +517,6 @@ def _cmd_tune(args, out):
         _snapshot(cfg, resolved, args, out)
         print(f"tune (nested {outer}x{inner}): {result.report}")
         print(f"per-fold table in {out / 'tune_table.tsv'}")
-    else:
-        raise UsageError(f"tune.protocol must be 'ssv' or 'nested', got {protocol!r}")
 
 
 def _cmd_bench_decode(args, out):

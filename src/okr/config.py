@@ -94,15 +94,15 @@ def kernel_spec(cfg: dict, prefix: str,
                 required: bool = True) -> kernels.KernelSpec | None:
     """Build a KernelSpec from <prefix>.kind and <prefix>.sigma2.
 
-    A config names only kernels computed from feature rows. The precomputed
-    kind, which reads a stored value matrix, is library-only: an input Gram
-    is data, given as data.x with data.x_format = gram."""
+    Kernels are computed from feature rows. A precomputed input Gram is
+    data, given as data.x with data.x_format = gram, so kind = precomputed
+    is rejected with a pointer there."""
     kind = get_str(cfg, f"{prefix}.kind")
     if kind is None:
         if required:
             raise UsageError(f"missing required config key {prefix}.kind")
         return None
-    if kind == kernels.PRECOMPUTED:
+    if kind == "precomputed":
         raise UsageError(f"{prefix}.kind = precomputed is not available in a config: "
                          "kernels are computed from feature rows (gaussian, linear, "
                          "tanimoto or gaussian_tanimoto); give a precomputed input Gram "

@@ -12,11 +12,8 @@ GAUSSIAN = "gaussian"
 LINEAR = "linear"
 TANIMOTO = "tanimoto"
 GAUSSIAN_TANIMOTO = "gaussian_tanimoto"
-PRECOMPUTED = "precomputed"
 
-KINDS = (GAUSSIAN, LINEAR, TANIMOTO, GAUSSIAN_TANIMOTO, PRECOMPUTED)
-
-SYMMETRY_TOL = 1e-10
+KINDS = (GAUSSIAN, LINEAR, TANIMOTO, GAUSSIAN_TANIMOTO)
 
 
 @dataclass(frozen=True)
@@ -26,14 +23,10 @@ class KernelSpec:
     kind : one of KINDS.
     sigma2 : squared bandwidth, required (and > 0) for "gaussian" and
         "gaussian_tanimoto".
-    source : stored value matrix for kind "precomputed"; samples are then
-        integer row/column indices into this matrix instead of feature
-        vectors.
     """
 
     kind: str
     sigma2: float | None = None
-    source: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -41,9 +34,6 @@ class KernelSpec:
         if self.kind in (GAUSSIAN, GAUSSIAN_TANIMOTO):
             if self.sigma2 is None or not self.sigma2 > 0:
                 raise ValueError(f"{self.kind} kernel needs sigma2 > 0, got {self.sigma2!r}")
-        if self.kind == PRECOMPUTED:
-            if self.source is None or np.ndim(self.source) != 2:
-                raise ValueError("precomputed kernel needs a 2-d source matrix")
 
 
 def _as_samples(A) -> np.ndarray:
@@ -53,14 +43,6 @@ def _as_samples(A) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError(f"sample matrix must be 2-d (rows = items), got ndim={A.ndim}")
     return A
-
-
-def _as_indices(A, what: str) -> np.ndarray:
-    idx = np.asarray(A)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"precomputed kernel expects 1-d integer index arrays, got {what} "
-                         f"with ndim={idx.ndim}, dtype={idx.dtype}")
-    return idx
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,13 +75,8 @@ def gram(spec: KernelSpec, A, B=None) -> np.ndarray:
     """Gram matrix of kernel values k(a_i, b_j), rows of A against rows of B.
 
     B=None means the self-Gram of A, which is computed from its upper
-    triangle and mirrored so the result is exactly symmetric. For the
-    "precomputed" kind A and B are 1-d integer index arrays into
-    spec.source.
+    triangle and mirrored so the result is exactly symmetric.
     """
-    if spec.kind == PRECOMPUTED:
-        return _gram_precomputed(spec, A, B)
-
     symmetric = B is None or B is A
     A = _as_samples(A)
     B = A if symmetric else _as_samples(B)
@@ -134,37 +111,9 @@ def gram(spec: KernelSpec, A, B=None) -> np.ndarray:
     return K
 
 
-def _gram_precomputed(spec: KernelSpec, A, B) -> np.ndarray:
-    src = np.asarray(spec.source, dtype=np.float64)
-    symmetric = B is None or B is A
-    ia = _as_indices(A, "A")
-    ib = ia if symmetric else _as_indices(B, "B")
-    if ia.size and (ia.min() < 0 or ia.max() >= src.shape[0]):
-        raise IndexError(f"row index out of range for precomputed source {src.shape}")
-    if ib.size and (ib.min() < 0 or ib.max() >= src.shape[1]):
-        raise IndexError(f"column index out of range for precomputed source {src.shape}")
-    if symmetric:
-        if src.shape[0] != src.shape[1]:
-            raise ValueError(f"self-Gram from a non-square precomputed source {src.shape}")
-        asym = np.max(np.abs(src - src.T))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"precomputed source not symmetric (max |K - K^T| = {asym:.3g})")
-    return src[np.ix_(ia, ib)]
-
-
 def pair_values(spec: KernelSpec, A, B) -> np.ndarray:
     """Rowwise kernel values k(a_i, b_i) for two sample matrices with the
     same number of rows (a cheap diagonal of gram(spec, A, B))."""
-    if spec.kind == PRECOMPUTED:
-        src = np.asarray(spec.source, dtype=np.float64)
-        ia = _as_indices(A, "A")
-        ib = _as_indices(B, "B")
-        if ia.size != ib.size:
-            raise ValueError(f"row counts differ: {ia.size} vs {ib.size}")
-        if ia.size and (ia.min() < 0 or ia.max() >= src.shape[0]
-                        or ib.min() < 0 or ib.max() >= src.shape[1]):
-            raise IndexError(f"index out of range for precomputed source {src.shape}")
-        return src[ia, ib]
     A = _as_samples(A)
     B = _as_samples(B)
     if A.shape != B.shape:
@@ -188,12 +137,6 @@ def pair_values(spec: KernelSpec, A, B) -> np.ndarray:
 
 def self_norms(spec: KernelSpec, Y) -> np.ndarray:
     """Vector of squared feature norms k(y_i, y_i) for the rows of Y."""
-    if spec.kind == PRECOMPUTED:
-        src = np.asarray(spec.source, dtype=np.float64)
-        iy = _as_indices(Y, "Y")
-        if iy.size and (iy.min() < 0 or iy.max() >= min(src.shape)):
-            raise IndexError(f"diagonal index out of range for precomputed source {src.shape}")
-        return src[iy, iy].astype(np.float64)
     Y = _as_samples(Y)
     if spec.kind == LINEAR:
         return np.einsum("ij,ij->i", Y, Y)

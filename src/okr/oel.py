@@ -13,14 +13,16 @@ kappa(x), T folds further into T_x = krr.fold_readout(krr_model, T), and a
 served model embeds a test input as T_x kappa(x) (embed_inputs) with no
 ridge solve. A model bundle stores R and T_x.
 
-There are two ways to the top p:
+There are two ways to the top p, and fit_embedding, the entry point from a
+fitted ridge model and an OutputSet of training outputs, picks between them:
 
 - Factored (fit_oel_factored): a pivoted Cholesky factor K_y ~ F F^T of the
   output Gram of the n + m outputs (factor_outputs) gives every spanning
   vector r coordinates, the rows of G = [sqrt(c/n) A F_s ; sqrt((1-c)/m) F_u],
   so the mixed Gram is G G^T and its top p come from the r x r matrix G^T G.
   Nothing of size n x n or (n+m) x (n+m) is formed, and the reference
-  outputs are the r pivots.
+  outputs are the r pivots. Taken with method "exact" when the factor stays
+  within its rank cap and p < r.
 - Dense (assemble_mixed_gram, then fit_oel): the (n+m) x (n+m) mixed Gram,
   decomposed by Lanczos, eigh or the randomized sketch. The reference
   outputs are all n + m outputs.
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .krr import KrrModel, fit_krr, predict_alpha
+from .krr import EXACT, KrrModel, predict_alpha, train_alpha_times
 from .linalg import (NumericalError, column_signs, eig_topk_exact, eig_topk_randomized,
                      pivoted_cholesky)
 
@@ -333,14 +336,6 @@ def factor_outputs(spec: kernels.KernelSpec, Y_sup, Y_unsup=None) -> OutputFacto
     return OutputFactor(F=chol.F, pivots=chol.pivots, n=len(Y_sup))
 
 
-def takes_factored_path(factor: OutputFactor | None, p: int) -> bool:
-    """Whether the exact method embeds from the output factor: the factor
-    must exist (its rank stayed within the cap) and p < r. At p >= r the
-    embedding would take every direction the factor resolves, down to those
-    at its tolerance; the dense path then decides which survive DROP_RTOL."""
-    return factor is not None and p < factor.r
-
-
 def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelModel:
     """The top-p embedding from an output factor, with no (n+m)-sized Gram.
 
@@ -351,7 +346,8 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     mixed Gram is G G^T. With G^T G V = V diag(mu), the top p give
     beta = G V_p / mu, the orthonormal directions V_p in that basis, and the
     readouts R = V_p^T L^-1 against the pivot outputs (L = F[pivots]) and
-    T = V_p^T F_s^T. Requires p < r; callers take the dense path otherwise.
+    T = V_p^T F_s^T. Requires p < r; fit_embedding takes the dense path
+    otherwise.
     """
     from scipy.linalg import eigh, solve_triangular
 
@@ -384,6 +380,89 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T=T,
                     gram_trace=float(np.einsum("ij,ij->", G, G)), ortho_defect=defect,
                     ref_rows=factor.pivots, eigensolver=f"pivoted_cholesky r={r}")
+
+
+class OutputSet:
+    """The n supervised and m unsupervised training outputs under one output
+    kernel, with what fit_embedding computes from them alone: the output
+    factor and the output Gram blocks. Each is computed on first use and then
+    kept, so fits that share the outputs (the grid points of a tuning fold at
+    one output width) share them by sharing the OutputSet."""
+
+    def __init__(self, spec: kernels.KernelSpec, Y_sup, Y_unsup=None):
+        self.spec = spec
+        self.Y_sup = Y_sup
+        self.Y_unsup = Y_unsup
+
+    @cached_property
+    def factor(self) -> OutputFactor | None:
+        """factor_outputs of the outputs, tried once: None, kept as such, once
+        the factor gave up at its rank cap."""
+        return factor_outputs(self.spec, self.Y_sup, self.Y_unsup)
+
+    @cached_property
+    def K_ss(self) -> np.ndarray:
+        return kernels.gram(self.spec, self.Y_sup)
+
+    @cached_property
+    def K_su(self) -> np.ndarray | None:
+        return None if self.Y_unsup is None else kernels.gram(self.spec, self.Y_sup,
+                                                              self.Y_unsup)
+
+    @cached_property
+    def K_uu(self) -> np.ndarray | None:
+        return None if self.Y_unsup is None else kernels.gram(self.spec, self.Y_unsup)
+
+
+def _kept(memo: dict | None, key, compute):
+    """compute(), kept in memo under key when a memo is given."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def fit_embedding(krr_model: KrrModel, K_cols, outputs: OutputSet, p: int, c: float = 1.0,
+                  method: str = "exact", seed: int = 0, oversample: int = 10,
+                  power_iters: int = 2, products: dict | None = None) -> OelModel:
+    """The top-p embedding of a fitted ridge model and its training outputs.
+
+    This is the one place that picks the path. Method "exact" factors the
+    outputs (outputs.factor) and takes the factored fit when the factor
+    exists (its rank stayed within FACTOR_MAX_RANK_FRACTION of n + m) and
+    p < r. At p >= r the embedding would take every direction the factor
+    resolves, down to those at its tolerance, so the dense path decides which
+    survive DROP_RTOL. The dense path, which method "randomized" always
+    takes, builds the (n+m) x (n+m) mixed Gram and runs fit_oel with
+    seed / oversample / power_iters.
+
+    K_cols are the training kernel columns the ridge model was fit on: the
+    n x n input Gram in exact mode, the n x q anchor columns in Nystrom mode
+    (krr.train_alpha_times). products, when given, is a dict kept with this
+    ridge model (and K_cols) across calls: the training alpha matrix, and its
+    products with each OutputSet (A F_s, the mixed Gram blocks), are then
+    computed once and kept in it.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    factor = outputs.factor if method == "exact" else None
+    if factor is not None and p < factor.r:
+        AF_s = _kept(products, ("A F_s", outputs),
+                     lambda: train_alpha_times(krr_model, K_cols, factor.F_s))
+        return fit_oel_factored(factor, AF_s, p, c)
+    # the training inputs' kernel columns as predict_alpha takes them
+    kappa_train = K_cols if krr_model.mode == EXACT else np.asarray(K_cols).T
+    A = _kept(products, "A", lambda: predict_alpha(krr_model, kappa_train))
+    # without a memo assemble_mixed_gram forms the blocks and drops them
+    blocks = None
+    if products is not None and c > 0.0:
+        blocks = _kept(products, ("blocks", outputs),
+                       lambda: mixed_gram_blocks(A, outputs.K_ss, outputs.K_su))
+    mixed = assemble_mixed_gram(A, outputs.K_ss, K_y_su=outputs.K_su, K_y_uu=outputs.K_uu,
+                                c=c, blocks=blocks)
+    return fit_oel(mixed, p, method=method, seed=seed, oversample=oversample,
+                   power_iters=power_iters)
 
 
 def _check_cols(name: str, M, rows: int, ncols: int | None) -> np.ndarray:
@@ -441,24 +520,3 @@ def surrogate_sq_errors(Z_pred: np.ndarray, Z_true: np.ndarray,
     return (np.einsum("ij,ij->j", Z_pred, Z_pred)
             - 2.0 * np.einsum("ij,ij->j", Z_pred, Z_true)
             + true_self_norms)
-
-
-def fit_oel_with_krr(K_x, K_y_ss, lam: float, p: int, c: float = 1.0,
-                     K_y_su=None, K_y_uu=None, method: str = "exact", seed: int = 0,
-                     oversample: int = 10, power_iters: int = 2,
-                     krr_model: KrrModel | None = None) -> tuple[KrrModel, OelModel]:
-    """One-shot training: exact KRR on K_x, then embedding estimation.
-
-    Passing a pre-fitted exact-mode krr_model (same K_x, same lambda) skips
-    the ridge solve, which makes sweeps over (p, c) nearly free.
-    """
-    if krr_model is None:
-        krr_model = fit_krr(K_x, lam)
-    elif krr_model.mode != "exact":
-        raise ValueError("fit_oel_with_krr expects an exact-mode ridge model; "
-                         "drive the Nystrom path through assemble_mixed_gram")
-    A = predict_alpha(krr_model, np.asarray(K_x, dtype=np.float64))
-    mixed = assemble_mixed_gram(A, K_y_ss, K_y_su=K_y_su, K_y_uu=K_y_uu, c=c)
-    model = fit_oel(mixed, p, method=method, seed=seed,
-                    oversample=oversample, power_iters=power_iters)
-    return krr_model, model

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import dataio, kernels, metrics, oel
 from .decode import decode_iokr, decode_oel
 from .krr import (fit_krr, fit_krr_nystrom, predict_alpha, select_anchors,
-                  surrogate_sq_errors as krr_surrogate_sq_errors, train_alpha_times)
+                  surrogate_sq_errors as krr_surrogate_sq_errors)
 
 LOWER_BETTER = {"surrogate_mse", "rkhs_loss", "hamming"}
 HIGHER_BETTER = {"f1", "kendall_tau", "top1_accuracy"}
@@ -117,26 +116,25 @@ def _with_sigma2(spec: kernels.KernelSpec, sigma2):
 
 class _Ridge:
     """One ridge fit of a fold: the model, the training kernel columns it
-    reads (krr.train_alpha_times) and the validation alpha columns. The n x n
-    training alpha matrix is formed only if the dense embedding path asks."""
+    reads (krr.train_alpha_times), the validation alpha columns, and the
+    memo in which oel.fit_embedding keeps the ridge's products (the training
+    alpha matrix, A F_s, the mixed Gram blocks): one grid point's, or with
+    --share-krr every point's that shares the ridge."""
 
-    def __init__(self, model, K_cols, kappa_train, A_val):
+    def __init__(self, model, K_cols, A_val):
         self.model = model
         self.K_cols = K_cols
-        self.kappa_train = kappa_train
         self.A_val = A_val
-
-    @cached_property
-    def A_train(self) -> np.ndarray:
-        return predict_alpha(self.model, self.kappa_train)
+        self.products = {}
 
 
 class _FoldCache:
-    """Grams, output factors and (optionally) KRR fits shared across the grid
-    points of one train/validation split. The output factor depends only on
-    the fold and the output width, so it is always shared. Sharing the ridge
-    solve and its products across (p, c) points is the --share-krr
-    optimization: results are identical, they are just not recomputed."""
+    """Grams, output sets and (optionally) KRR fits shared across the grid
+    points of one train/validation split. The output set (with its factor and
+    output Grams) depends only on the fold and the output width, so it is
+    always shared. Sharing the ridge solve and its products across (p, c)
+    points is the --share-krr optimization: results are identical, they are
+    just not recomputed."""
 
     def __init__(self, ds: dataio.Dataset, train_idx, val_idx,
                  in_spec, out_spec, share_krr: bool, seed: int):
@@ -148,10 +146,8 @@ class _FoldCache:
         self.share_krr = share_krr
         self.seed = seed
         self._x_cache = {}
-        self._y_cache = {}
-        self._factor_cache = {}
+        self._output_sets = {}
         self._krr_cache = {}
-        self._product_cache = {}
         kind = ds.output_kind
         self._yf_sup = dataio.output_features(kind, ds.y_sup)
         self._yf_unsup = (dataio.output_features(kind, ds.y_unsup)
@@ -172,29 +168,14 @@ class _FoldCache:
             self._x_cache[sigma2_in] = (K_x, kappa_val)
         return self._x_cache[sigma2_in]
 
-    def outputs(self, sigma2_out):
-        """(output kernel, training-fold outputs, validation outputs)."""
-        return (_with_sigma2(self.out_spec, sigma2_out), self._yf_sup[self.train_idx],
-                self._yf_sup[self.val_idx])
-
-    def y_grams(self, sigma2_out):
-        if sigma2_out not in self._y_cache:
-            spec, Y_tr, Y_val = self.outputs(sigma2_out)
-            K_y_ss = kernels.gram(spec, Y_tr)
-            if self._yf_unsup is not None:
-                K_y_su = kernels.gram(spec, Y_tr, self._yf_unsup)
-                K_y_uu = kernels.gram(spec, self._yf_unsup)
-            else:
-                K_y_su = K_y_uu = None
-            self._y_cache[sigma2_out] = (spec, Y_tr, Y_val, K_y_ss, K_y_su, K_y_uu)
-        return self._y_cache[sigma2_out]
-
-    def output_factor(self, sigma2_out):
-        """oel.factor_outputs of the training-fold and pool outputs."""
-        if sigma2_out not in self._factor_cache:
-            spec, Y_tr, _ = self.outputs(sigma2_out)
-            self._factor_cache[sigma2_out] = oel.factor_outputs(spec, Y_tr, self._yf_unsup)
-        return self._factor_cache[sigma2_out]
+    def outputs(self, sigma2_out) -> oel.OutputSet:
+        """The training-fold and pool outputs under the output kernel at this
+        width."""
+        if sigma2_out not in self._output_sets:
+            self._output_sets[sigma2_out] = oel.OutputSet(
+                _with_sigma2(self.out_spec, sigma2_out), self._yf_sup[self.train_idx],
+                self._yf_unsup)
+        return self._output_sets[sigma2_out]
 
     def krr_fit(self, cfg: TrialConfig) -> _Ridge:
         key = (cfg.lam, cfg.sigma2_in, cfg.q)
@@ -204,63 +185,32 @@ class _FoldCache:
             self._krr_cache[key] = self._fit_krr(cfg)
         return self._krr_cache[key]
 
-    def _shared(self, cfg: TrialConfig, what: str, compute):
-        """compute(), kept per (lambda, widths, q) when share_krr is on."""
-        if not self.share_krr:
-            return compute()
-        key = (what, cfg.lam, cfg.sigma2_in, cfg.q, cfg.sigma2_out)
-        if key not in self._product_cache:
-            self._product_cache[key] = compute()
-        return self._product_cache[key]
-
-    def alpha_factor(self, cfg: TrialConfig, ridge: _Ridge, factor):
-        """A F_s for the factored embedding."""
-        return self._shared(cfg, "A F_s", lambda: train_alpha_times(
-            ridge.model, ridge.K_cols, factor.F_s))
-
-    def mixed_blocks(self, cfg: TrialConfig, A_train, K_y_ss, K_y_su):
-        """K_h / K_hy products for the dense embedding."""
-        return self._shared(cfg, "blocks",
-                            lambda: oel.mixed_gram_blocks(A_train, K_y_ss, K_y_su))
-
     def _fit_krr(self, cfg: TrialConfig) -> _Ridge:
         K_x, kappa_val = self.x_grams(cfg.sigma2_in)
         n_tr = K_x.shape[0]
         if cfg.q is None:
             model = fit_krr(K_x, cfg.lam)
-            return _Ridge(model, K_x, K_x, predict_alpha(model, kappa_val))
+            return _Ridge(model, K_x, predict_alpha(model, kappa_val))
         anchors = select_anchors(n_tr, cfg.q, dataio.named_seed(self.seed, "anchors"))
         K_cols = K_x[:, anchors]
         model = fit_krr_nystrom(K_cols, K_x[np.ix_(anchors, anchors)], cfg.lam, anchors)
-        return _Ridge(model, K_cols, K_x[anchors, :],
-                      predict_alpha(model, kappa_val[anchors, :]))
-
-
-def _fit_embedding(cache: _FoldCache, cfg: TrialConfig, ridge: _Ridge,
-                   oel_method: str, oel_seed: int) -> oel.OelModel:
-    c = 1.0 if cfg.c is None else cfg.c
-    factor = cache.output_factor(cfg.sigma2_out) if oel_method == "exact" else None
-    if oel.takes_factored_path(factor, cfg.p):
-        return oel.fit_oel_factored(factor, cache.alpha_factor(cfg, ridge, factor),
-                                    cfg.p, c)
-    _, _, _, K_y_ss, K_y_su, K_y_uu = cache.y_grams(cfg.sigma2_out)
-    blocks = (cache.mixed_blocks(cfg, ridge.A_train, K_y_ss, K_y_su)
-              if c > 0.0 else None)
-    mixed = oel.assemble_mixed_gram(ridge.A_train, K_y_ss, K_y_su=K_y_su,
-                                    K_y_uu=K_y_uu, c=c, blocks=blocks)
-    return oel.fit_oel(mixed, cfg.p, method=oel_method, seed=oel_seed)
+        return _Ridge(model, K_cols, predict_alpha(model, kappa_val[anchors, :]))
 
 
 def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
                      oel_method: str, oel_seed: int) -> float:
     ds = cache.ds
-    out_spec, Y_tr, Y_val = cache.outputs(cfg.sigma2_out)
+    outputs = cache.outputs(cfg.sigma2_out)
+    out_spec, Y_tr, Y_pool = outputs.spec, outputs.Y_sup, outputs.Y_unsup
+    Y_val = cache._yf_sup[cache.val_idx]
     ridge = cache.krr_fit(cfg)
 
     use_oel = cfg.p is not None
     if use_oel:
-        model = _fit_embedding(cache, cfg, ridge, oel_method, oel_seed)
-        Y_ref = model.reference_outputs(Y_tr, cache._yf_unsup)
+        model = oel.fit_embedding(ridge.model, ridge.K_cols, outputs, cfg.p,
+                                  1.0 if cfg.c is None else cfg.c, method=oel_method,
+                                  seed=oel_seed, products=ridge.products)
+        Y_ref = model.reference_outputs(Y_tr, Y_pool)
 
     if metric == "surrogate_mse":
         self_norms_val = kernels.self_norms(out_spec, Y_val)
@@ -269,15 +219,14 @@ def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
             Z_true = oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, Y_val))
             errs = oel.surrogate_sq_errors(Z_val, Z_true, self_norms_val)
         else:
-            K_y_ss = cache.y_grams(cfg.sigma2_out)[3]
             C_true = kernels.gram(out_spec, Y_tr, Y_val)
-            errs = krr_surrogate_sq_errors(ridge.A_val, K_y_ss, C_true, self_norms_val)
+            errs = krr_surrogate_sq_errors(ridge.A_val, outputs.K_ss, C_true,
+                                           self_norms_val)
         return float(np.mean(errs))
 
     # decoded metrics: candidates are the training-fold outputs plus the
     # unsupervised pool
-    cand = (np.vstack([Y_tr, cache._yf_unsup]) if cache._yf_unsup is not None
-            else Y_tr)
+    cand = np.vstack([Y_tr, Y_pool]) if Y_pool is not None else Y_tr
     cand_norms = kernels.self_norms(out_spec, cand)
     if use_oel:
         ids, _ = decode_oel(oel.embed_tests(model, ridge.A_val),

@@ -54,10 +54,11 @@ def build_explicit(rng, n, m, d_out, lam, c, p, method="exact", seed=0):
     K_y = Y @ Y.T
     K_su = Y @ Yu.T if m else None
     K_uu = Yu @ Yu.T if m else None
-    krr_model, oel_model = okr.fit_oel_with_krr(
-        K_x, K_y, lam=lam, p=p, c=c, K_y_su=K_su, K_y_uu=K_uu,
-        method=method, seed=seed)
+    # the dense path on purpose: every reference output is an explicit row
+    krr_model = okr.fit_krr(K_x, lam)
     A = okr.predict_alpha(krr_model, K_x)
+    mixed = okr.assemble_mixed_gram(A, K_y, K_y_su=K_su, K_y_uu=K_uu, c=c)
+    oel_model = okr.fit_oel(mixed, p, method=method, seed=seed)
     H = Y.T @ A
     parts = [oel_model.scale_sup * H]
     if m:

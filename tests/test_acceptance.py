@@ -199,24 +199,21 @@ def test_criterion_6_supervised_benefit_reproduction():
     for seed in range(20):
         ds = dataio.synth_remark1(n, m, n_test, 1.0, 4.0, seed=seed)
         K_x = kernels.gram(lin, ds.x)
-        K_y = kernels.gram(lin, ds.y_sup)
         kappa = kernels.gram(lin, ds.x, ds.x_test)
         norms = kernels.self_norms(lin, ds.y_test)
         C_s_true = kernels.gram(lin, ds.y_sup, ds.y_test)
         C_u_true = kernels.gram(lin, ds.y_unsup, ds.y_test)
 
-        krr_sup, sup = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=1, c=1.0,
-                                            method="randomized", seed=seed)
+        krr_sup = okr.fit_krr(K_x, lam)
+        sup = okr.fit_embedding(krr_sup, K_x, okr.OutputSet(lin, ds.y_sup), 1, 1.0,
+                                method="randomized", seed=seed)
         A_test = okr.predict_alpha(krr_sup, kappa)
         z = oel.embed_tests(sup, A_test)
         z_true = oel.embed_candidates(sup, C_s_true)
         err_sup = float(np.mean(oel.surrogate_sq_errors(z, z_true, norms)))
 
-        _, unsup = okr.fit_oel_with_krr(
-            K_x, K_y, lam=lam, p=1, c=0.0,
-            K_y_su=kernels.gram(lin, ds.y_sup, ds.y_unsup),
-            K_y_uu=kernels.gram(lin, ds.y_unsup),
-            method="randomized", seed=seed, krr_model=krr_sup)
+        unsup = okr.fit_embedding(krr_sup, K_x, okr.OutputSet(lin, ds.y_sup, ds.y_unsup),
+                                  1, 0.0, method="randomized", seed=seed)
         z0 = oel.embed_tests(unsup, A_test)
         z0_true = oel.embed_candidates(unsup, np.vstack([C_s_true, C_u_true]))
         err_unsup = float(np.mean(oel.surrogate_sq_errors(z0, z0_true, norms)))
@@ -355,13 +352,9 @@ def test_criterion_10_usps_reproduction():
         if cfg.p is None:
             ids, _ = decode_iokr(A_test, C_s, cand_norms, k=1)
         else:
-            K_y = kernels.gram(out_spec, y_sup)
-            K_su = kernels.gram(out_spec, y_sup, y_unsup)
-            K_uu = kernels.gram(out_spec, y_unsup)
-            _, model = okr.fit_oel_with_krr(K_x, K_y, lam=cfg.lam, p=cfg.p,
-                                            c=cfg.c, K_y_su=K_su, K_y_uu=K_uu,
-                                            method="randomized", seed=0,
-                                            krr_model=krr_model)
+            model = okr.fit_embedding(krr_model, K_x,
+                                      okr.OutputSet(out_spec, y_sup, y_unsup),
+                                      cfg.p, cfg.c, method="randomized", seed=0)
             C_u = kernels.gram(out_spec, y_unsup, candidates)
             ids, _ = decode_oel(oel.embed_tests(model, A_test),
                                 oel.embed_candidates(model, np.vstack([C_s, C_u])),

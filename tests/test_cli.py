@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import okr
-from okr import cli, dataio, decode, kernels, krr
+from okr import cli, dataio, decode, kernels, krr, oel
+from okr.config import parse_config_file
 from okr.decode import decode_oel
 
 
@@ -537,6 +538,16 @@ BAD_FIT_INPUTS = [
      lambda d: _fit_cfg(d, "kernel.x.kind = precomputed"), None,
      cli.EXIT_USAGE, "usage error",
      "kernel.x.kind = precomputed is not available in a config"),
+    ("lambda_zero", lambda d: _fit_cfg(d, "krr.lambda = 0"), None,
+     cli.EXIT_USAGE, "usage error", "krr.lambda must be > 0, got 0.0"),
+    ("lambda_checked_before_data_load",
+     lambda d: write_cfg(d / "bad.cfg", "data.kind = dense", "data.x = nope.csv",
+                         "data.y = nope.csv", *FIT_KEYS, "krr.lambda = -1"), None,
+     cli.EXIT_USAGE, "usage error", "krr.lambda must be > 0, got -1.0"),
+    ("nystrom_q_zero", lambda d: _fit_cfg(d, "krr.nystrom_q = 0"), None,
+     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be in [1, n] = [1, 30], got 0"),
+    ("nystrom_q_above_n", lambda d: _fit_cfg(d, "krr.nystrom_q = 1000"), None,
+     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be in [1, n] = [1, 30], got 1000"),
 ]
 
 
@@ -685,6 +696,63 @@ def test_bad_predict_evaluate_input_exit_code_and_log(tmp_path, capsys, make_cfg
     assert f"--- {label} ---" in log and "Traceback" in log and message in log
 
 
+def _tune_cfg(tmp_path, *overrides):
+    """tune config over a 30 + 10 synth dataset with a small valid grid,
+    then overrides."""
+    data_dir, dataset_cfg = synth_workspace(tmp_path)
+    return write_cfg(data_dir / "tune.cfg", dataset_cfg, "kernel.x.kind = gaussian",
+                     "kernel.x.sigma2 = 1.0", "kernel.y.kind = gaussian",
+                     "kernel.y.sigma2 = 4.0", "tune.reps = 2", "tune.lams = 1e-3",
+                     "tune.ps = 1", "tune.cs = 0.5", *overrides)
+
+
+# (case, config overrides, text the run.log entry must contain); every case
+# exits with the usage code
+BAD_TUNE_INPUTS = [
+    ("ratio_above_one", ("tune.ratio = 1.5",), "tune.ratio must lie in (0, 1), got 1.5"),
+    ("ratio_zero", ("tune.ratio = 0",), "tune.ratio must lie in (0, 1), got 0.0"),
+    ("reps_zero", ("tune.reps = 0",), "tune.reps must be >= 1, got 0"),
+    ("outer_one", ("tune.protocol = nested", "tune.outer = 1"),
+     "tune.outer and tune.inner must be >= 2, got 1 and 4"),
+    ("inner_one", ("tune.protocol = nested", "tune.inner = 1"),
+     "tune.outer and tune.inner must be >= 2, got 5 and 1"),
+    ("unknown_protocol", ("tune.protocol = loo",),
+     "tune.protocol must be 'ssv' or 'nested', got 'loo'"),
+    ("unknown_metric", ("tune.metric = bogus",),
+     "tune.metric must be one of f1, hamming, kendall_tau, rkhs_loss, surrogate_mse, "
+     "top1_accuracy, got 'bogus'"),
+    ("c_above_one", ("tune.cs = 2",), "tune.cs values must be in [0, 1], got '2'"),
+    ("lambda_negative", ("tune.lams = 1e-3,-1",), "tune.lams values must be > 0, got '1e-3,-1'"),
+    ("lams_empty", ("tune.lams = ,",), "tune.lams values must be > 0, got ','"),
+    ("sigma2_in_zero", ("tune.sigma2_ins = 0",), "tune.sigma2_ins values must be > 0, got '0'"),
+    ("sigma2_out_negative", ("tune.sigma2_outs = -4",),
+     "tune.sigma2_outs values must be > 0, got '-4'"),
+    ("p_zero", ("tune.ps = 0",), "tune.ps values must be >= 1, got '0'"),
+    ("q_zero", ("tune.qs = 0,5",), "tune.qs values must be >= 1, got '0,5'"),
+    ("p_above_n_plus_m", ("tune.ps = 8,41",), "tune.ps values must be <= n + m = 40, got '8,41'"),
+    ("q_above_n", ("tune.qs = 31",), "tune.qs values must be <= n = 30, got '31'"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", [case[1:] for case in BAD_TUNE_INPUTS],
+                         ids=[case[0] for case in BAD_TUNE_INPUTS])
+def test_bad_tune_input_exit_code_and_log(tmp_path, capsys, overrides, message):
+    cfg = _tune_cfg(tmp_path, *overrides)
+    out = tmp_path / "o"
+    assert run("tune", "--config", str(cfg), "--out", str(out)) == cli.EXIT_USAGE
+    assert "usage error: " in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert "--- usage error ---" in log and "Traceback" in log and message in log
+
+
+def test_tune_ranges_checked_before_data_load(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "bad.cfg", "data.kind = dense", "data.x = nope.csv",
+                    "data.y = nope.csv", "kernel.x.kind = linear", "kernel.y.kind = linear",
+                    "tune.reps = 0")
+    assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+    assert "tune.reps must be >= 1" in capsys.readouterr().err
+
+
 def fingerprint_workspace(tmp_path, n=150, m=150, n_bits=64, seed=0):
     """Random 64-bit fingerprints as supervised and pool outputs: their
     tanimoto Gram has full rank, so the output factor passes its rank cap."""
@@ -698,6 +766,35 @@ def fingerprint_workspace(tmp_path, n=150, m=150, n_bits=64, seed=0):
     dataio.save_bitsets(data_dir / "y_unsup.txt", Y[n:])
     return data_dir, "\n".join(["data.kind = bitset", "data.x = x.csv", "data.y = y.txt",
                                 "data.y_unsup = y_unsup.txt"])
+
+
+def test_nystrom_fit_matches_library_fit(tmp_path):
+    # a Nystrom ridge takes the factored path, and okr fit stores the model
+    # oel.fit_embedding gives for the same anchors, bit for bit
+    data_dir, dataset_cfg = synth_workspace(tmp_path, n=300, m=300)
+    cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, "kernel.x.kind = gaussian",
+                    "kernel.x.sigma2 = 1.0", "kernel.y.kind = gaussian",
+                    "kernel.y.sigma2 = 4.0", "krr.lambda = 1e-4", "krr.nystrom_q = 100",
+                    "krr.seed = 3", "oel.p = 8", "oel.c = 0.5")
+    assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "fit")) == 0
+    bundle = dataio.load_model(tmp_path / "fit" / "model")
+
+    ds = dataio.load_dataset(parse_config_file(cfg), data_dir)
+    gx = kernels.KernelSpec(kernels.GAUSSIAN, sigma2=1.0)
+    anchors = krr.select_anchors(ds.n, 100, 3)
+    K_cols = kernels.gram(gx, ds.x, ds.x[anchors])
+    krr_model = krr.fit_krr_nystrom(K_cols, kernels.gram(gx, ds.x[anchors]), 1e-4, anchors)
+    outputs = oel.OutputSet(kernels.KernelSpec(kernels.GAUSSIAN, sigma2=4.0), ds.y_sup,
+                            ds.y_unsup)
+    model = oel.fit_embedding(krr_model, K_cols, outputs, 8, 0.5)
+    assert model.eigensolver == "pivoted_cholesky r=153"
+    assert (f"oel.eigensolver = {model.eigensolver}"
+            in (tmp_path / "fit" / "config.resolved").read_text())
+    np.testing.assert_array_equal(bundle.matrices["oel_R"], model.R)
+    np.testing.assert_array_equal(bundle.matrices["oel_T_x"],
+                                  krr.fold_readout(krr_model, model.T))
+    np.testing.assert_array_equal(bundle.matrices["y_ref_features"],
+                                  model.reference_outputs(ds.y_sup, ds.y_unsup))
 
 
 class TestEigensolverRecord:
@@ -795,6 +892,19 @@ def readme_quickstart():
 
 
 class TestReadme:
+    def test_library_block_runs(self):
+        # the Python example, executed verbatim; it fits through
+        # fit_embedding on the factored path and raises no warning
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.M | re.S)
+        assert len(blocks) == 1
+        namespace = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(blocks[0], str(README), "exec"), namespace)
+        assert namespace["emb"].eigensolver == "pivoted_cholesky r=3"
+        assert namespace["ids"].shape == (10, 5)
+
     def test_quickstart_block_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         commands = readme_quickstart()

@@ -17,10 +17,6 @@ class TestSpec:
         with pytest.raises(ValueError, match="sigma2"):
             kernels.KernelSpec(kind, sigma2=sigma2)
 
-    def test_precomputed_needs_matrix(self):
-        with pytest.raises(ValueError, match="source"):
-            kernels.KernelSpec("precomputed")
-
 
 class TestGram:
     def test_gaussian_diagonal_is_one(self):
@@ -57,19 +53,6 @@ class TestGram:
         spec = kernels.KernelSpec("linear")
         with pytest.raises(ValueError, match="dimensions differ"):
             kernels.gram(spec, np.ones((2, 3)), np.ones((2, 4)))
-
-    def test_precomputed_passthrough_and_range(self):
-        src = np.array([[1.0, 0.5], [0.5, 2.0]])
-        spec = kernels.KernelSpec("precomputed", source=src)
-        np.testing.assert_array_equal(kernels.gram(spec, np.array([1, 0])),
-                                      src[np.ix_([1, 0], [1, 0])])
-        with pytest.raises(IndexError):
-            kernels.gram(spec, np.array([0, 2]))
-
-    def test_precomputed_self_gram_must_be_symmetric(self):
-        spec = kernels.KernelSpec("precomputed", source=np.array([[1.0, 0.2], [0.5, 1.0]]))
-        with pytest.raises(ValueError, match="not symmetric"):
-            kernels.gram(spec, np.array([0, 1]))
 
     def test_self_gram_exactly_symmetric(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import okr
-from okr import dataio, kernels, krr, oel
+from okr import dataio, kernels, oel
 from okr.decode import decode_oel
 
 from _oracles import (align_columns, build_explicit, kpca_scores, random_psd,
@@ -213,7 +213,7 @@ class TestEmbed:
 class TestFactored:
     """The factored fit against the dense mixed-Gram path, on the remark1
     outputs under a Gaussian kernel (the benchmark's kernels at 600 + 600
-    outputs: the factor has rank 179 of 1200)."""
+    outputs: the factor has rank 184 of 1200)."""
 
     GX = kernels.KernelSpec("gaussian", sigma2=1.0)
     GY = kernels.KernelSpec("gaussian", sigma2=4.0)
@@ -232,20 +232,19 @@ class TestFactored:
             K_cols = kappa_train = K_x
             krr_model = okr.fit_krr(K_x, lam)
             kappa_test = kernels.gram(self.GX, ds.x, ds.x_test)
-        factor = oel.factor_outputs(self.GY, ds.y_sup, ds.y_unsup)
-        assert oel.takes_factored_path(factor, p)
-        factored = oel.fit_oel_factored(
-            factor, krr.train_alpha_times(krr_model, K_cols, factor.F_s), p, c)
+        outputs = oel.OutputSet(self.GY, ds.y_sup, ds.y_unsup)
+        factored = oel.fit_embedding(krr_model, K_cols, outputs, p, c)
         mixed = oel.assemble_mixed_gram(
             okr.predict_alpha(krr_model, kappa_train), kernels.gram(self.GY, ds.y_sup),
             K_y_su=kernels.gram(self.GY, ds.y_sup, ds.y_unsup),
             K_y_uu=kernels.gram(self.GY, ds.y_unsup), c=c)
         dense = oel.fit_oel(mixed, p)
-        return ds, factor, okr.predict_alpha(krr_model, kappa_test), factored, dense
+        return ds, outputs.factor, okr.predict_alpha(krr_model, kappa_test), factored, dense
 
     @pytest.mark.parametrize("nystrom", [False, True], ids=["exact", "nystrom"])
     def test_matches_dense_path(self, nystrom):
         ds, factor, A_test, factored, dense = self._fits(nystrom)
+        assert factored.eigensolver == f"pivoted_cholesky r={factor.r}"
         np.testing.assert_allclose(factored.mu, dense.mu, rtol=0, atol=1e-12 * dense.mu[0])
         norms = kernels.self_norms(self.GY, ds.candidates)
         runs = []
@@ -273,7 +272,7 @@ class TestFactored:
         rng = np.random.default_rng(30)
         Y = rng.standard_normal((20, 3))
         factor = oel.factor_outputs(kernels.KernelSpec("linear"), Y)
-        assert factor.r == 3 and not oel.takes_factored_path(factor, 3)
+        assert factor.r == 3
         with pytest.raises(ValueError, match=r"p must be in \[1, r\)"):
             oel.fit_oel_factored(factor, factor.F_s, p=3)
 
@@ -282,8 +281,88 @@ class TestFactored:
         # passes its rank cap and the exact method keeps the dense path
         rng = np.random.default_rng(31)
         Y = (rng.random((300, 64)) < 0.3).astype(float)
-        assert oel.factor_outputs(kernels.KernelSpec("tanimoto"), Y[:150], Y[150:]) is None
-        assert not oel.takes_factored_path(None, 8)
+        outputs = oel.OutputSet(kernels.KernelSpec("tanimoto"), Y[:150], Y[150:])
+        K_x = random_psd(rng, 150)
+        model = oel.fit_embedding(okr.fit_krr(K_x, 0.1), K_x, outputs, 8, 0.5)
+        assert outputs.factor is None
+        assert model.eigensolver == "lanczos" and model.R.shape == (8, 300)
+
+
+class TestFitEmbedding:
+    """oel.fit_embedding, the one place that picks the factored or the dense
+    path, on a linear output kernel whose rank is known exactly."""
+
+    LIN = kernels.KernelSpec("linear")
+
+    @staticmethod
+    def _ridge(n, seed=0):
+        K_x = random_psd(np.random.default_rng(seed), n)
+        return okr.fit_krr(K_x, 0.1), K_x
+
+    @pytest.mark.parametrize("extra, path", [(0, "pivoted_cholesky r=20"), (1, "eigh")],
+                             ids=["rank_at_cap", "rank_over_cap"])
+    def test_rank_cap_decides_the_path(self, extra, path):
+        # one-hot outputs over d labels: the linear output Gram has rank d,
+        # with exact 0/1 entries; the factor of n + m = 60 outputs is capped
+        # at rank 20 (the dense path runs eigh below the Lanczos size)
+        n, m = 40, 20
+        d = int(oel.FACTOR_MAX_RANK_FRACTION * (n + m)) + extra
+        Y = np.eye(d)[np.arange(n + m) % d]
+        krr_model, K_x = self._ridge(n)
+        outputs = oel.OutputSet(self.LIN, Y[:n], Y[n:])
+        model = oel.fit_embedding(krr_model, K_x, outputs, 4, 0.5)
+        assert model.eigensolver == path
+        assert (outputs.factor is None) == bool(extra)
+
+    @pytest.mark.parametrize("p, path", [(2, "pivoted_cholesky r=3"), (3, "eigh")])
+    def test_p_not_below_rank_is_dense(self, p, path):
+        rng = np.random.default_rng(32)
+        Y = rng.standard_normal((30, 3))
+        krr_model, K_x = self._ridge(20)
+        model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(self.LIN, Y[:20], Y[20:]),
+                                  p, 0.5)
+        assert model.eigensolver == path
+        assert model.R.shape[1] == (3 if p < 3 else 30)
+
+    def test_randomized_never_factors(self, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factor_outputs called for the randomized method")
+
+        monkeypatch.setattr(oel, "factor_outputs", no_factor)
+        rng = np.random.default_rng(33)
+        Y = rng.standard_normal((30, 3))
+        krr_model, K_x = self._ridge(20)
+        model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(self.LIN, Y[:20], Y[20:]),
+                                  2, 0.5, method="randomized", seed=1)
+        assert model.eigensolver == "randomized"
+        assert model.R.shape[1] == 30
+
+    def test_unknown_method_rejected(self):
+        krr_model, K_x = self._ridge(5)
+        outputs = oel.OutputSet(self.LIN, np.eye(5))
+        with pytest.raises(ValueError, match="unknown method"):
+            oel.fit_embedding(krr_model, K_x, outputs, 1, method="lanczos")
+
+    def test_products_memo_reused(self, monkeypatch):
+        # a products memo kept with the ridge model serves A F_s to every
+        # fit on the same outputs; a new output set gets its own
+        calls = []
+        real = oel.train_alpha_times
+        monkeypatch.setattr(oel, "train_alpha_times",
+                            lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(34)
+        Y = rng.standard_normal((30, 4))
+        krr_model, K_x = self._ridge(20)
+        outputs = oel.OutputSet(self.LIN, Y[:20], Y[20:])
+        products = {}
+        fits = [oel.fit_embedding(krr_model, K_x, outputs, p, 0.5, products=products)
+                for p in (1, 2, 3)]
+        assert len(calls) == 1
+        oel.fit_embedding(krr_model, K_x, oel.OutputSet(self.LIN, Y[:20], Y[20:]), 2, 0.5,
+                          products=products)
+        assert len(calls) == 2
+        fresh = oel.fit_embedding(krr_model, K_x, outputs, 2, 0.5)
+        np.testing.assert_array_equal(fresh.R, fits[1].R)
 
 
 class TestSurrogateErrors:

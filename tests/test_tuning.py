@@ -171,9 +171,9 @@ class TestGridSearchSsv:
         splits = dataio.split(ds.n, dataio.RepeatedSubsample(0.8, 3), seed=0)
         for tr, va in splits:
             cache = tuning._FoldCache(ds, tr, va, GAUSS, LIN, False, 0)
-            _, _, _, _, K_y_su, K_y_uu = cache.y_grams(None)
-            assert K_y_uu.shape == (7, 7)
-            assert K_y_su.shape == (tr.size, 7)
+            outputs = cache.outputs(None)
+            assert outputs.K_uu.shape == (7, 7)
+            assert outputs.K_su.shape == (tr.size, 7)
 
 
 class TestNestedCv:
@@ -205,12 +205,45 @@ class TestNestedCv:
         for (tr, te), got in zip(outer_splits, result.fold_scores):
             K_x = kernels.gram(GAUSS, ds.x[tr])
             kappa = kernels.gram(GAUSS, ds.x[tr], ds.x[te])
-            K_y = kernels.gram(LIN, ds.y_sup[tr])
-            krr_model, model = okr.fit_oel_with_krr(K_x, K_y, lam=lam, p=p, c=1.0)
+            krr_model = okr.fit_krr(K_x, lam)
+            model = okr.fit_embedding(krr_model, K_x, okr.OutputSet(LIN, ds.y_sup[tr]), p)
             A_test = okr.predict_alpha(krr_model, kappa)
             Z_test = okr.embed_tests(model, A_test)
-            C_true = kernels.gram(LIN, ds.y_sup[tr], ds.y_sup[te])
+            C_true = kernels.gram(LIN, model.reference_outputs(ds.y_sup[tr]), ds.y_sup[te])
             Z_true = okr.embed_candidates(model, C_true)
             errs = oel.surrogate_sq_errors(Z_test, Z_true,
                                            kernels.self_norms(LIN, ds.y_sup[te]))
             assert got == pytest.approx(float(np.mean(errs)), abs=1e-10)
+
+
+class TestSharedFactor:
+    """tune factors the outputs once per fold and output width, with and
+    without --share-krr; sharing the ridge also shares its A F_s."""
+
+    @pytest.mark.parametrize("share_krr", [False, True], ids=["plain", "share_krr"])
+    def test_factor_once_per_fold_and_width(self, monkeypatch, share_krr):
+        factored, alpha_products = [], []
+        real_factor, real_times = oel.factor_outputs, oel.train_alpha_times
+
+        def counting_factor(spec, Y_sup, Y_unsup=None):
+            factored.append(spec.sigma2)
+            return real_factor(spec, Y_sup, Y_unsup)
+
+        def counting_times(*args):
+            alpha_products.append(1)
+            return real_times(*args)
+
+        monkeypatch.setattr(oel, "factor_outputs", counting_factor)
+        monkeypatch.setattr(oel, "train_alpha_times", counting_times)
+        # 1-d outputs: the Gaussian output factor has rank 8 to 13 here
+        ds = make_dense_dataset(n=60, m=30, d_out=1)
+        space = tuning.SearchSpace(lams=(0.1, 0.01), ps=(1, 2, 3), cs=(0.5, 1.0),
+                                   sigma2_outs=(4.0, 50.0))
+        result = tuning.grid_search_ssv(ds, space, GAUSS, GAUSS, reps=3, seed=5,
+                                        share_krr=share_krr)
+        assert all(r.error is None for r in result.rows)
+        # 3 folds x 2 output widths, each width factored once per fold
+        assert sorted(factored) == [4.0] * 3 + [50.0] * 3
+        # every grid point took the factored path: one A F_s per fit, or one
+        # per (fold, ridge, width) when the ridge is shared
+        assert len(alpha_products) == (3 * 2 * 2 if share_krr else len(result.rows))
