@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: fit, predict, evaluate, tune, bench-decode, synth. All runs are
-driven by a flat "key = value" config file (--config); the flags --out,
---seed, --threads, --iokr-only (fit, tune), --share-krr (tune) override it.
+driven by a flat "key = value" config file (--config), whose keys config.KEYS
+declares and checks before any data loads (bounds that need the data's sizes
+after it); the flags --out, --seed, --threads, --iokr-only (fit, tune) and
+--share-krr (tune) override the file.
 --threads N caps the BLAS worker pools at N threads, except in predict:
 there N is the number of decode worker threads (at most one per CPU the
 process may use), and BLAS runs on one thread so the two do not
@@ -143,28 +145,37 @@ def _report(exc, label, log_path, code) -> int:
     return code
 
 
-def _load_cfg(args):
-    from .config import parse_config_file
+def _load_cfg(args, *names):
+    """The --config file with --seed in it, its directory, and config.read of `names`."""
+    from .config import parse_config_file, read
 
     cfg = parse_config_file(args.config) if args.config else {}
+    if args.seed is not None:
+        cfg["seed"] = str(args.seed)
     base = Path(args.config).parent if args.config else Path(".")
-    return cfg, base
+    return cfg, base, read(cfg, names)
 
 
-def _root_seed(args, cfg) -> int:
-    from .config import get_int
-
-    return args.seed if args.seed is not None else get_int(cfg, "seed", 0)
-
-
-def _snapshot(cfg, resolved, args, out) -> None:
+def _snapshot(cfg, values, args, out) -> None:
+    """config.resolved: the file's keys, then every value read (a list the file sets
+    keeps its text: "1e-5" would reprint as "1e-05"), the flags, command and out."""
     from .config import write_snapshot
 
-    merged = dict(cfg)
-    merged.update({k: str(v) for k, v in resolved.items()})
-    merged["command"] = args.command
-    merged["out"] = str(out)
-    write_snapshot(merged, out / "config.resolved")
+    parsed = {key: value for key, value in values.items()
+              if value is not None and not (isinstance(value, tuple) and key in cfg)}
+    flags = {flag: getattr(args, flag) for flag in ("iokr_only", "share_krr")
+             if hasattr(args, flag)}
+    write_snapshot({**cfg, **parsed, **flags, "command": args.command, "out": out},
+                   out / "config.resolved")
+
+
+def _check_bounds(rows) -> None:
+    """Raise UsageError at the first (key, value or list, bound, name) row past its bound."""
+    from .config import UsageError, show
+
+    for key, value, bound, name in rows:
+        if value is not None and max(value if isinstance(value, tuple) else (value,)) > bound:
+            raise UsageError(f"{key} must be <= {name} = {bound}, got {show(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +186,38 @@ def _cmd_fit(args, out):
     import numpy as np
 
     from . import dataio, kernels, krr, oel
-    from .config import UsageError, get_float, get_int, get_str, kernel_spec
+    from .config import kernel_spec, show
 
-    cfg, base = _load_cfg(args)
-    seed = _root_seed(args, cfg)
-    lam = get_float(cfg, "krr.lambda", required=True)
-    if not lam > 0:
-        raise UsageError(f"krr.lambda must be > 0, got {lam}")
+    cfg, base, vals = _load_cfg(args, "seed", "krr.", "kernel.",
+                                *(() if args.iokr_only else ("oel.",)))
+    seed, lam, q = vals["seed"], vals["krr.lambda"], vals["krr.nystrom_q"]
+    out_spec = kernel_spec(vals, "kernel.y")
     ds = dataio.load_dataset(cfg, base)
+    p, method = vals.get("oel.p"), vals.get("oel.method")
+    sketch = p + vals["oel.oversample"] if method == "randomized" else None
+    _check_bounds([("krr.nystrom_q", q, ds.n, "n"), ("oel.p", p, ds.n + ds.m, "n + m"),
+                   ("oel.p + oel.oversample", sketch, ds.n + ds.m, "n + m")])
     gram_mode = ds.x_format == "gram"
-    out_spec = kernel_spec(cfg, "kernel.y")
-    q = get_int(cfg, "krr.nystrom_q")
-    if q is not None and not 1 <= q <= ds.n:
-        raise UsageError(f"krr.nystrom_q must be in [1, n] = [1, {ds.n}], got {q}")
-    resolved = {"seed": seed, "krr.lambda": repr(lam), "iokr_only": args.iokr_only}
 
+    in_spec = None if gram_mode else kernel_spec(vals, "kernel.x")
     yf = dataio.output_features(ds.output_kind, ds.y_sup)
     manifest = {
         "input.mode": "gram" if gram_mode else "features",
         "output.kind": ds.output_kind,
-        "kernel.y.kind": out_spec.kind,
         "root.seed": str(seed),
         "data.fingerprint": dataio.fingerprint(ds.x, yf),
     }
-    if out_spec.sigma2 is not None:
-        manifest["kernel.y.sigma2"] = repr(out_spec.sigma2)
+    # the kernels the bundle was fit with; predict rebuilds them from here
+    manifest.update({key: show(value) for key, value in vals.items() if value is not None
+                     and key.startswith("kernel.y." if gram_mode else "kernel.")})
     extra_mats = {}
-
-    in_spec = None
-    if not gram_mode:
-        in_spec = kernel_spec(cfg, "kernel.x")
-        manifest["kernel.x.kind"] = in_spec.kind
-        if in_spec.sigma2 is not None:
-            manifest["kernel.x.sigma2"] = repr(in_spec.sigma2)
 
     # K_cols: the training kernel columns the ridge model is fit on (the
     # n x n Gram, or the n x q anchor columns)
     if q is not None:
-        anchor_seed = get_int(cfg, "krr.seed", dataio.named_seed(seed, "anchors"))
-        resolved["krr.nystrom_q"] = q
-        resolved["krr.seed"] = anchor_seed
-        anchors = krr.select_anchors(ds.n, q, anchor_seed)
+        if vals["krr.seed"] is None:
+            vals["krr.seed"] = dataio.named_seed(seed, "anchors")
+        anchors = krr.select_anchors(ds.n, q, vals["krr.seed"])
         if gram_mode:
             K_cols = ds.x[:, anchors]
             K_qq = ds.x[np.ix_(anchors, anchors)]
@@ -235,60 +237,30 @@ def _cmd_fit(args, out):
     if args.iokr_only:
         extra_mats["y_train_features"] = yf
     else:
-        p = get_int(cfg, "oel.p", required=True)
-        c = get_float(cfg, "oel.c", 1.0)
-        method = get_str(cfg, "oel.method", "exact")
-        if not 1 <= p <= ds.n + ds.m:
-            raise UsageError(f"oel.p must be in [1, n + m] = [1, {ds.n + ds.m}], got {p}")
-        if not 0.0 <= c <= 1.0:
-            raise UsageError(f"oel.c must lie in [0, 1], got {c}")
-        if method not in oel.METHODS:
-            raise UsageError(f"oel.method must be one of {oel.METHODS}, got {method!r}")
-        sketch_seed = get_int(cfg, "oel.seed", dataio.named_seed(seed, "sketch"))
-        oversample = get_int(cfg, "oel.oversample", 10)
-        power_iters = get_int(cfg, "oel.power_iters", 2)
-        if oversample < 0 or power_iters < 0:
-            raise UsageError(f"oel.oversample and oel.power_iters must be >= 0, got "
-                             f"{oversample} and {power_iters}")
-        if method == "randomized" and p + oversample > ds.n + ds.m:
-            raise UsageError(f"oel.p + oel.oversample must be <= n + m = {ds.n + ds.m} "
-                             f"for the randomized method, got {p + oversample}")
-        resolved.update({"oel.p": p, "oel.c": repr(c), "oel.method": method,
-                         "oel.seed": sketch_seed, "oel.oversample": oversample,
-                         "oel.power_iters": power_iters})
+        if vals["oel.seed"] is None:
+            vals["oel.seed"] = dataio.named_seed(seed, "sketch")
         yfu = dataio.output_features(ds.output_kind, ds.y_unsup) if ds.m else None
         oel_model = oel.fit_embedding(krr_model, K_cols, oel.OutputSet(out_spec, yf, yfu),
-                                      p, c, method=method, seed=sketch_seed,
-                                      oversample=oversample, power_iters=power_iters)
+                                      p, vals["oel.c"], method=method, seed=vals["oel.seed"],
+                                      oversample=vals["oel.oversample"],
+                                      power_iters=vals["oel.power_iters"])
         extra_mats["y_ref_features"] = oel_model.reference_outputs(yf, yfu)
-        resolved["oel.eigensolver"] = oel_model.eigensolver
+        vals["oel.eigensolver"] = oel_model.eigensolver
 
     bundle = dataio.bundle_from_models(krr_model, oel_model, manifest, extra_mats)
     dataio.save_model(bundle, out / "model")
-    _snapshot(cfg, resolved, args, out)
+    _snapshot(cfg, vals, args, out)
     kind = "regression only" if oel_model is None else f"embedding p={oel_model.p}"
     print(f"fit: n={ds.n} m={ds.m} ({kind}); model bundle in {out / 'model'}")
 
 
-def _spec_from_manifest(man, prefix):
-    from .kernels import KernelSpec
-
-    sigma2 = man.get(f"{prefix}.sigma2")
-    return KernelSpec(kind=man[f"{prefix}.kind"],
-                      sigma2=None if sigma2 is None else float(sigma2))
-
-
 def _cmd_predict(args, out):
     from . import dataio, kernels, krr, oel
-    from .config import UsageError, get_int, get_str
+    from .config import kernel_spec, read
     from .dataio import DataError
 
-    cfg, base = _load_cfg(args)
-    model_dir = get_str(cfg, "model.dir", required=True)
-    k = get_int(cfg, "decode.k", 1)
-    if k < 1:
-        raise UsageError(f"decode.k must be >= 1, got {k}")
-    bundle = dataio.load_model(base / model_dir)
+    cfg, base, vals = _load_cfg(args, "model.dir", "decode.k", "data.")
+    bundle = dataio.load_model(base / vals["model.dir"])
     krr_model, oel_model = dataio.models_from_bundle(bundle)
     man = bundle.manifest
     ds = dataio.load_dataset(cfg, base)
@@ -302,29 +274,29 @@ def _cmd_predict(args, out):
     if man["input.mode"] == "gram":
         kappa = ds.x_test
         if kappa.shape[0] != krr_model.n:
-            raise DataError(f"{base / cfg['data.x_test']}: test Gram block has "
+            raise DataError(f"{base / vals['data.x_test']}: test Gram block has "
                             f"{kappa.shape[0]} rows, but the model was fit on "
                             f"{krr_model.n} training points")
         if krr_model.mode == krr.NYSTROM:
             kappa = kappa[krr_model.anchors, :]
     else:
-        in_spec = _spec_from_manifest(man, "kernel.x")
+        in_spec = kernel_spec(read(man, ("kernel.x.",)), "kernel.x")
         ref = (bundle.matrices["x_train"] if krr_model.mode == krr.EXACT
                else bundle.matrices["x_anchors"])
         if ds.x_test.shape[1] != ref.shape[1]:
-            raise DataError(f"{base / cfg['data.x_test']}: test inputs have "
+            raise DataError(f"{base / vals['data.x_test']}: test inputs have "
                             f"{ds.x_test.shape[1]} features, but the model was fit on "
                             f"{ref.shape[1]}")
         kappa = kernels.gram(in_spec, ref, ds.x_test)
 
-    out_spec = _spec_from_manifest(man, "kernel.y")
+    out_spec = kernel_spec(read(man, ("kernel.y.",)), "kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
     # the reference outputs: all n training outputs for full-dimensional
     # decoding, the ones the embedding's candidate readout reads otherwise
     Y_ref = bundle.matrices["y_train_features" if oel_model is None else "y_ref_features"]
     if cand_f.shape[1] != Y_ref.shape[1]:
-        key = "data.candidates" if "data.candidates" in cfg else "data.y"
-        raise DataError(f"{base / cfg[key]}: candidate outputs have {cand_f.shape[1]} "
+        path = base / (vals["data.candidates"] or vals["data.y"])
+        raise DataError(f"{path}: candidate outputs have {cand_f.shape[1]} "
                         f"features, but the model's outputs have {Y_ref.shape[1]}")
     cand_norms = kernels.self_norms(out_spec, cand_f)
     from .decode import CandidateBlocks, decode_iokr, decode_oel
@@ -340,15 +312,15 @@ def _cmd_predict(args, out):
     if oel_model is None:
         cands = CandidateBlocks((len(Y_ref), len(cand_f)), cand_gram)
         ids, scores = decode_iokr(krr.predict_alpha(krr_model, kappa), cands, cand_norms,
-                                  k=k, query_cands=ds.candidate_map, workers=workers)
+                                  k=vals["decode.k"], query_cands=ds.candidate_map, workers=workers)
     else:
         cands = CandidateBlocks((oel_model.p, len(cand_f)), lambda start, stop: (
             oel.embed_candidates(oel_model, cand_gram(start, stop))))
         ids, scores = decode_oel(oel.embed_inputs(oel_model, kappa), cands, cand_norms,
-                                 k=k, query_cands=ds.candidate_map, workers=workers)
+                                 k=vals["decode.k"], query_cands=ds.candidate_map, workers=workers)
     rank_path = out / "rankings.tsv"
     dataio.save_rankings(rank_path, ids, scores)
-    _snapshot(cfg, {"decode.k": k, "model.dir": model_dir}, args, out)
+    _snapshot(cfg, vals, args, out)
     mode = "full-dimensional" if oel_model is None else f"embedded (p={oel_model.p})"
     print(f"predict: {len(ids)} queries, {mode} decoding; rankings in {rank_path}")
 
@@ -359,22 +331,18 @@ def _cmd_evaluate(args, out):
     import numpy as np
 
     from . import dataio, kernels, metrics
-    from .config import UsageError, get_int_list, get_str, kernel_spec
+    from .config import kernel_spec
     from .dataio import DataError
 
-    cfg, base = _load_cfg(args)
-    rank_rel = get_str(cfg, "evaluate.rankings", required=True)
-    ks = get_int_list(cfg, "evaluate.topk", (1, 5, 10))
-    if any(k < 1 for k in ks):
-        raise UsageError(f"evaluate.topk values must be >= 1, got {','.join(map(str, ks))}")
+    cfg, base, vals = _load_cfg(args, "evaluate.", "kernel.y.")
+    out_spec = kernel_spec(vals, "kernel.y")
     ds = dataio.load_dataset(cfg, base)
     cand = ds.candidate_outputs()
-    ids, _ = dataio.load_rankings(base / rank_rel, n_candidates=cand.shape[0])
+    ids, _ = dataio.load_rankings(base / vals["evaluate.rankings"], n_candidates=cand.shape[0])
     if ds.y_test is None:
         raise DataError("evaluate needs data.y_test ground truth")
     if len(ids) != ds.y_test.shape[0]:
         raise DataError(f"{len(ids)} rankings but {ds.y_test.shape[0]} truth rows")
-    out_spec = kernel_spec(cfg, "kernel.y")
 
     cand_f = dataio.output_features(ds.output_kind, cand)
     true_f = dataio.output_features(ds.output_kind, ds.y_test)
@@ -403,7 +371,7 @@ def _cmd_evaluate(args, out):
             warnings.warn(f"{outside} of {len(ids)} queries have a true candidate "
                           "outside their candidate set; counted as misses", stacklevel=2)
         ranks = metrics.truth_ranks(ids, ds.truth_index)
-        for k in ks:
+        for k in vals["evaluate.topk"]:
             reports.append(metrics.report_from_values(f"top{k}_accuracy",
                                                       (ranks <= k).astype(np.float64)))
 
@@ -413,7 +381,7 @@ def _cmd_evaluate(args, out):
         for rep in reports:
             se = "" if rep.std_error is None else repr(rep.std_error)
             fh.write(f"{rep.name}\t{rep.estimate!r}\t{se}\t{rep.reps}\n")
-    _snapshot(cfg, {"evaluate.rankings": rank_rel}, args, out)
+    _snapshot(cfg, vals, args, out)
     width = max(len(r.name) for r in reports)
     for rep in reports:
         se = "" if rep.std_error is None else f" +- {rep.std_error:.4f}"
@@ -425,96 +393,73 @@ def _cmd_evaluate(args, out):
 
 
 def _cmd_tune(args, out):
-    from . import dataio, tuning
-    from .config import (UsageError, get_float, get_float_list, get_int,
-                         get_int_list, get_str, kernel_spec, write_snapshot)
+    import math
 
-    cfg, base = _load_cfg(args)
-    seed = _root_seed(args, cfg)
-    metric = get_str(cfg, "tune.metric", "surrogate_mse")
-    if metric not in tuning.METRICS:
-        raise UsageError(f"tune.metric must be one of {', '.join(sorted(tuning.METRICS))}, "
-                         f"got {metric!r}")
-    protocol = get_str(cfg, "tune.protocol", "ssv")
-    if protocol == "ssv":
-        reps = get_int(cfg, "tune.reps", 5)
-        ratio = get_float(cfg, "tune.ratio", 0.8)
-        if reps < 1:
-            raise UsageError(f"tune.reps must be >= 1, got {reps}")
-        if not 0.0 < ratio < 1.0:
-            raise UsageError(f"tune.ratio must lie in (0, 1), got {ratio}")
-    elif protocol == "nested":
-        outer = get_int(cfg, "tune.outer", 5)
-        inner = get_int(cfg, "tune.inner", 4)
-        if min(outer, inner) < 2:
-            raise UsageError(f"tune.outer and tune.inner must be >= 2, got {outer} and {inner}")
-    else:
-        raise UsageError(f"tune.protocol must be 'ssv' or 'nested', got {protocol!r}")
+    from . import dataio, kernels, tuning
+    from .config import UsageError, kernel_spec, read, write_snapshot
 
-    # every grid the config sets, checked value by value; None takes the default
-    grid_rules = [("tune.lams", get_float_list, lambda v: v > 0, "> 0"),
-                  ("tune.sigma2_ins", get_float_list, lambda v: v > 0, "> 0"),
-                  ("tune.sigma2_outs", get_float_list, lambda v: v > 0, "> 0"),
-                  ("tune.qs", get_int_list, lambda v: v >= 1, ">= 1")]
-    if not args.iokr_only:
-        grid_rules += [("tune.ps", get_int_list, lambda v: v >= 1, ">= 1"),
-                       ("tune.cs", get_float_list, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")]
-    grids = {}
-    for key, read, ok, need in grid_rules:
-        grids[key] = read(cfg, key)
-        if grids[key] is not None and not (grids[key] and all(map(ok, grids[key]))):
-            raise UsageError(f"{key} values must be {need}, got {cfg[key]!r}")
+    cfg, base, vals = _load_cfg(args, "seed", "kernel.", "tune.protocol", "tune.metric",
+                                "tune.lams", "tune.sigma2_ins", "tune.sigma2_outs", "tune.qs",
+                                *(() if args.iokr_only else ("tune.ps", "tune.cs")))
+    seed, metric, protocol = vals["seed"], vals["tune.metric"], vals["tune.protocol"]
+    vals.update(read(cfg, ("tune.reps", "tune.ratio") if protocol == "ssv"
+                     else ("tune.outer", "tune.inner")))
+    for grid, side in (("tune.sigma2_ins", "kernel.x"), ("tune.sigma2_outs", "kernel.y")):
+        kind = vals[f"{side}.kind"]
+        if vals[grid] is not None and kind not in kernels.WIDTH_KINDS:
+            raise UsageError(f"{grid} needs a {side}.kind in {kernels.WIDTH_KINDS}, got {kind}")
+    out_spec = kernel_spec(vals, "kernel.y")
 
     ds = dataio.load_dataset(cfg, base)
-    for key, bound, name in (("tune.ps", ds.n + ds.m, "n + m"), ("tune.qs", ds.n, "n")):
-        if grids.get(key) and max(grids[key]) > bound:
-            raise UsageError(f"{key} values must be <= {name} = {bound}, got {cfg[key]!r}")
-    out_spec = kernel_spec(cfg, "kernel.y")
-    in_spec = None if ds.x_format == "gram" else kernel_spec(cfg, "kernel.x")
+    if ds.x_format == "gram" and vals["tune.sigma2_ins"] is not None:
+        raise UsageError("tune.sigma2_ins needs feature inputs, not data.x_format = gram")
+    n = ds.n
+    bounds = [("tune.ps", vals.get("tune.ps"), n + ds.m, "n + m"),
+              ("tune.qs", vals["tune.qs"], n, "n")]
+    if protocol == "nested":
+        outer, inner = vals["tune.outer"], vals["tune.inner"]
+        # the inner k-fold splits the smallest outer training fold
+        bounds += [("tune.outer", outer, n, "n"),
+                   ("tune.inner", inner, n - math.ceil(n / outer), "n - ceil(n / tune.outer)")]
+    else:
+        reps, ratio = vals["tune.reps"], vals["tune.ratio"]
+        # int(ratio * n) training points; ratio < 1 always leaves one to validate on
+        if int(ratio * n) < 1:
+            raise UsageError(f"tune.ratio must make int(ratio * n) >= 1 at n = {n}, got {ratio}")
+    _check_bounds(bounds)
+    in_spec = None if ds.x_format == "gram" else kernel_spec(vals, "kernel.x")
 
     defaults = tuning.default_space(max(1, ds.n + ds.m))
     if args.iokr_only:
         ps, cs = (None,), (None,)
     else:
-        ps = grids["tune.ps"] or defaults.ps
-        cs = grids["tune.cs"] or (defaults.cs if ds.m else (1.0,))
-    space = tuning.SearchSpace(lams=grids["tune.lams"] or defaults.lams, ps=ps, cs=cs,
-                               sigma2_ins=grids["tune.sigma2_ins"] or (None,),
-                               sigma2_outs=grids["tune.sigma2_outs"] or (None,),
-                               qs=grids["tune.qs"] or (None,))
-    resolved = {"seed": seed, "tune.metric": metric, "tune.protocol": protocol,
-                "share_krr": args.share_krr}
+        ps = vals["tune.ps"] or defaults.ps
+        cs = vals["tune.cs"] or (defaults.cs if ds.m else (1.0,))
+    space = tuning.SearchSpace(lams=vals["tune.lams"] or defaults.lams, ps=ps, cs=cs,
+                               sigma2_ins=vals["tune.sigma2_ins"] or (None,),
+                               sigma2_outs=vals["tune.sigma2_outs"] or (None,),
+                               qs=vals["tune.qs"] or (None,))
 
     if protocol == "ssv":
-        resolved.update({"tune.reps": reps, "tune.ratio": repr(ratio)})
         result = tuning.grid_search_ssv(ds, space, in_spec, out_spec, metric=metric,
                                         reps=reps, ratio=ratio, seed=seed,
                                         share_krr=args.share_krr)
         result.save_table(out / "tune_table.tsv")
         best = result.best
-        best_cfg = {"krr.lambda": repr(float(best.lam))}
-        if best.p is not None:
-            best_cfg["oel.p"] = str(best.p)
-        if best.c is not None:
-            best_cfg["oel.c"] = repr(float(best.c))
-        if best.sigma2_in is not None:
-            best_cfg["kernel.x.sigma2"] = repr(float(best.sigma2_in))
-        if best.sigma2_out is not None:
-            best_cfg["kernel.y.sigma2"] = repr(float(best.sigma2_out))
-        if best.q is not None:
-            best_cfg["krr.nystrom_q"] = str(best.q)
-        write_snapshot(best_cfg, out / "best.cfg")
-        _snapshot(cfg, resolved, args, out)
+        write_snapshot({key: value for key, value in (
+            ("krr.lambda", best.lam), ("oel.p", best.p), ("oel.c", best.c),
+            ("kernel.x.sigma2", best.sigma2_in), ("kernel.y.sigma2", best.sigma2_out),
+            ("krr.nystrom_q", best.q)) if value is not None}, out / "best.cfg")
+        _snapshot(cfg, vals, args, out)
         print(f"tune: {len(space.configs())} grid points x {reps} reps; "
               f"best {metric} = {result.best_score:.6g} at {best}")
         print(f"table in {out / 'tune_table.tsv'}, best config in {out / 'best.cfg'}")
     else:
-        resolved.update({"tune.outer": outer, "tune.inner": inner})
         result = tuning.nested_cv(ds, space, in_spec, out_spec, metric=metric,
                                   outer=outer, inner=inner, seed=seed,
                                   share_krr=args.share_krr)
         result.save_table(out / "tune_table.tsv")
-        _snapshot(cfg, resolved, args, out)
+        _snapshot(cfg, vals, args, out)
         print(f"tune (nested {outer}x{inner}): {result.report}")
         print(f"per-fold table in {out / 'tune_table.tsv'}")
 
@@ -522,17 +467,11 @@ def _cmd_tune(args, out):
 def _cmd_bench_decode(args, out):
     import numpy as np
 
-    from .config import get_int, get_int_list
     from .decode import decode_iokr, decode_oel
 
-    cfg, _ = _load_cfg(args)
-    seed = _root_seed(args, cfg)
-    n = get_int(cfg, "bench.n", 2000)
-    p = get_int(cfg, "bench.p", 100)
-    sizes = get_int_list(cfg, "bench.sizes", (1000, 10000, 100000))
-    queries = get_int(cfg, "bench.queries", 64)
-    repeats = get_int(cfg, "bench.repeats", 9)
-    k = get_int(cfg, "bench.k", 10)
+    cfg, _, vals = _load_cfg(args, "seed", "bench.")
+    seed, n, p, sizes = vals["seed"], vals["bench.n"], vals["bench.p"], vals["bench.sizes"]
+    queries, repeats, k = vals["bench.queries"], vals["bench.repeats"], vals["bench.k"]
     rng = np.random.default_rng(seed)
     A_test = rng.standard_normal((n, queries))
     Z_test = rng.standard_normal((p, queries))
@@ -569,10 +508,7 @@ def _cmd_bench_decode(args, out):
         fh.write("N\tiokr_ms_per_query\toel_ms_per_query\tspeedup\n")
         for N, t_iokr, t_oel in rows:
             fh.write(f"{N}\t{t_iokr * 1e3!r}\t{t_oel * 1e3!r}\t{t_iokr / t_oel!r}\n")
-    _snapshot(cfg, {"seed": seed, "bench.n": n, "bench.p": p,
-                    "bench.sizes": ",".join(map(str, sizes)),
-                    "bench.queries": queries, "bench.repeats": repeats,
-                    "bench.k": k}, args, out)
+    _snapshot(cfg, vals, args, out)
     print(f"bench-decode: n={n} p={p} k={k} ({queries} queries, best of {repeats})")
     print("      N   full-dim ms/query   embedded ms/query   speedup")
     for N, t_iokr, t_oel in rows:
@@ -580,8 +516,8 @@ def _cmd_bench_decode(args, out):
               f"{t_iokr / t_oel:>6.1f}x")
     per_cand = [(t_i / N, t_o / N) for N, t_i, t_o in rows]
     for label, col in (("full-dimensional", 0), ("embedded", 1)):
-        vals = np.array([pc[col] for pc in per_cand])
-        dev = float(np.max(np.abs(vals - vals.mean())) / vals.mean())
+        costs = np.array([pc[col] for pc in per_cand])
+        dev = float(np.max(np.abs(costs - costs.mean())) / costs.mean())
         print(f"per-candidate cost deviation from linear ({label}): {dev:.1%}")
 
 
@@ -601,23 +537,17 @@ _SYNTH_CONFIGS = {
 
 def _cmd_synth(args, out):
     from . import dataio
-    from .config import get_float, get_int, parse_config_file, write_snapshot
+    from .config import parse_config_file, write_snapshot
 
-    cfg, _ = _load_cfg(args)
-    seed = _root_seed(args, cfg)
-    n = get_int(cfg, "synth.n", 2000)
-    m = get_int(cfg, "synth.m", 2000)
-    n_test = get_int(cfg, "synth.n_test", 500)
-    s2x = get_float(cfg, "synth.sigma2_x", 1.0)
-    s2z = get_float(cfg, "synth.sigma2_z", 4.0)
-    ds = dataio.synth_remark1(n, m, n_test, s2x, s2z, seed=seed)
+    cfg, _, vals = _load_cfg(args, "seed", "synth.")
+    ds = dataio.synth_remark1(vals["synth.n"], vals["synth.m"], vals["synth.n_test"],
+                              vals["synth.sigma2_x"], vals["synth.sigma2_z"], seed=vals["seed"])
     cfg_path = dataio.save_dataset(ds, out / "data")
     data_keys = parse_config_file(cfg_path)
     for name, keys in _SYNTH_CONFIGS.items():
         write_snapshot({**data_keys, **_SYNTH_KERNELS, **keys}, cfg_path.parent / name)
-    _snapshot(cfg, {"seed": seed, "synth.n": n, "synth.m": m, "synth.n_test": n_test,
-                    "synth.sigma2_x": repr(s2x), "synth.sigma2_z": repr(s2z)}, args, out)
-    print(f"synth: n={n} m={m} n_test={n_test}; dataset config at {cfg_path}, "
+    _snapshot(cfg, vals, args, out)
+    print(f"synth: n={ds.n} m={ds.m} n_test={ds.n_test}; dataset config at {cfg_path}, "
           f"with {', '.join(_SYNTH_CONFIGS)} beside it (fit into {out / 'fit'}, "
           f"predict into {out / 'pred'})")
 

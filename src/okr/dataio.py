@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .config import write_snapshot
 from .krr import EXACT, NYSTROM, KrrModel, fold_readout
 from .linalg import RegularizedSolver
 from .oel import OelModel
@@ -447,6 +448,11 @@ def load_dataset(config: dict, base_dir=None) -> Dataset:
         v = config.get(key)
         return None if v is None else (base / v)
 
+    def load(key, loader, *args):
+        """The file `key` names, read by loader; None when the key is unset."""
+        path = path_of(key)
+        return None if path is None else loader(path, *args)
+
     kind = config.get("data.kind")
     if kind not in OUTPUT_KINDS:
         raise DataError(f"data.kind must be one of {OUTPUT_KINDS}, got {kind!r}")
@@ -455,37 +461,30 @@ def load_dataset(config: dict, base_dir=None) -> Dataset:
 
     y_loader = {DENSE: load_dense, BITSET: load_bitsets,
                 PERMUTATION: load_permutations}[kind]
+    # the (inputs, test inputs) loaders of each data.x_format
+    x_loaders = {DENSE: (load_dense, load_dense), "sparse": (load_sparse, load_sparse),
+                 "gram": (load_gram, load_matrix_binary)}
     x_format = config.get("data.x_format", DENSE)
-    if x_format == DENSE:
-        x = load_dense(path_of("data.x"))
-        x_test = load_dense(path_of("data.x_test")) if path_of("data.x_test") else None
-    elif x_format == "sparse":
-        x = load_sparse(path_of("data.x"))
-        x_test = load_sparse(path_of("data.x_test")) if path_of("data.x_test") else None
-    elif x_format == "gram":
-        x = load_gram(path_of("data.x"))
-        x_test = (load_matrix_binary(path_of("data.x_test"))
-                  if path_of("data.x_test") else None)
-        if x_test is not None and x_test.shape[0] != x.shape[0]:
-            raise DataError(f"test Gram block has {x_test.shape[0]} rows, expected "
-                            f"{x.shape[0]} (train-vs-test layout)")
-    else:
+    if x_format not in x_loaders:
         raise DataError(f"data.x_format must be dense, sparse or gram, got {x_format!r}")
+    x = load("data.x", x_loaders[x_format][0])
+    x_test = load("data.x_test", x_loaders[x_format][1])
+    if x_format == "gram" and x_test is not None and x_test.shape[0] != x.shape[0]:
+        raise DataError(f"test Gram block has {x_test.shape[0]} rows, expected "
+                        f"{x.shape[0]} (train-vs-test layout)")
 
     y_sup = y_loader(path_of("data.y"))
     if y_sup.shape[0] < x.shape[0]:
         raise DataError(f"{path_of('data.y')}: supervised outputs file has "
                         f"{y_sup.shape[0]} rows but inputs have {x.shape[0]}")
-    y_unsup = y_loader(path_of("data.y_unsup")) if path_of("data.y_unsup") else None
-    y_test = y_loader(path_of("data.y_test")) if path_of("data.y_test") else None
-    candidates = y_loader(path_of("data.candidates")) if path_of("data.candidates") else None
+    y_unsup = load("data.y_unsup", y_loader)
+    y_test = load("data.y_test", y_loader)
+    candidates = load("data.candidates", y_loader)
     # without data.candidates, decoding ranks the supervised then pool outputs
     n_cand = (candidates.shape[0] if candidates is not None
               else y_sup.shape[0] + (0 if y_unsup is None else y_unsup.shape[0]))
-    candidate_map = (load_candidate_map(path_of("data.candidate_map"), n_cand)
-                     if path_of("data.candidate_map") else None)
-    truth_index = (load_index_vector(path_of("data.truth_index"))
-                   if path_of("data.truth_index") else None)
+    candidate_map = load("data.candidate_map", load_candidate_map, n_cand)
+    truth_index = load("data.truth_index", load_index_vector)
 
     ds = Dataset(output_kind=kind, x=x, y_sup=y_sup, x_format=x_format,
                  y_unsup=y_unsup, x_test=x_test, y_test=y_test,
@@ -558,9 +557,7 @@ def save_dataset(dataset: Dataset, outdir) -> Path:
             fh.writelines(f"{i}\n" for i in dataset.truth_index)
         cfg["data.truth_index"] = "truth_index.txt"
     cfg_path = outdir / "dataset.cfg"
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        for k in sorted(cfg):
-            fh.write(f"{k} = {cfg[k]}\n")
+    write_snapshot(cfg, cfg_path)
     return cfg_path
 
 

@@ -14,6 +14,7 @@ TANIMOTO = "tanimoto"
 GAUSSIAN_TANIMOTO = "gaussian_tanimoto"
 
 KINDS = (GAUSSIAN, LINEAR, TANIMOTO, GAUSSIAN_TANIMOTO)
+WIDTH_KINDS = (GAUSSIAN, GAUSSIAN_TANIMOTO)      # the kinds that read sigma2
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in (GAUSSIAN, GAUSSIAN_TANIMOTO):
+        if self.kind in WIDTH_KINDS:
             if self.sigma2 is None or not self.sigma2 > 0:
                 raise ValueError(f"{self.kind} kernel needs sigma2 > 0, got {self.sigma2!r}")
 

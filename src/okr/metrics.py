@@ -10,6 +10,11 @@ import numpy as np
 
 from .kernels import check_permutation
 
+# the scores tune selects a grid point by, split by the direction that is better
+LOWER_BETTER = {"surrogate_mse", "rkhs_loss", "hamming"}
+HIGHER_BETTER = {"f1", "kendall_tau", "top1_accuracy"}
+METRICS = LOWER_BETTER | HIGHER_BETTER
+
 
 @dataclass(frozen=True)
 class MetricReport:

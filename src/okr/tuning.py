@@ -20,10 +20,6 @@ from .decode import decode_iokr, decode_oel
 from .krr import (fit_krr, fit_krr_nystrom, predict_alpha, select_anchors,
                   surrogate_sq_errors as krr_surrogate_sq_errors)
 
-LOWER_BETTER = {"surrogate_mse", "rkhs_loss", "hamming"}
-HIGHER_BETTER = {"f1", "kendall_tau", "top1_accuracy"}
-METRICS = LOWER_BETTER | HIGHER_BETTER
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -258,7 +254,7 @@ def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
         # with train-fold candidates this measures exact-output retrieval
         matches = [np.array_equal(t, p) for t, p in zip(Y_val, pred)]
         return float(np.mean(matches))
-    raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
+    raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(metrics.METRICS)}")
 
 
 def _run_grid(ds, configs, splits, in_spec, out_spec, metric, share_krr,
@@ -278,7 +274,7 @@ def _run_grid(ds, configs, splits, in_spec, out_spec, metric, share_krr,
 
 
 def _summarize(configs, rows, metric):
-    higher = metric in HIGHER_BETTER
+    higher = metric in metrics.HIGHER_BETTER
     summary = []
     for cfg in configs:
         scores = [r.score for r in rows if r.config == cfg and r.score is not None]
@@ -309,8 +305,8 @@ def grid_search_ssv(ds: dataio.Dataset, space: SearchSpace,
     """Repeated random sub-sampling validation: reps independent
     (ratio, 1-ratio) splits, every grid point scored on each, best mean wins
     (ties toward smaller p, then larger lambda)."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
+    if metric not in metrics.METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(metrics.METRICS)}")
     configs = space.configs()
     splits = dataio.split(ds.n, dataio.RepeatedSubsample(ratio, reps),
                           dataio.named_seed(seed, "splits"))
@@ -350,8 +346,8 @@ def nested_cv(ds: dataio.Dataset, space: SearchSpace,
     """Nested cross-validation: an inner k-fold grid search inside every
     outer training fold, then one evaluation of the selected config on the
     outer test fold; reports mean +- SE over the outer folds."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
+    if metric not in metrics.METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(metrics.METRICS)}")
     configs = space.configs()
     outer_splits = dataio.split(ds.n, dataio.KFold(outer),
                                 dataio.named_seed(seed, "outer"))

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import okr
-from okr import cli, dataio, decode, kernels, krr, oel
+from okr import cli, config, dataio, decode, kernels, krr, oel
 from okr.config import parse_config_file
 from okr.decode import decode_oel
 
@@ -459,6 +460,11 @@ def _non_utf8_cfg(tmp_path):
                      "data.y = y.csv", *FIT_KEYS)
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
 def _failing_fit_oel(*args, **kwargs):
     raise RuntimeError("unexpected failure inside fit_oel_factored")
 
@@ -508,21 +514,22 @@ def _gram_rows_cfg(tmp_path):
 #  or None, exit code, run.log label, text the run.log entry must contain)
 BAD_FIT_INPUTS = [
     ("p_zero", lambda d: _fit_cfg(d, "oel.p = 0"), None,
-     cli.EXIT_USAGE, "usage error", "oel.p must be in [1, n + m]"),
+     cli.EXIT_USAGE, "usage error", "oel.p must be an integer >= 1, got '0'"),
     ("p_above_n_plus_m", lambda d: _fit_cfg(d, "oel.p = 41"), None,
-     cli.EXIT_USAGE, "usage error", "oel.p must be in [1, n + m] = [1, 40]"),
+     cli.EXIT_USAGE, "usage error", "oel.p must be <= n + m = 40, got 41"),
     ("c_outside_unit_interval", lambda d: _fit_cfg(d, "oel.c = 1.5"), None,
-     cli.EXIT_USAGE, "usage error", "oel.c must lie in [0, 1]"),
+     cli.EXIT_USAGE, "usage error", "oel.c must be a number in [0, 1], got '1.5'"),
     ("unknown_method", lambda d: _fit_cfg(d, "oel.method = lanczos"), None,
-     cli.EXIT_USAGE, "usage error", "oel.method must be one of ('exact', 'randomized')"),
+     cli.EXIT_USAGE, "usage error",
+     "oel.method must be one of exact, randomized, got 'lanczos'"),
     ("oversample_negative", lambda d: _fit_cfg(d, "oel.oversample = -1"), None,
-     cli.EXIT_USAGE, "usage error", "oel.oversample and oel.power_iters must be >= 0"),
+     cli.EXIT_USAGE, "usage error", "oel.oversample must be an integer >= 0, got '-1'"),
     ("power_iters_negative",
      lambda d: _fit_cfg(d, "oel.method = randomized", "oel.power_iters = -1"), None,
-     cli.EXIT_USAGE, "usage error", "oel.oversample and oel.power_iters must be >= 0"),
+     cli.EXIT_USAGE, "usage error", "oel.power_iters must be an integer >= 0, got '-1'"),
     ("sketch_wider_than_n_plus_m",
      lambda d: _fit_cfg(d, "oel.method = randomized", "oel.oversample = 40"), None,
-     cli.EXIT_USAGE, "usage error", "oel.p + oel.oversample must be <= n + m = 40"),
+     cli.EXIT_USAGE, "usage error", "oel.p + oel.oversample must be <= n + m = 40, got 41"),
     ("bitset_dim_not_integer", lambda d: _bitset_cfg(d, "#dim x\n0\n1\n2\n"), None,
      cli.EXIT_DATA, "data error", "y.txt:1: bad dimension 'x'"),
     ("non_utf8_data_file", _non_utf8_cfg, None,
@@ -537,17 +544,24 @@ BAD_FIT_INPUTS = [
     ("precomputed_input_kernel_on_features",
      lambda d: _fit_cfg(d, "kernel.x.kind = precomputed"), None,
      cli.EXIT_USAGE, "usage error",
-     "kernel.x.kind = precomputed is not available in a config"),
+     "kernel.x.kind must be one of gaussian, linear, tanimoto, gaussian_tanimoto (a "
+     "precomputed input Gram is data: data.x with data.x_format = gram), got 'precomputed'"),
     ("lambda_zero", lambda d: _fit_cfg(d, "krr.lambda = 0"), None,
-     cli.EXIT_USAGE, "usage error", "krr.lambda must be > 0, got 0.0"),
+     cli.EXIT_USAGE, "usage error", "krr.lambda must be a number > 0, got '0'"),
     ("lambda_checked_before_data_load",
      lambda d: write_cfg(d / "bad.cfg", "data.kind = dense", "data.x = nope.csv",
                          "data.y = nope.csv", *FIT_KEYS, "krr.lambda = -1"), None,
-     cli.EXIT_USAGE, "usage error", "krr.lambda must be > 0, got -1.0"),
+     cli.EXIT_USAGE, "usage error", "krr.lambda must be a number > 0, got '-1'"),
     ("nystrom_q_zero", lambda d: _fit_cfg(d, "krr.nystrom_q = 0"), None,
-     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be in [1, n] = [1, 30], got 0"),
+     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be an integer >= 1, got '0'"),
     ("nystrom_q_above_n", lambda d: _fit_cfg(d, "krr.nystrom_q = 1000"), None,
-     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be in [1, n] = [1, 30], got 1000"),
+     cli.EXIT_USAGE, "usage error", "krr.nystrom_q must be <= n = 30, got 1000"),
+    ("misspelled_key", lambda d: _fit_cfg(d, "oel.cc = 0.9"), None, cli.EXIT_USAGE,
+     "usage error", "run.cfg:17: unknown config key 'oel.cc'; did you mean 'oel.c'?"),
+    ("key_of_no_subcommand", lambda d: _fit_cfg(d, "decod.k = 5"), None, cli.EXIT_USAGE,
+     "usage error", "unknown config key 'decod.k'; did you mean 'decode.k'?"),
+    ("config_not_utf8", lambda d: _write_bytes(d / "bad.cfg", b"krr.lambda = 1\xff\n"), None,
+     cli.EXIT_USAGE, "usage error", "bad.cfg: 'utf-8' codec can't decode byte 0xff"),
 ]
 
 
@@ -673,13 +687,24 @@ BAD_RUN_INPUTS = [
      cli.EXIT_DATA, "data error",
      "wide.csv: candidate outputs have 3 features, but the model's outputs have 2"),
     ("predict_decode_k_zero", lambda d: _decode_k_cfg(d, 0),
-     cli.EXIT_USAGE, "usage error", "decode.k must be >= 1, got 0"),
+     cli.EXIT_USAGE, "usage error", "decode.k must be an integer >= 1, got '0'"),
     ("predict_decode_k_negative", lambda d: _decode_k_cfg(d, -2),
-     cli.EXIT_USAGE, "usage error", "decode.k must be >= 1, got -2"),
+     cli.EXIT_USAGE, "usage error", "decode.k must be an integer >= 1, got '-2'"),
     ("evaluate_topk_zero", lambda d: _rankings_cfg(d, "", "evaluate.topk = 0"),
-     cli.EXIT_USAGE, "usage error", "evaluate.topk values must be >= 1, got 0"),
+     cli.EXIT_USAGE, "usage error",
+     "evaluate.topk must be comma-separated integers >= 1, got '0'"),
     ("evaluate_topk_negative", lambda d: _rankings_cfg(d, "", "evaluate.topk = 1,-1"),
-     cli.EXIT_USAGE, "usage error", "evaluate.topk values must be >= 1, got 1,-1"),
+     cli.EXIT_USAGE, "usage error",
+     "evaluate.topk must be comma-separated integers >= 1, got '1,-1'"),
+    ("predict_misspelled_data_key",
+     lambda d: ("predict", write_cfg(d / "pred.cfg", "data.y_unsp = y_unsup.csv",
+                                     "model.dir = fit/model")),
+     cli.EXIT_USAGE, "usage error",
+     "pred.cfg:1: unknown config key 'data.y_unsp'; did you mean 'data.y_unsup'?"),
+    ("evaluate_misspelled_data_key",
+     lambda d: _rankings_cfg(d, "", "data.y_unsp = y_unsup.csv"),
+     cli.EXIT_USAGE, "usage error",
+     "unknown config key 'data.y_unsp'; did you mean 'data.y_unsup'?"),
 ]
 
 
@@ -709,28 +734,43 @@ def _tune_cfg(tmp_path, *overrides):
 # (case, config overrides, text the run.log entry must contain); every case
 # exits with the usage code
 BAD_TUNE_INPUTS = [
-    ("ratio_above_one", ("tune.ratio = 1.5",), "tune.ratio must lie in (0, 1), got 1.5"),
-    ("ratio_zero", ("tune.ratio = 0",), "tune.ratio must lie in (0, 1), got 0.0"),
-    ("reps_zero", ("tune.reps = 0",), "tune.reps must be >= 1, got 0"),
+    ("ratio_above_one", ("tune.ratio = 1.5",), "tune.ratio must be a number in (0, 1), got '1.5'"),
+    ("ratio_zero", ("tune.ratio = 0",), "tune.ratio must be a number in (0, 1), got '0'"),
+    ("reps_zero", ("tune.reps = 0",), "tune.reps must be an integer >= 1, got '0'"),
     ("outer_one", ("tune.protocol = nested", "tune.outer = 1"),
-     "tune.outer and tune.inner must be >= 2, got 1 and 4"),
+     "tune.outer must be an integer >= 2, got '1'"),
     ("inner_one", ("tune.protocol = nested", "tune.inner = 1"),
-     "tune.outer and tune.inner must be >= 2, got 5 and 1"),
+     "tune.inner must be an integer >= 2, got '1'"),
     ("unknown_protocol", ("tune.protocol = loo",),
-     "tune.protocol must be 'ssv' or 'nested', got 'loo'"),
+     "tune.protocol must be one of ssv, nested, got 'loo'"),
     ("unknown_metric", ("tune.metric = bogus",),
      "tune.metric must be one of f1, hamming, kendall_tau, rkhs_loss, surrogate_mse, "
      "top1_accuracy, got 'bogus'"),
-    ("c_above_one", ("tune.cs = 2",), "tune.cs values must be in [0, 1], got '2'"),
-    ("lambda_negative", ("tune.lams = 1e-3,-1",), "tune.lams values must be > 0, got '1e-3,-1'"),
-    ("lams_empty", ("tune.lams = ,",), "tune.lams values must be > 0, got ','"),
-    ("sigma2_in_zero", ("tune.sigma2_ins = 0",), "tune.sigma2_ins values must be > 0, got '0'"),
+    ("c_above_one", ("tune.cs = 2",), "tune.cs must be comma-separated numbers in [0, 1], got '2'"),
+    ("lambda_negative", ("tune.lams = 1e-3,-1",),
+     "tune.lams must be comma-separated numbers > 0, got '1e-3,-1'"),
+    ("lams_empty", ("tune.lams = ,",), "tune.lams must be comma-separated numbers > 0, got ','"),
+    ("sigma2_in_zero", ("tune.sigma2_ins = 0",),
+     "tune.sigma2_ins must be comma-separated numbers > 0, got '0'"),
     ("sigma2_out_negative", ("tune.sigma2_outs = -4",),
-     "tune.sigma2_outs values must be > 0, got '-4'"),
-    ("p_zero", ("tune.ps = 0",), "tune.ps values must be >= 1, got '0'"),
-    ("q_zero", ("tune.qs = 0,5",), "tune.qs values must be >= 1, got '0,5'"),
-    ("p_above_n_plus_m", ("tune.ps = 8,41",), "tune.ps values must be <= n + m = 40, got '8,41'"),
-    ("q_above_n", ("tune.qs = 31",), "tune.qs values must be <= n = 30, got '31'"),
+     "tune.sigma2_outs must be comma-separated numbers > 0, got '-4'"),
+    ("p_zero", ("tune.ps = 0",), "tune.ps must be comma-separated integers >= 1, got '0'"),
+    ("q_zero", ("tune.qs = 0,5",), "tune.qs must be comma-separated integers >= 1, got '0,5'"),
+    ("p_above_n_plus_m", ("tune.ps = 8,41",), "tune.ps must be <= n + m = 40, got 8,41"),
+    ("q_above_n", ("tune.qs = 31",), "tune.qs must be <= n = 30, got 31"),
+    ("width_grid_on_kernel_without_width",
+     ("kernel.y.kind = linear", "tune.sigma2_outs = 1,2"),
+     "tune.sigma2_outs needs a kernel.y.kind in ('gaussian', 'gaussian_tanimoto'), "
+     "got linear"),
+    ("outer_above_n", ("tune.protocol = nested", "tune.outer = 100"),
+     "tune.outer must be <= n = 30, got 100"),
+    ("inner_above_smallest_outer_training_fold",
+     ("tune.protocol = nested", "tune.inner = 25"),
+     "tune.inner must be <= n - ceil(n / tune.outer) = 24, got 25"),
+    ("ratio_leaves_no_training_point", ("tune.ratio = 0.01",),
+     "tune.ratio must make int(ratio * n) >= 1 at n = 30, got 0.01"),
+    ("misspelled_key", ("tune.lam = 5",),
+     "unknown config key 'tune.lam'; did you mean 'tune.lams'?"),
 ]
 
 
@@ -745,12 +785,76 @@ def test_bad_tune_input_exit_code_and_log(tmp_path, capsys, overrides, message):
     assert "--- usage error ---" in log and "Traceback" in log and message in log
 
 
+def test_tune_width_grid_on_input_gram_usage_exit(tmp_path, capsys):
+    # a fixed input Gram has no width to tune, whatever kernel.x.kind says
+    cfg = write_cfg(tmp_path / "gram.cfg", *_gaussian_gram_files(tmp_path, 12, "k12"),
+                    "kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0",
+                    "kernel.y.kind = linear", "tune.sigma2_ins = 1,2", "tune.lams = 1e-3",
+                    "tune.ps = 1", "tune.reps = 2")
+    assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+    assert ("tune.sigma2_ins needs feature inputs, not data.x_format = gram"
+            in capsys.readouterr().err)
+
+
 def test_tune_ranges_checked_before_data_load(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.cfg", "data.kind = dense", "data.x = nope.csv",
                     "data.y = nope.csv", "kernel.x.kind = linear", "kernel.y.kind = linear",
                     "tune.reps = 0")
     assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
-    assert "tune.reps must be >= 1" in capsys.readouterr().err
+    assert "tune.reps must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+
+# (case, subcommand, config line, text the run.log entry must contain); every
+# case exits with the usage code before any data is drawn or timed
+BAD_SYNTH_BENCH_INPUTS = [
+    ("synth_m_negative", "synth", "synth.m = -1", "synth.m must be an integer >= 0, got '-1'"),
+    ("synth_sigma2_x_zero", "synth", "synth.sigma2_x = 0",
+     "synth.sigma2_x must be a number > 0, got '0'"),
+    ("synth_seed_negative", "synth", "seed = -1", "seed must be an integer >= 0, got '-1'"),
+    ("bench_repeats_zero", "bench-decode", "bench.repeats = 0",
+     "bench.repeats must be an integer >= 1, got '0'"),
+    ("bench_k_zero", "bench-decode", "bench.k = 0", "bench.k must be an integer >= 1, got '0'"),
+    ("bench_sizes_zero", "bench-decode", "bench.sizes = 0",
+     "bench.sizes must be comma-separated integers >= 1, got '0'"),
+    ("bench_misspelled_key", "bench-decode", "bench.size = 100",
+     "bad.cfg:1: unknown config key 'bench.size'; did you mean 'bench.sizes'?"),
+]
+
+
+@pytest.mark.parametrize("command, line, message", [case[1:] for case in BAD_SYNTH_BENCH_INPUTS],
+                         ids=[case[0] for case in BAD_SYNTH_BENCH_INPUTS])
+def test_bad_synth_bench_input_exit_code_and_log(tmp_path, capsys, command, line, message):
+    cfg = write_cfg(tmp_path / "bad.cfg", line)
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(command, "--config", str(cfg), "--out", str(out)) == cli.EXIT_USAGE
+    # bench-decode checks its keys before its 1.5 s clock burn-in
+    assert time.perf_counter() - t0 < 1.5
+    assert "usage error: " in capsys.readouterr().err
+    log = (out / "run.log").read_text()
+    assert "--- usage error ---" in log and "Traceback" in log and message in log
+
+
+def test_resolved_config_replays_fit(tmp_path):
+    # config.resolved fed back as --config is accepted and refits the same
+    # bundle; its own snapshot differs only in the output directory
+    data_dir, _ = synth_workspace(tmp_path)
+    keys = parse_config_file(data_dir / "dataset.cfg")
+    lines = [f"{k} = {v if k in ('data.kind', 'data.x_format') else data_dir / v}"
+             for k, v in keys.items()]
+    cfg = write_cfg(tmp_path / "run.cfg", *lines, *FIT_KEYS, "krr.nystrom_q = 10",
+                    "oel.method = randomized")
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run("fit", "--config", str(cfg), "--out", str(first), "--seed", "3") == 0
+    assert run("fit", "--config", str(first / "config.resolved"), "--out", str(replay)) == 0
+    files = sorted(p.name for p in (first / "model").iterdir())
+    assert files == sorted(p.name for p in (replay / "model").iterdir())
+    for name in files:
+        assert (first / "model" / name).read_bytes() == (replay / "model" / name).read_bytes()
+    resolved = (first / "config.resolved").read_text()
+    assert "krr.seed = " in resolved and "oel.seed = " in resolved
+    assert (replay / "config.resolved").read_text() == resolved.replace(
+        f"out = {first}", f"out = {replay}")
 
 
 def fingerprint_workspace(tmp_path, n=150, m=150, n_bits=64, seed=0):
@@ -904,6 +1008,23 @@ class TestReadme:
             exec(compile(blocks[0], str(README), "exec"), namespace)
         assert namespace["emb"].eigensolver == "pivoted_cholesky r=3"
         assert namespace["ids"].shape == (10, 5)
+
+    def test_config_keys_pass_the_table(self, tmp_path):
+        # the complete fit config, and the keys and values of the tuning
+        # paragraph: each key declared, each value accepted by its row
+        text = README.read_text(encoding="utf-8")
+        block = next(b for b in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S)
+                     if b.startswith("# dataset"))
+        cfg = parse_config_file(write_cfg(tmp_path / "fit.cfg", block))
+        assert len(cfg) == 20 and cfg["krr.nystrom_q"] == "1000"
+        config.read(cfg, cfg)
+        paragraph = text[text.index("Tuning keys:"):].split("\n\n", 1)[0]
+        items = [item.partition("=") for item in re.findall(r"`([^`]+)`", paragraph)]
+        assert len(items) == 12
+        for key, _, values in items:
+            for value in values.split("|") if values else ():
+                config.read({key.strip(): value.strip()}, [key.strip()])
+            assert key.strip() in config.KEYS
 
     def test_quickstart_block_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
