@@ -9,6 +9,10 @@ after it); the flags --out, --seed, --threads, --iokr-only (fit, tune) and
 there N is the number of decode worker threads (at most one per CPU the
 process may use), and BLAS runs on one thread so the two do not
 oversubscribe the cores.
+Every subcommand sets OPENBLAS_THREAD_TIMEOUT=4 unless the environment already
+sets it: numpy and scipy each load their own OpenBLAS, and after a call each
+pool's idle workers spin for about 2^28 cycles, which stalls the other
+library's next call when the cores are few. At 4 they sleep after 2^4 cycles.
 Every run writes the fully resolved configuration to <out>/config.resolved
 and appends error details to <out>/run.log. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure, 4 internal error (any other
@@ -102,6 +106,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # read by both OpenBLAS libraries when they load, so before numpy is imported
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     if args.threads is not None:
         # predict decodes on --threads workers of its own instead
         _cap_threads(1 if args.command == "predict" else max(1, args.threads))
@@ -414,19 +420,25 @@ def _cmd_tune(args, out):
     if ds.x_format == "gram" and vals["tune.sigma2_ins"] is not None:
         raise UsageError("tune.sigma2_ins needs feature inputs, not data.x_format = gram")
     n = ds.n
-    bounds = [("tune.ps", vals.get("tune.ps"), n + ds.m, "n + m"),
-              ("tune.qs", vals["tune.qs"], n, "n")]
+    # every grid point is fit on a training fold of n_fit supervised points
+    # and the whole pool
     if protocol == "nested":
         outer, inner = vals["tune.outer"], vals["tune.inner"]
         # the inner k-fold splits the smallest outer training fold
-        bounds += [("tune.outer", outer, n, "n"),
-                   ("tune.inner", inner, n - math.ceil(n / outer), "n - ceil(n / tune.outer)")]
+        n_outer = n - math.ceil(n / outer)
+        n_fit = n_outer - math.ceil(n_outer / inner)
+        fold = "the smallest inner training fold"
+        bounds = [("tune.outer", outer, n, "n"),
+                  ("tune.inner", inner, n_outer, "n - ceil(n / tune.outer)")]
     else:
         reps, ratio = vals["tune.reps"], vals["tune.ratio"]
         # int(ratio * n) training points; ratio < 1 always leaves one to validate on
-        if int(ratio * n) < 1:
+        n_fit, fold = int(ratio * n), "int(tune.ratio * n)"
+        if n_fit < 1:
             raise UsageError(f"tune.ratio must make int(ratio * n) >= 1 at n = {n}, got {ratio}")
-    _check_bounds(bounds)
+        bounds = []
+    _check_bounds(bounds + [("tune.ps", vals.get("tune.ps"), n_fit + ds.m, f"{fold} + m"),
+                            ("tune.qs", vals["tune.qs"], n_fit, fold)])
     in_spec = None if ds.x_format == "gram" else kernel_spec(vals, "kernel.x")
 
     defaults = tuning.default_space(max(1, ds.n + ds.m))

@@ -8,6 +8,12 @@ Text formats (all parsed with file/line error reporting):
   permutations   comma-separated ranks per line (ranks are 1..K)
   candidate map  "query_id candidate_id" per line (one candidate per line)
   rankings       "qid<TAB>cid:score..." with scores at 6 significant digits
+A value is any text Python's float() (or int()) takes; there are no inline
+comments. Dense matrices, index vectors and rankings whose lines are all the
+same width are parsed by numpy's C reader (np.loadtxt), which takes a subset
+of that text and returns the same bits. A file it rejects goes through the
+line loop, which reads what float() and int() take beyond that subset (such as
+"1_0") and otherwise names the failing file:line.
 
 Matrices are persisted in a binary format (8-byte magic, little-endian
 uint64 dims, row-major float64 payload) so model round trips are bit-exact.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,12 +77,31 @@ def _header_value(path, lines, prefix):
     return lines[0][1:].strip()
 
 
+def _parse_c(lines, dtype=np.float64, delimiter=",", ndmin=2):
+    """The non-blank lines parsed by numpy's C reader, or None when it rejects
+    a field or the lines differ in field count. Where it accepts a field it
+    reads the bits float() or int() would: it takes their text less "1_0"
+    underscores and non-ASCII digits. numpy releases that still read an
+    integer field such as "3.7" through a float only warn that it is
+    deprecated; the warning is raised here, so that field is rejected."""
+    if not lines:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=ndmin)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # text matrix formats
 
 
 def load_dense(path) -> np.ndarray:
-    """Dense CSV: first line '#rows,cols', then comma-separated float rows."""
+    """Dense CSV: first line '#rows,cols', then comma-separated float rows;
+    blank lines are skipped."""
     lines = _read_lines(path)
     header = _header_value(path, lines, "rows,cols")
     try:
@@ -87,15 +113,25 @@ def load_dense(path) -> np.ndarray:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         _fail(path, len(lines), f"expected {rows} data rows, found {len(body)}")
+    out = _parse_c(body)
+    if out is not None and out.shape == (rows, cols):
+        return out
+    return _dense_by_line(path, lines, rows, cols)
+
+
+def _dense_by_line(path, lines, rows, cols) -> np.ndarray:
+    """load_dense's rows read value by value: what the C parse rejects but
+    float() takes, or else the first failing file:line."""
     out = np.empty((rows, cols))
-    for i, ln in enumerate(body):
+    numbered = ((lineno, ln) for lineno, ln in enumerate(lines[1:], 2) if ln.strip())
+    for i, (lineno, ln) in enumerate(numbered):
         toks = ln.split(",")
         if len(toks) != cols:
-            _fail(path, i + 2, f"expected {cols} values, found {len(toks)}")
+            _fail(path, lineno, f"expected {cols} values, found {len(toks)}")
         try:
             out[i] = [float(tok) for tok in toks]
         except ValueError:
-            _fail(path, i + 2, f"non-numeric value in {ln!r}")
+            _fail(path, lineno, f"non-numeric value in {ln!r}")
     return out
 
 
@@ -282,14 +318,37 @@ def save_rankings(path, ids, scores) -> None:
             fh.write(f"{qid}{pairs}\n")
 
 
+# a rankings line the C parse may read: a query id, then tab-separated
+# cid:score pairs with one colon each
+_RANKING_LINE = re.compile(r"[^\t:]*(?:\t[^\t:]*:[^\t:]*)*")
+
+
 def load_rankings(path, n_candidates=None):
     """Returns (ids, scores) parsed from a rankings file, as the decoders
     return them: t x w arrays padded with id -1 and score NaN past the end
     of a shorter line. The query ids must run 0..t-1 in file order. Given
     n_candidates, every line must rank at least one candidate and every
     candidate id must lie in [0, n_candidates)."""
+    lines = _read_lines(path)
+    body = [ln for ln in lines if ln.strip()]
+    width = body[0].count("\t") if body else 0
+    table = None
+    if width and all(map(_RANKING_LINE.fullmatch, body)):
+        row = [("qid", np.int64), ("pairs", [("c", np.int64), ("s", np.float64)], (width,))]
+        table = _parse_c([ln.replace(":", "\t") for ln in body], np.dtype(row),
+                         delimiter="\t", ndmin=1)
+    if table is not None and np.array_equal(table["qid"], np.arange(len(body))):
+        ids = np.ascontiguousarray(table["pairs"]["c"])
+        if n_candidates is None or 0 <= ids.min() <= ids.max() < n_candidates:
+            return ids, np.ascontiguousarray(table["pairs"]["s"])
+    return _rankings_by_line(path, lines, n_candidates)
+
+
+def _rankings_by_line(path, lines, n_candidates):
+    """load_rankings read line by line: ragged rows, what the C parse rejects
+    but int() and float() take, or else the first failing file:line."""
     rows = []
-    for i, ln in enumerate(_read_lines(path)):
+    for i, ln in enumerate(lines):
         if not ln.strip():
             continue
         toks = ln.split("\t")
@@ -350,8 +409,19 @@ def load_candidate_map(path, n_candidates=None):
 
 def load_index_vector(path) -> np.ndarray:
     """One integer per line (e.g. the true candidate index of each query)."""
+    lines = _read_lines(path)
+    body = [ln for ln in lines if ln.strip()]
+    vals = _parse_c(body, np.int64)
+    if vals is not None and vals.shape == (len(body), 1):
+        return vals.ravel()
+    return _indices_by_line(path, lines)
+
+
+def _indices_by_line(path, lines) -> np.ndarray:
+    """load_index_vector read line by line: what the C parse rejects but int()
+    takes, or else the first failing file:line."""
     vals = []
-    for i, ln in enumerate(_read_lines(path)):
+    for i, ln in enumerate(lines):
         if not ln.strip():
             continue
         try:

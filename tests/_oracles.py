@@ -5,13 +5,17 @@ algebra (outputs as rows of a plain matrix, linear output kernel), never
 through the code paths under test: projections are materialized as d x d
 matrices, decoding is brute-force distance minimization, and eigenvalue
 mass comes from an eigendecomposition of the d x d scaled second-moment
-matrix rather than of the (n+m) x (n+m) Gram."""
+matrix rather than of the (n+m) x (n+m) Gram. The text loaders' oracles are
+plain line loops with one float() or int() per value, the parsers the loaders
+had before numpy's C reader took over their common path."""
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 import okr
+from okr.dataio import DataError
 
 
 def random_psd(rng, n, dim_factor=2.0):
@@ -102,3 +106,90 @@ def align_columns(Z, Z_ref):
     signs = np.sign(np.einsum("ij,ij->j", Z, Z_ref))
     signs[signs == 0] = 1.0
     return Z * signs
+
+
+# ---------------------------------------------------------------------------
+# text loaders, one line at a time
+
+
+def _fail(path, lineno, msg):
+    raise DataError(f"{path}:{lineno}: {msg}")
+
+
+def _lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def load_dense(path):
+    """'#rows,cols', then comma-separated float rows; blank lines skipped and
+    errors named by the file's own line number."""
+    lines = _lines(path)
+    if not lines or not lines[0].startswith("#"):
+        _fail(path, 1, "expected a '#rows,cols' header line")
+    try:
+        rows, cols = (int(tok) for tok in lines[0][1:].strip().split(","))
+    except ValueError:
+        _fail(path, 1, f"malformed dimension header {lines[0]!r}")
+    if rows < 0 or cols < 0:
+        _fail(path, 1, f"negative dimension in header {lines[0]!r}")
+    body = [(no, ln) for no, ln in enumerate(lines[1:], 2) if ln.strip()]
+    if len(body) != rows:
+        _fail(path, len(lines), f"expected {rows} data rows, found {len(body)}")
+    out = np.empty((rows, cols))
+    for i, (no, ln) in enumerate(body):
+        toks = ln.split(",")
+        if len(toks) != cols:
+            _fail(path, no, f"expected {cols} values, found {len(toks)}")
+        try:
+            out[i] = [float(tok) for tok in toks]
+        except ValueError:
+            _fail(path, no, f"non-numeric value in {ln!r}")
+    return out
+
+
+def load_index_vector(path):
+    """One integer per non-blank line."""
+    vals = []
+    for i, ln in enumerate(_lines(path)):
+        if not ln.strip():
+            continue
+        try:
+            vals.append(int(ln.strip()))
+        except ValueError:
+            _fail(path, i + 1, f"expected one integer, got {ln!r}")
+    if not vals:
+        _fail(path, 1, "empty index file")
+    return np.array(vals, dtype=np.int64)
+
+
+def load_rankings(path, n_candidates=None):
+    """(ids, scores) of 'qid<TAB>cid:score...' lines, padded with id -1 and
+    score NaN past the end of a shorter line."""
+    rows = []
+    for i, ln in enumerate(_lines(path)):
+        if not ln.strip():
+            continue
+        toks = ln.split("\t")
+        try:
+            qid = int(toks[0])
+            pairs = [tok.split(":", 1) for tok in toks[1:]]
+            cids = [int(c) for c, _ in pairs]
+            scores = [float(s) for _, s in pairs]
+        except ValueError:
+            _fail(path, i + 1, f"malformed ranking line {ln!r}")
+        if qid != len(rows):
+            how = "repeated" if 0 <= qid < len(rows) else "out of order"
+            _fail(path, i + 1, f"query id {qid} {how}; expected {len(rows)}")
+        if n_candidates is not None:
+            if not cids:
+                _fail(path, i + 1, f"query {qid} ranks no candidate")
+            bad = [c for c in cids if not 0 <= c < n_candidates]
+            if bad:
+                _fail(path, i + 1, f"candidate id {bad[0]} outside [0, {n_candidates})")
+        rows.append((cids, scores))
+    width = max((len(cids) for cids, _ in rows), default=0)
+    ids = np.full((len(rows), width), -1, dtype=np.int64)
+    vals = np.full(ids.shape, np.nan)
+    for j, (cids, scores) in enumerate(rows):
+        ids[j, :len(cids)], vals[j, :len(cids)] = cids, scores
+    return ids, vals

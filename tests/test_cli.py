@@ -756,8 +756,19 @@ BAD_TUNE_INPUTS = [
      "tune.sigma2_outs must be comma-separated numbers > 0, got '-4'"),
     ("p_zero", ("tune.ps = 0",), "tune.ps must be comma-separated integers >= 1, got '0'"),
     ("q_zero", ("tune.qs = 0,5",), "tune.qs must be comma-separated integers >= 1, got '0,5'"),
-    ("p_above_n_plus_m", ("tune.ps = 8,41",), "tune.ps must be <= n + m = 40, got 8,41"),
-    ("q_above_n", ("tune.qs = 31",), "tune.qs must be <= n = 30, got 31"),
+    # every grid point is fit on a training fold: int(0.8 * 30) = 24 supervised
+    # points (ssv), or 24 - ceil(24 / 4) = 18 (nested 5 x 4), and the 10 pool outputs
+    ("p_above_n_plus_m", ("tune.ps = 8,41",),
+     "tune.ps must be <= int(tune.ratio * n) + m = 34, got 8,41"),
+    ("q_above_n", ("tune.qs = 31",), "tune.qs must be <= int(tune.ratio * n) = 24, got 31"),
+    ("p_above_training_fold_plus_m", ("tune.ps = 38",),
+     "tune.ps must be <= int(tune.ratio * n) + m = 34, got 38"),
+    ("q_above_training_fold", ("tune.qs = 30",),
+     "tune.qs must be <= int(tune.ratio * n) = 24, got 30"),
+    ("p_above_inner_training_fold_plus_m", ("tune.protocol = nested", "tune.ps = 29"),
+     "tune.ps must be <= the smallest inner training fold + m = 28, got 29"),
+    ("q_above_inner_training_fold", ("tune.protocol = nested", "tune.qs = 19"),
+     "tune.qs must be <= the smallest inner training fold = 18, got 19"),
     ("width_grid_on_kernel_without_width",
      ("kernel.y.kind = linear", "tune.sigma2_outs = 1,2"),
      "tune.sigma2_outs needs a kernel.y.kind in ('gaussian', 'gaussian_tanimoto'), "
@@ -802,6 +813,17 @@ def test_tune_ranges_checked_before_data_load(tmp_path, capsys):
                     "tune.reps = 0")
     assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
     assert "tune.reps must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [("tune.ps = 34", "tune.qs = 24"),
+                                       ("tune.protocol = nested", "tune.ps = 28",
+                                        "tune.qs = 18")], ids=["ssv", "nested"])
+def test_tune_grids_at_the_training_fold_bound_fit(tmp_path, overrides):
+    # the largest p and q the fold bounds of BAD_TUNE_INPUTS let through
+    cfg = _tune_cfg(tmp_path, *overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # p above the fold's numerical rank
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
 
 # (case, subcommand, config line, text the run.log entry must contain); every
@@ -1080,6 +1102,19 @@ class TestThreadCap:
                         "synth.n_test = 3")
         assert _probe(self.CAP_PROBE, "synth", "--config", str(cfg), "--out",
                       str(tmp_path / "s"), "--threads", "2") == "0 2"
+
+    @pytest.mark.parametrize("preset", [None, "10"])
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_every_command_sets_openblas_thread_timeout(self, tmp_path, command, preset):
+        # numpy's and scipy's OpenBLAS read it when they load; a value the
+        # environment already sets wins. evaluate without a config exits 1
+        setup = ("os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)" if preset is None
+                 else f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = '{preset}'")
+        probe = (f"import os, sys; {setup}; from okr import cli; "
+                 "code = cli.main(sys.argv[1:]); "
+                 "print(code, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+        code = "0" if command == "synth" else "1"
+        assert _probe(probe, command, "--out", str(tmp_path / "o")) == f"{code} {preset or 4}"
 
     def test_import_leaves_numpy_unloaded(self):
         # --threads caps the BLAS pools through the environment, which only

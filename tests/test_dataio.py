@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import okr
 from okr import dataio, kernels
 
@@ -31,6 +34,12 @@ class TestDense:
         p = tmp_path / "m.csv"
         p.write_text("#2,2\n1,2\n3,oops\n")
         with pytest.raises(dataio.DataError, match=r"m\.csv:3"):
+            dataio.load_dense(p)
+
+    def test_bad_value_after_blank_line_reports_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("#3,2\n1.0,2.0\n\n3.0,4.0\n5.0,x\n")
+        with pytest.raises(dataio.DataError, match=r"bad\.csv:5: non-numeric value in '5.0,x'"):
             dataio.load_dense(p)
 
     def test_missing_header(self, tmp_path):
@@ -154,6 +163,249 @@ class TestRankings:
         p = tmp_path / "r.tsv"
         dataio.save_rankings(p, np.array([[0]]), np.array([[1.23456789]]))
         assert p.read_text() == "0\t0:1.23457\n"
+
+
+# Text the C parse and float() or int() may read differently: signs, bare
+# dots, exponents, case, underscores, leading zeros, non-ASCII digits and
+# spaces; every entry is one float() takes.
+FLOAT_SPELLINGS = ["+1", ".5", "1.", "-.5e-3", "1e5", "1E+5", "1e999", "NaN", "nan", "-nan",
+                   "inf", "-Infinity", "+INF", "1_0", "1_000.5", "-0.0", "007", "\u0661\u0662",
+                   "2.5\u0663"]
+BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=2)
+
+
+def _padded(core, tabs=True):
+    """core with whitespace around it; tabs=False for tab-separated fields."""
+    pad = st.sampled_from(["", " ", "  ", "\xa0", "\u3000"] + ["\t"] * tabs)
+    return st.tuples(pad, core, pad).map("".join)
+
+
+def _float_text(tabs=True):
+    return _padded(st.one_of(st.floats().map(repr), st.sampled_from(FLOAT_SPELLINGS)), tabs)
+
+
+def _int_text(value, tabs=True):
+    sign, digits = "-" if value < 0 else "", str(abs(value))
+    arabic = "".join(chr(0x660 + int(d)) for d in digits)
+    return _padded(st.sampled_from([sign + digits, (sign or "+") + digits, f"{sign}00{digits}",
+                                    f"{sign}0_{digits}", sign + arabic]), tabs)
+
+
+@st.composite
+def _dense_text(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    lines = [f"#{rows},{cols}"]
+    for _ in range(rows):
+        lines += draw(BLANK_LINES)
+        lines.append(",".join(draw(_float_text()) for _ in range(cols)))
+    return lines + draw(BLANK_LINES)
+
+
+@st.composite
+def _index_text(draw):
+    lines = []
+    for value in draw(st.lists(st.integers(-5, 10**12), min_size=1, max_size=6)):
+        lines += draw(BLANK_LINES)
+        lines.append(draw(_int_text(value)))
+    return lines + draw(BLANK_LINES)
+
+
+@st.composite
+def _rankings_text(draw, bounds=(None, 31, 10**6)):
+    """The lines of a rankings file, equal-width or ragged rows of candidate
+    ids in [0, 30], and an n_candidates drawn from bounds (None when a row
+    ranks no candidate)."""
+    width, ragged = draw(st.integers(0, 4)), draw(st.booleans())
+    lines, widths = [], []
+    for qid in range(draw(st.integers(1, 5))):
+        widths.append(draw(st.integers(0, width)) if ragged else width)
+        pairs = [f"{draw(_int_text(draw(st.integers(0, 30)), False))}:"
+                 f"{draw(_float_text(False))}" for _ in range(widths[-1])]
+        lines += draw(BLANK_LINES)
+        lines.append("\t".join([draw(_int_text(qid, False)), *pairs]))
+    n_candidates = draw(st.sampled_from(bounds)) if min(widths) else None
+    return lines + draw(BLANK_LINES), n_candidates
+
+
+@st.composite
+def _mutated(draw, lines, sep):
+    """lines with one to three faults, each at a drawn line and column: an
+    inserted separator, sign, dot, space, '#' or letter, a separator swapped for
+    another, a dropped field, a dropped or repeated line, a truncation, or a
+    wrong header line."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        line = lines[row]
+        at = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(["insert", "swap", "drop", "drop line", "repeat line",
+                                     "truncate", "header"]))
+        if kind == "insert":
+            lines[row] = line[:at] + draw(st.sampled_from(",\t:#xe_-. ")) + line[at:]
+        elif kind == "swap" and any(ch in ",\t:" for ch in line):
+            at = draw(st.sampled_from([i for i, ch in enumerate(line) if ch in ",\t:"]))
+            other = draw(st.sampled_from([ch for ch in ",\t:" if ch != line[at]]))
+            lines[row] = line[:at] + other + line[at + 1:]
+        elif kind == "drop":
+            fields = line.split(sep)
+            del fields[draw(st.integers(0, len(fields) - 1))]
+            lines[row] = sep.join(fields)
+        elif kind == "drop line" and len(lines) > 1:
+            del lines[row]
+        elif kind == "repeat line":
+            lines.insert(row, line)
+        elif kind == "truncate":
+            lines = lines[:row] + [line[:at]]
+        elif kind == "header":
+            header = draw(st.sampled_from(["#", "#2", "#2,2", "#-1,3", "#1,x", "#0,0",
+                                           "# 3 , 2", "#1,1"]))
+            lines = [header] + lines[1 if lines[0].startswith("#") else 0:]
+    return "\n".join(lines)
+
+
+def _assert_matches_oracle(path, load, oracle, *args):
+    """load returns the oracle's arrays bit for bit, or raises the DataError
+    the oracle raises (so with its path:line); no other exception escapes."""
+    try:
+        want = oracle(path, *args)
+    except dataio.DataError as exc:
+        with pytest.raises(dataio.DataError) as got:
+            load(path, *args)
+        assert str(got.value) == str(exc)
+        return
+    got = load(path, *args)
+    for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTextLoadersMatchLineLoops:
+    # the loaders against the line loops of _oracles: the C parse may take
+    # only files the loops take, and must read them to the same bits
+
+    @staticmethod
+    def _write(tmp_path, text, newline="\n"):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return path
+
+    @FUZZ
+    @given(lines=_dense_text(), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_valid_dense(self, tmp_path, lines, newline):
+        path = self._write(tmp_path, "\n".join(lines) + "\n", newline)
+        _oracles.load_dense(path)
+        _assert_matches_oracle(path, dataio.load_dense, _oracles.load_dense)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_dense(self, tmp_path, data):
+        text = data.draw(_mutated(data.draw(_dense_text()), ","))
+        path = self._write(tmp_path, text)
+        _assert_matches_oracle(path, dataio.load_dense, _oracles.load_dense)
+
+    @FUZZ
+    @given(lines=_index_text())
+    def test_valid_index_vector(self, tmp_path, lines):
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        _oracles.load_index_vector(path)
+        _assert_matches_oracle(path, dataio.load_index_vector, _oracles.load_index_vector)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_index_vector(self, tmp_path, data):
+        text = data.draw(_mutated(data.draw(_index_text()), ","))
+        path = self._write(tmp_path, text)
+        _assert_matches_oracle(path, dataio.load_index_vector, _oracles.load_index_vector)
+
+    @FUZZ
+    @given(case=_rankings_text())
+    def test_valid_rankings(self, tmp_path, case):
+        lines, n_candidates = case
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        _oracles.load_rankings(path, n_candidates)
+        _assert_matches_oracle(path, dataio.load_rankings, _oracles.load_rankings,
+                               n_candidates)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_rankings(self, tmp_path, data):
+        lines, n_candidates = data.draw(_rankings_text((None, 1, 10, 31)))
+        path = self._write(tmp_path, data.draw(_mutated(lines, "\t")))
+        _assert_matches_oracle(path, dataio.load_rankings, _oracles.load_rankings,
+                               n_candidates)
+
+    # files one step from valid whose fields the C parse could read, were it
+    # not for a check of the loader: a field with two colons beside one with
+    # none, a colon in a query id, an empty id beside a space, a skipped
+    # query id, an id past n_candidates, a '#' after a value, every row one
+    # value short of the header, and an integer field with a fraction
+    @pytest.mark.parametrize("text, load, oracle, args", [
+        ("0\t1:2\t3:4\n1\t5:6:7:8\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("0\t1:2\t3:4\n1:2\t3\t4:5\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("0\t1:2\t3:4\n1\t:5 6\t7:8\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("0\t1:2\n2\t3:4\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("0\t1:2\n1\t3:4\n", dataio.load_rankings, _oracles.load_rankings, (3,)),
+        ("0\t1:2\n1\t-3:4\n", dataio.load_rankings, _oracles.load_rankings, (5,)),
+        ("#2,1\n1.0#\n2.0\n", dataio.load_dense, _oracles.load_dense, ()),
+        ("#1,2\n1.0\n", dataio.load_dense, _oracles.load_dense, ()),
+        ("1\n2#\n", dataio.load_index_vector, _oracles.load_index_vector, ()),
+        ("1\n2.5\n", dataio.load_index_vector, _oracles.load_index_vector, ()),
+        ("0\t1:2\n1\t2.5:3\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("0\t1:2\n1.5\t2:3\n", dataio.load_rankings, _oracles.load_rankings, ()),
+    ], ids=["two_colons", "colon_in_qid", "empty_id", "skipped_qid", "id_past_n",
+            "negative_id", "dense_hash", "dense_short_row", "index_hash", "index_fraction",
+            "id_fraction", "qid_fraction"])
+    def test_near_misses(self, tmp_path, text, load, oracle, args):
+        path = self._write(tmp_path, text)
+        with pytest.raises(dataio.DataError, match=r"f\.txt:2: "):
+            oracle(path, *args)
+        _assert_matches_oracle(path, load, oracle, *args)
+
+    @pytest.mark.parametrize("text, load, oracle", [
+        ("1\n2.5\n", dataio.load_index_vector, _oracles.load_index_vector),
+        ("0\t1:2\n1\t2.5:3\n", dataio.load_rankings, _oracles.load_rankings),
+    ], ids=["index", "rankings"])
+    def test_integer_read_through_a_float_is_rejected(self, tmp_path, monkeypatch, text,
+                                                       load, oracle):
+        # numpy releases before the deprecation expired read the integer
+        # field "2.5" as 2 and only warn; a loadtxt that does so stands in here
+        loadtxt = np.loadtxt
+
+        def truncating(lines, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt([ln.replace("2.5", "2") for ln in lines], **kwargs)
+
+        path = self._write(tmp_path, text)
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        with pytest.raises(dataio.DataError, match=r"f\.txt:2: "):
+            load(path)
+        _assert_matches_oracle(path, load, oracle)
+
+    def test_valid_files_never_reach_the_line_loops(self, tmp_path, monkeypatch):
+        # the C parse reads valid files whole, so a silent fall back to the
+        # line loops cannot lose its speed while the tests above stay green
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-300, 300, (10_000, 3))
+        M[::97, 0], M[::89, 1], M[::83, 2] = np.nan, -np.inf, -0.0
+        dataio.save_dense(tmp_path / "m.csv", M)
+        ids = np.stack([rng.permutation(5000)[:10] for _ in range(2000)])
+        dataio.save_rankings(tmp_path / "r.tsv", ids, rng.standard_normal(ids.shape))
+        (tmp_path / "t.txt").write_text("".join(f"{i}\n" for i in ids[:, 0]))
+        cases = [("m.csv", dataio.load_dense, _oracles.load_dense, ()),
+                 ("r.tsv", dataio.load_rankings, _oracles.load_rankings, (5000,)),
+                 ("t.txt", dataio.load_index_vector, _oracles.load_index_vector, ())]
+        def reached(path, *_):
+            pytest.fail(f"{path} reached a line loop")
+
+        for name in ("_dense_by_line", "_rankings_by_line", "_indices_by_line"):
+            monkeypatch.setattr(dataio, name, reached)
+        for name, load, oracle, args in cases:
+            _assert_matches_oracle(tmp_path / name, load, oracle, *args)
+        np.testing.assert_array_equal(dataio.load_dense(tmp_path / "m.csv"), M)
 
 
 class TestCandidateMap:
