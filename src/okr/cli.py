@@ -19,10 +19,11 @@ error, 2 data error, 3 numerical failure, 4 internal error (any other
 exception; its traceback goes to run.log).
 
 Heavy imports happen inside the handlers so that --threads can cap the BLAS
-worker pools through the environment before numpy is loaded. scipy loads
-only where a factorization, solve or eigendecomposition runs (fit, tune,
-predict with a --iokr-only bundle): embedded predict reads the folded
-readouts of its bundle with numpy alone, and evaluate uses no scipy either.
+worker pools through the environment before numpy is loaded. Every
+factorization and solve, and every eigensolve but Lanczos, runs on numpy
+alone (linalg), so fit, tune, predict and evaluate load no scipy, and with it
+no second OpenBLAS, unless an embedding fit takes the dense path and runs
+Lanczos there (linalg.eig_topk_exact at small p).
 """
 
 from __future__ import annotations
@@ -441,7 +442,7 @@ def _cmd_tune(args, out):
                             ("tune.qs", vals["tune.qs"], n_fit, fold)])
     in_spec = None if ds.x_format == "gram" else kernel_spec(vals, "kernel.x")
 
-    defaults = tuning.default_space(max(1, ds.n + ds.m))
+    defaults = tuning.default_space(n_fit + ds.m)
     if args.iokr_only:
         ps, cs = (None,), (None,)
     else:

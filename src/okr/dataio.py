@@ -61,6 +61,11 @@ def _fail(path, lineno, msg):
     raise DataError(f"{where}: {msg}")
 
 
+def _in_int64(value: int) -> bool:
+    """Whether an integer int() read fits the int64 arrays it is stored in."""
+    return -2 ** 63 <= value < 2 ** 63
+
+
 def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -368,6 +373,10 @@ def _rankings_by_line(path, lines, n_candidates):
             bad = [c for c in cids if not 0 <= c < n_candidates]
             if bad:
                 _fail(path, i + 1, f"candidate id {bad[0]} outside [0, {n_candidates})")
+        else:
+            bad = [c for c in cids if not _in_int64(c)]
+            if bad:
+                _fail(path, i + 1, f"candidate id {bad[0]} outside the int64 range")
         rows.append((cids, scores))
     width = max((len(cids) for cids, _ in rows), default=0)
     ids = np.full((len(rows), width), -1, dtype=np.int64)
@@ -393,6 +402,8 @@ def load_candidate_map(path, n_candidates=None):
             _fail(path, i + 1, f"non-integer ids in {ln!r}")
         if qid < 0 or cid < 0:
             _fail(path, i + 1, "ids must be nonnegative")
+        if not (_in_int64(qid) and _in_int64(cid)):
+            _fail(path, i + 1, f"ids outside the int64 range in {ln!r}")
         if n_candidates is not None and cid >= n_candidates:
             _fail(path, i + 1, f"candidate id {cid} outside [0, {n_candidates})")
         per_query.setdefault(qid, []).append(cid)
@@ -425,9 +436,12 @@ def _indices_by_line(path, lines) -> np.ndarray:
         if not ln.strip():
             continue
         try:
-            vals.append(int(ln.strip()))
+            value = int(ln.strip())
         except ValueError:
             _fail(path, i + 1, f"expected one integer, got {ln!r}")
+        if not _in_int64(value):
+            _fail(path, i + 1, f"integer {value} outside the int64 range")
+        vals.append(value)
     if not vals:
         _fail(path, 1, "empty index file")
     return np.array(vals, dtype=np.int64)

@@ -8,15 +8,19 @@ Regularization follows the n*lambda convention, i.e. the solve is against
 
 A p-row readout T of alpha columns (oel's test readout) folds into a p-row
 readout of the input-kernel columns themselves: T alpha(x) = T_x kappa(x)
-with T_x = fold_readout(model, T), so serving it needs neither the solve
-state nor scipy.
+with T_x = fold_readout(model, T), so serving it needs no solve state.
+
+The exact-mode solve state is the Cholesky factor of (K_x + n*lambda*I),
+written over one copy of the shifted Gram by linalg.cholesky_lower; every
+factor and solve here runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NumericalError, RegularizedSolver, check_symmetric
+from .linalg import (NumericalError, RegularizedSolver, check_symmetric, cho_solve,
+                     cholesky_lower)
 
 EXACT = "exact"
 NYSTROM = "nystrom"
@@ -89,16 +93,15 @@ def fit_krr_nystrom(K_x_cols, K_x_qq, lam: float, anchors) -> KrrModel:
         raise ValueError("anchors contain duplicate indices")
     if q > n:
         raise ValueError(f"more anchors ({q}) than training points ({n})")
-    from scipy.linalg import cho_factor, cho_solve
-
     M = K_x_cols.T @ K_x_cols + (n * lam) * K_x_qq
     M = 0.5 * (M + M.T)
     try:
-        factor = cho_factor(M, lower=True)
+        factor = cholesky_lower(M.copy())
     except np.linalg.LinAlgError:
         jitter = 1e-10 * np.trace(K_x_qq) / q
+        M.flat[::q + 1] += jitter
         try:
-            factor = cho_factor(M + jitter * np.eye(q), lower=True)
+            factor = cholesky_lower(M)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"Nystrom anchor system rank deficient even with jitter {jitter:.3g}") from exc

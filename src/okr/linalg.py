@@ -10,9 +10,12 @@ The exact top p come from implicitly restarted Lanczos (ARPACK) when p is
 small next to the dimension, with a full LAPACK eigendecomposition as the
 fallback whenever Lanczos does not converge or its result fails a check.
 
-scipy is imported inside the functions that factor, solve or
-eigendecompose, so importing this module (and everything that imports it)
-loads numpy only."""
+Cholesky factors and triangular solves run by blocks of _BLOCK rows:
+LAPACK (through numpy) on each diagonal block, GEMM for the rest.
+cholesky_lower writes the factor over the lower triangle of its argument, so
+a factor costs no memory beyond the matrix it replaces. Everything but
+Lanczos uses numpy alone, and scipy is imported inside _lanczos_topk, so
+importing this module (and everything that imports it) loads numpy only."""
 
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ EIG_CLAMP = -1e-10
 
 SYMMETRY_TOL = 1e-8
 _SYMMETRY_BLOCK = 256
+
+# rows per diagonal block of cholesky_lower and solve_lower
+_BLOCK = 256
 
 # Lanczos pays off against a full eigh only when p is small next to the
 # dimension N. Measured on 2 cores (Gaussian-kernel and flat Wishart
@@ -75,6 +81,83 @@ def check_symmetric(K: np.ndarray, tol: float = SYMMETRY_TOL, what: str = "matri
     return K
 
 
+def solve_lower(L, B, trans: bool = False) -> np.ndarray:
+    """X with L X = B, or L^T X = B when trans, for a lower triangular L and
+    a conformable vector or matrix B. The strict upper triangle of L is never
+    read. Each _BLOCK-row diagonal block is solved by np.linalg.solve; the
+    coupling to the blocks already solved is one GEMM per block."""
+    n = L.shape[0]
+    X = np.array(B, dtype=np.float64)
+    if X.shape[0] != n:
+        raise ValueError(f"B has {X.shape[0]} rows, expected {n}")
+    vector = X.ndim == 1
+    if vector:
+        X = X[:, None]
+    starts = range(0, n, _BLOCK)
+    for k in (reversed(starts) if trans else starts):
+        e = min(k + _BLOCK, n)
+        D = np.tril(L[k:e, k:e])
+        if trans:
+            if e < n:
+                X[k:e] -= L[e:, k:e].T @ X[e:]
+            X[k:e] = np.linalg.solve(D.T, X[k:e])
+        else:
+            if k:
+                X[k:e] -= L[k:e, :k] @ X[:k]
+            X[k:e] = np.linalg.solve(D, X[k:e])
+    return X[:, 0] if vector else X
+
+
+def cho_solve(L, B) -> np.ndarray:
+    """(L L^T)^{-1} B from a lower Cholesky factor L (cholesky_lower)."""
+    return solve_lower(L, solve_lower(L, B), trans=True)
+
+
+def _first_failing_minor(D: np.ndarray) -> int:
+    """The order of the first leading minor of D that is not positive
+    definite, for a D whose Cholesky factorization failed; every leading
+    minor below a positive definite one is positive definite too."""
+    good, bad = 0, D.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(D[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
+
+
+def cholesky_lower(A: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of the symmetric positive definite
+    float64 matrix A with its Cholesky factor L (A = L L^T) and return A.
+
+    Only the lower triangle is read, and the strict upper triangle keeps
+    what it held, as LAPACK's potrf leaves it. Works through block columns
+    _BLOCK wide: each diagonal block, less the product of the factor rows to
+    its left, goes to np.linalg.cholesky, and the panel below it, less the
+    same product, to solve_lower.
+    Raises np.linalg.LinAlgError naming the first leading minor of A that is
+    not positive definite; A is then partly overwritten."""
+    n = A.shape[0]
+    lower = np.tri(min(n, _BLOCK), dtype=bool)
+    for k in range(0, n, _BLOCK):
+        e = min(k + _BLOCK, n)
+        left = A[k:e, :k]
+        D = A[k:e, k:e] - left @ left.T
+        try:
+            L11 = np.linalg.cholesky(D)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"{k + _first_failing_minor(D)}-th leading minor of the array is not "
+                "positive definite") from None
+        np.copyto(A[k:e, k:e], L11, where=lower[:e - k, :e - k])
+        if e < n:
+            panel = A[e:, k:e] - A[e:, :k] @ left.T
+            A[e:, k:e] = solve_lower(L11, panel.T).T
+    return A
+
+
 class RegularizedSolver:
     """Cholesky factorization of (K + shift*I) for symmetric PSD K.
 
@@ -84,16 +167,13 @@ class RegularizedSolver:
     def __init__(self, K, shift: float):
         if not shift > 0:
             raise ValueError(f"shift must be positive, got {shift}")
-        from scipy.linalg import cho_factor
-
         K = check_symmetric(K, what="K")
-        self.n = K.shape[0]
         self.shift = float(shift)
-        shifted = K + self.shift * np.eye(self.n)
+        shifted = K.copy()
+        shifted.flat[::K.shape[0] + 1] += self.shift
         try:
-            self._factor = cho_factor(shifted, lower=True)
+            self._factor = cholesky_lower(shifted)
         except np.linalg.LinAlgError as exc:
-            # cho_factor reports the first non-positive pivot index
             raise NumericalError(
                 f"Cholesky of (K + {shift:g} I) failed: {exc}; "
                 "K is badly conditioned or not PSD") from exc
@@ -103,23 +183,18 @@ class RegularizedSolver:
         """Rebuild a solver from a stored lower Cholesky factor of
         (K + shift*I), bypassing refactorization (bit-exact persistence)."""
         obj = cls.__new__(cls)
-        obj.n = factor.shape[0]
         obj.shift = float(shift)
-        obj._factor = (np.asarray(factor, dtype=np.float64), True)
+        obj._factor = np.asarray(factor, dtype=np.float64)
         return obj
 
     @property
     def factor(self) -> np.ndarray:
-        """The lower Cholesky factor array (upper triangle is unspecified)."""
-        return self._factor[0]
+        """The lower Cholesky factor array; its strict upper triangle holds
+        that of K + shift*I."""
+        return self._factor
 
     def solve(self, B) -> np.ndarray:
         """Return (K + shift*I)^{-1} B for a conformable vector or matrix B."""
-        from scipy.linalg import cho_solve
-
-        B = np.asarray(B, dtype=np.float64)
-        if B.shape[0] != self.n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {self.n}")
         return cho_solve(self._factor, B)
 
 
@@ -281,8 +356,6 @@ def eig_topk_exact(K, p: int) -> EigPair:
     the same margin); otherwise, and for larger p or smaller N, a full
     symmetric eigendecomposition (LAPACK) is used. EigPair.solver names the
     one that produced the result."""
-    from scipy.linalg import eigh
-
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
@@ -291,7 +364,7 @@ def eig_topk_exact(K, p: int) -> EigPair:
         found = _lanczos_topk(K, p)
         if found is not None:
             return _finalize(*found, solver="lanczos")
-    w, V = eigh(K)
+    w, V = np.linalg.eigh(K)
     order = np.argsort(w)[::-1][:p]
     return _finalize(w[order], V[:, order], solver="eigh")
 
@@ -302,8 +375,6 @@ def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
     p + oversample, power_iters subspace iterations (one re-orthonormalized
     multiply by K each), then an exact eigendecomposition in the sketched
     basis truncated to p. Deterministic given seed (PCG64)."""
-    from scipy.linalg import eigh, qr
-
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
@@ -315,11 +386,11 @@ def eig_topk_randomized(K, p: int, oversample: int = 10, power_iters: int = 2,
         raise ValueError(f"sketch width p + oversample = {width} exceeds dim {n}")
     rng = np.random.default_rng(seed)
     Y = K @ rng.standard_normal((n, width))
-    Q, _ = qr(Y, mode="economic")
+    Q, _ = np.linalg.qr(Y)
     for _ in range(power_iters):
-        Q, _ = qr(K @ Q, mode="economic")
+        Q, _ = np.linalg.qr(K @ Q)
     B = Q.T @ (K @ Q)
     B = 0.5 * (B + B.T)
-    w, V = eigh(B)
+    w, V = np.linalg.eigh(B)
     order = np.argsort(w)[::-1][:p]
     return _finalize(w[order], Q @ V[:, order], solver="randomized")

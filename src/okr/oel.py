@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from .krr import EXACT, KrrModel, predict_alpha, train_alpha_times
 from .linalg import (NumericalError, column_signs, eig_topk_exact, eig_topk_randomized,
-                     pivoted_cholesky)
+                     pivoted_cholesky, solve_lower)
 
 # columns with mu below this fraction of mu_1 are dropped: beta scales like
 # 1/sqrt(mu), so near-null directions would blow up
@@ -347,10 +347,9 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     beta = G V_p / mu, the orthonormal directions V_p in that basis, and the
     readouts R = V_p^T L^-1 against the pivot outputs (L = F[pivots]) and
     T = V_p^T F_s^T. Requires p < r; fit_embedding takes the dense path
-    otherwise.
+    otherwise. The top p come from one full symmetric eigendecomposition of
+    the r x r matrix, and R from a triangular solve (linalg.solve_lower).
     """
-    from scipy.linalg import eigh, solve_triangular
-
     n, m, r = factor.n, factor.m, factor.r
     _check_balance(c, m)
     if not 1 <= p < r:
@@ -364,9 +363,9 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     if m:
         G[n:] = np.sqrt((1.0 - c) / m) * factor.F_u
     M = G.T @ G
-    w, V = eigh(0.5 * (M + M.T), subset_by_index=[r - p, r - 1])
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
     # G^T G is PSD by construction: a negative eigenvalue is rounding
-    mu, V = _drop_null(np.maximum(w[::-1], 0.0), V[:, ::-1], p)
+    mu, V = _drop_null(np.maximum(w[::-1][:p], 0.0), V[:, ::-1][:, :p], p)
     beta = G @ V / mu
     # the signs the dense path gives the eigenvectors u_l = sqrt(mu_l) beta_l
     signs = column_signs(beta)
@@ -375,7 +374,7 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     Gtb = G.T @ beta
     defect = _certify(Gtb.T @ Gtb)
     L = factor.F[factor.pivots]
-    R = solve_triangular(L, V, lower=True, trans="T").T
+    R = solve_lower(L, V, trans=True).T
     T = V.T @ factor.F_s.T
     return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T=T,
                     gram_trace=float(np.einsum("ij,ij->", G, G)), ortho_defect=defect,

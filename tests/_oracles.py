@@ -154,9 +154,12 @@ def load_index_vector(path):
         if not ln.strip():
             continue
         try:
-            vals.append(int(ln.strip()))
+            value = int(ln.strip())
         except ValueError:
             _fail(path, i + 1, f"expected one integer, got {ln!r}")
+        if not -2 ** 63 <= value < 2 ** 63:
+            _fail(path, i + 1, f"integer {value} outside the int64 range")
+        vals.append(value)
     if not vals:
         _fail(path, 1, "empty index file")
     return np.array(vals, dtype=np.int64)
@@ -186,6 +189,10 @@ def load_rankings(path, n_candidates=None):
             bad = [c for c in cids if not 0 <= c < n_candidates]
             if bad:
                 _fail(path, i + 1, f"candidate id {bad[0]} outside [0, {n_candidates})")
+        else:
+            bad = [c for c in cids if not -2 ** 63 <= c < 2 ** 63]
+            if bad:
+                _fail(path, i + 1, f"candidate id {bad[0]} outside the int64 range")
         rows.append((cids, scores))
     width = max((len(cids) for cids, _ in rows), default=0)
     ids = np.full((len(rows), width), -1, dtype=np.int64)

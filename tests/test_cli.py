@@ -591,6 +591,13 @@ def _rankings_cfg(tmp_path, bad_lines, *extra_keys):
                                  f"evaluate.rankings = {rank_path}", *extra_keys)
 
 
+def _truth_cfg(tmp_path, text):
+    """_rankings_cfg with valid rankings and a truth index file holding text."""
+    command, cfg = _rankings_cfg(tmp_path, "", "data.truth_index = truth.txt")
+    (cfg.parent / "truth.txt").write_text(text)
+    return command, cfg
+
+
 def _short_truth_cfg(tmp_path):
     """_rankings_cfg with valid rankings and 3 true candidates for the 6
     queries."""
@@ -670,6 +677,13 @@ BAD_RUN_INPUTS = [
      cli.EXIT_DATA, "data error", "rankings.tsv:1: query id 1 out of order; expected 0"),
     ("evaluate_query_id_repeated", lambda d: _rankings_cfg(d, "0\t0:0.5\n0\t1:0.5\n"),
      cli.EXIT_DATA, "data error", "rankings.tsv:2: query id 0 repeated; expected 1"),
+    ("evaluate_candidate_id_beyond_int64",
+     lambda d: _rankings_cfg(d, "0\t99999999999999999999:0.5\n"), cli.EXIT_DATA, "data error",
+     "rankings.tsv:1: candidate id 99999999999999999999 outside [0, 46)"),
+    ("evaluate_truth_index_beyond_int64",
+     lambda d: _truth_cfg(d, "0\n99999999999999999999\n2\n3\n4\n5\n"),
+     cli.EXIT_DATA, "data error", "truth.txt:2: integer 99999999999999999999 outside the "
+     "int64 range"),
     ("evaluate_truth_index_too_short", _short_truth_cfg,
      cli.EXIT_DATA, "data error", "short_truth.txt: 3 true candidates for 6 test queries"),
     ("predict_candidate_map_too_short", _short_map_cfg,
@@ -826,6 +840,23 @@ def test_tune_grids_at_the_training_fold_bound_fit(tmp_path, overrides):
         assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
 
+def test_tune_default_p_grid_stays_within_the_training_fold(tmp_path):
+    # 30 + 2 outputs at ratio 0.8: each point is fit on 24 + 2, so the
+    # default powers of two stop at 16, and no grid point fails to fit
+    data_dir, dataset_cfg = synth_workspace(tmp_path, n=30, m=2)
+    cfg = write_cfg(data_dir / "tune.cfg", dataset_cfg, "kernel.x.kind = gaussian",
+                    "kernel.x.sigma2 = 1.0", "kernel.y.kind = gaussian",
+                    "kernel.y.sigma2 = 4.0", "tune.reps = 2", "tune.lams = 1e-3",
+                    "tune.cs = 0.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # p above the fold's numerical rank
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+    header, *rows = (tmp_path / "o" / "tune_table.tsv").read_text().splitlines()
+    fields = [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+    assert sorted({int(f["p"]) for f in fields}) == [1, 2, 4, 8, 16]
+    assert all(f["error"] == "" for f in fields)
+
+
 # (case, subcommand, config line, text the run.log entry must contain); every
 # case exits with the usage code before any data is drawn or timed
 BAD_SYNTH_BENCH_INPUTS = [
@@ -978,10 +1009,20 @@ def _probe(code, *argv):
 
 
 class TestLazyScipy:
-    # scipy loads only where a factorization, solve or eigendecomposition
-    # runs; its import costs more than embedded predict or evaluate itself
+    # scipy loads only for the dense path's Lanczos eigensolve; its import
+    # costs more than most commands themselves, and brings a second OpenBLAS
     CLI_PROBE = ("import sys; from okr import cli; "
                  "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
+
+    def test_fit_and_tune_run_without_scipy(self, tmp_path):
+        tune_cfg = _tune_cfg(tmp_path)
+        run_cfg = write_cfg(tune_cfg.parent / "run.cfg",
+                            (tune_cfg.parent / "dataset.cfg").read_text(), *FIT_KEYS)
+        for i, argv in enumerate([("fit", "--config", run_cfg),
+                                  ("fit", "--iokr-only", "--config", run_cfg),
+                                  ("tune", "--share-krr", "--config", tune_cfg)]):
+            assert _probe(self.CLI_PROBE, *map(str, argv),
+                          "--out", str(tmp_path / f"out{i}")) == "0 False"
 
     def test_embedded_predict_and_evaluate_run_without_scipy(self, tmp_path):
         data_dir, dataset_cfg = synth_workspace(tmp_path)
@@ -1001,8 +1042,8 @@ class TestLazyScipy:
 
         assert command("predict", "pred") == "0 False"
         assert command("evaluate", "eval") == "0 False"
-        # the regression-only bundle still solves for alpha, through scipy
-        assert command("predict", "pred_iokr") == "0 True"
+        # the regression-only bundle solves for alpha with numpy alone
+        assert command("predict", "pred_iokr") == "0 False"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -341,7 +341,8 @@ class TestTextLoadersMatchLineLoops:
     # not for a check of the loader: a field with two colons beside one with
     # none, a colon in a query id, an empty id beside a space, a skipped
     # query id, an id past n_candidates, a '#' after a value, every row one
-    # value short of the header, and an integer field with a fraction
+    # value short of the header, an integer field with a fraction, and an
+    # integer beyond int64
     @pytest.mark.parametrize("text, load, oracle, args", [
         ("0\t1:2\t3:4\n1\t5:6:7:8\n", dataio.load_rankings, _oracles.load_rankings, ()),
         ("0\t1:2\t3:4\n1:2\t3\t4:5\n", dataio.load_rankings, _oracles.load_rankings, ()),
@@ -355,9 +356,16 @@ class TestTextLoadersMatchLineLoops:
         ("1\n2.5\n", dataio.load_index_vector, _oracles.load_index_vector, ()),
         ("0\t1:2\n1\t2.5:3\n", dataio.load_rankings, _oracles.load_rankings, ()),
         ("0\t1:2\n1.5\t2:3\n", dataio.load_rankings, _oracles.load_rankings, ()),
+        ("1\n99999999999999999999\n", dataio.load_index_vector, _oracles.load_index_vector,
+         ()),
+        ("1\n-99999999999999999999\n", dataio.load_index_vector,
+         _oracles.load_index_vector, ()),
+        ("0\t1:2\n1\t99999999999999999999:3\n", dataio.load_rankings,
+         _oracles.load_rankings, ()),
     ], ids=["two_colons", "colon_in_qid", "empty_id", "skipped_qid", "id_past_n",
             "negative_id", "dense_hash", "dense_short_row", "index_hash", "index_fraction",
-            "id_fraction", "qid_fraction"])
+            "id_fraction", "qid_fraction", "index_beyond_int64", "index_below_int64",
+            "id_beyond_int64"])
     def test_near_misses(self, tmp_path, text, load, oracle, args):
         path = self._write(tmp_path, text)
         with pytest.raises(dataio.DataError, match=r"f\.txt:2: "):
@@ -427,6 +435,13 @@ class TestCandidateMap:
         p.write_text("0 10\n")
         with pytest.raises(dataio.DataError, match="outside"):
             dataio.load_candidate_map(p, n_candidates=4)
+
+    @pytest.mark.parametrize("line", ["0 99999999999999999999", "99999999999999999999 0"])
+    def test_id_beyond_int64_rejected(self, tmp_path, line):
+        p = tmp_path / "map.txt"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(dataio.DataError, match=r"map\.txt:2: ids outside the int64 range"):
+            dataio.load_candidate_map(p)
 
 
 class TestLoadDataset:

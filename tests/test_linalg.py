@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from okr import linalg
@@ -59,6 +62,103 @@ class TestRegularizedSolver:
         clone = linalg.RegularizedSolver.from_factor(solver.factor.copy(), solver.shift)
         B = rng.standard_normal((12, 3))
         assert np.array_equal(solver.solve(B), clone.solve(B))
+
+
+def _minor_order(exc) -> int:
+    """The leading-minor order a failed Cholesky names in its message."""
+    return int(re.match(r"(\d+)-th leading minor", str(exc)).group(1))
+
+
+def _rel_residual(A, X, B) -> float:
+    return float(np.linalg.norm(A @ X - B) / np.linalg.norm(B))
+
+
+class TestBlockedCholesky:
+    """cholesky_lower, solve_lower and cho_solve against scipy's LAPACK
+    routines, at sizes on both sides of the 256-row block."""
+
+    SIZES = (1, 255, 256, 257, 600)
+    # the residuals may exceed scipy's by this factor, at least one rounding
+    RESIDUAL_SLACK = 10.0
+
+    @classmethod
+    def _assert_residual(cls, ours, ref):
+        assert ours <= cls.RESIDUAL_SLACK * max(ref, np.finfo(float).eps), (ours, ref)
+
+    @staticmethod
+    def _spd(n, seed):
+        return random_psd(np.random.default_rng(seed), n) + 1e-3 * np.eye(n)
+
+    @staticmethod
+    def _rhs(n, shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n) if shape == "vector" else rng.standard_normal((n, 7))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_factor_matches_scipy_and_keeps_the_upper_triangle(self, n):
+        A = self._spd(n, n)
+        F = linalg.cholesky_lower(A.copy())
+        L = scipy.linalg.cholesky(A, lower=True)
+        assert np.max(np.abs(np.tril(F) - L)) <= 1e-12 * np.max(np.abs(L))
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(F[upper], A[upper])
+
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solve_lower_residual_against_solve_triangular(self, n, trans, shape):
+        L = scipy.linalg.cholesky(self._spd(n, n), lower=True)
+        B = self._rhs(n, shape, n + 1)
+        # the strict upper triangle is never read
+        L_nan = L.copy()
+        L_nan[np.triu_indices(n, 1)] = np.nan
+        X = linalg.solve_lower(L_nan, B, trans=trans)
+        ref = scipy.linalg.solve_triangular(L, B, lower=True, trans="T" if trans else "N")
+        assert X.shape == B.shape
+        op = L.T if trans else L
+        self._assert_residual(_rel_residual(op, X, B), _rel_residual(op, ref, B))
+
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cho_solve_residual_against_scipy(self, n, shape):
+        A = self._spd(n, n)
+        B = self._rhs(n, shape, n + 2)
+        X = linalg.cho_solve(linalg.cholesky_lower(A.copy()), B)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), B)
+        assert X.shape == B.shape
+        self._assert_residual(_rel_residual(A, X, B), _rel_residual(A, ref, B))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_from_factor_solves_bit_exactly(self, n):
+        A = self._spd(n, n)
+        solver = linalg.solve_regularized(A, 0.5)
+        clone = linalg.RegularizedSolver.from_factor(solver.factor.copy(), solver.shift)
+        B = self._rhs(n, "matrix", n + 3)
+        assert np.array_equal(solver.solve(B), clone.solve(B))
+
+    # (size, entries set as (i, j, value), mirrored): a negative pivot on the
+    # diagonal, or an off-diagonal entry too large for a 2 x 2 minor, inside
+    # the first block, at either side of a block edge, and in the last row
+    @pytest.mark.parametrize("n, entries", [
+        (1, [(0, 0, -1.0)]),
+        (255, [(254, 254, -1.0)]),
+        (256, [(255, 255, -2.0)]),
+        (257, [(256, 256, -1.0)]),
+        (600, [(0, 0, 0.0)]),
+        (600, [(256, 256, -1.0)]),
+        (600, [(300, 10, 50.0)]),
+        (600, [(599, 598, 50.0)]),
+        (600, [(520, 520, -1.0), (530, 530, -1.0)]),
+    ])
+    def test_failing_minor_order_matches_scipy(self, n, entries):
+        A = self._spd(n, 7)
+        for i, j, value in entries:
+            A[i, j] = A[j, i] = value
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            linalg.cholesky_lower(A.copy())
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            scipy.linalg.cho_factor(A, lower=True)
+        assert _minor_order(ours.value) == _minor_order(ref.value)
 
 
 class TestEigExact:
