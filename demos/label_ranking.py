@@ -60,7 +60,7 @@ outputs, products = oel.OutputSet(out_spec, Phi_tr), {}
 for p in (3, 6, 12):
     model = oel.fit_embedding(krr_model, K_x, outputs, p, products=products)
     C_ref = kernels.gram(out_spec, model.reference_outputs(Phi_tr), Phi_tr)
-    rankings = decode_oel(oel.embed_tests(model, A_test),
+    rankings = decode_oel(oel.embed_inputs(model, kappa),
                           oel.embed_candidates(model, C_ref),
                           cand_norms, k=1)
     print(f"embedded decoding, p={p:>2}:  mean Kendall tau = "

@@ -59,7 +59,7 @@ acc_full = metrics.topk_accuracy(full_ids, truth_index, ks)
 
 model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(out_spec, Y, Y_pool), p, c)
 C_ref = kernels.gram(out_spec, model.reference_outputs(Y, Y_pool), candidates)
-emb_ids, _ = decode_oel(oel.embed_tests(model, A_test), oel.embed_candidates(model, C_ref),
+emb_ids, _ = decode_oel(oel.embed_inputs(model, kappa), oel.embed_candidates(model, C_ref),
                         cand_norms, k=10, query_cands=query_cands)
 acc_emb = metrics.topk_accuracy(emb_ids, truth_index, ks)
 

@@ -34,7 +34,6 @@ C_true = kernels.gram(lin, Y_ref, ds.y_test)
 
 krr_model = okr.fit_krr(K_x, LAM)
 outputs = oel.OutputSet(lin, ds.y_sup, ds.y_unsup)
-A_test = okr.predict_alpha(krr_model, kappa_test)
 
 print(f"n={N_SUP} supervised pairs, m={N_UNSUP} unlabeled outputs, "
       f"{N_TEST} test points, p=1\n")
@@ -42,7 +41,7 @@ print("    c   test surrogate error   embedding axis (x, z)")
 for c in (0.0, 0.25, 0.5, 0.75, 1.0):
     # the randomized method always takes the dense path
     model = oel.fit_embedding(krr_model, K_x, outputs, 1, c, method="randomized", seed=0)
-    z_pred = oel.embed_tests(model, A_test)
+    z_pred = oel.embed_inputs(model, kappa_test)
     z_true = oel.embed_candidates(model, C_true)
     err = float(np.mean(oel.surrogate_sq_errors(z_pred, z_true, true_norms)))
 

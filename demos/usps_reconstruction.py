@@ -67,14 +67,13 @@ def test_loss(cfg):
     C_s = kernels.gram(out_spec, y_sup, candidates)
     cand_norms = kernels.self_norms(out_spec, candidates)
     krr_model = okr.fit_krr(K_x, cfg.lam)
-    A_test = okr.predict_alpha(krr_model, kappa)
     if cfg.p is None:
-        ids, _ = decode_iokr(A_test, C_s, cand_norms, k=1)
+        ids, _ = decode_iokr(okr.predict_alpha(krr_model, kappa), C_s, cand_norms, k=1)
     else:
         model = oel.fit_embedding(krr_model, K_x, oel.OutputSet(out_spec, y_sup, y_unsup),
                                   cfg.p, cfg.c, method="randomized", seed=0)
         C_ref = kernels.gram(out_spec, model.reference_outputs(y_sup, y_unsup), candidates)
-        ids, _ = decode_oel(oel.embed_tests(model, A_test),
+        ids, _ = decode_oel(oel.embed_inputs(model, kappa),
                             oel.embed_candidates(model, C_ref), cand_norms, k=1)
     pred = candidates[ids[:, 0]]
     k_yp = kernels.pair_values(out_spec, y_te, pred)

@@ -17,14 +17,13 @@ __version__ = "0.1.0"
 # loads) stays cheap.
 _EXPORTS = {
     "kernels": ("KernelSpec", "gram", "self_norms", "pair_values", "kemeny_embed"),
-    "linalg": ("RegularizedSolver", "solve_regularized", "EigPair", "eig_topk_exact",
-               "eig_topk_randomized", "PivotedCholesky", "pivoted_cholesky",
-               "NumericalError"),
+    "linalg": ("RegularizedSolver", "EigPair", "eig_topk_exact", "eig_topk_randomized",
+               "PivotedCholesky", "pivoted_cholesky", "NumericalError"),
     "krr": ("KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "fold_readout",
             "train_alpha_times", "select_anchors"),
     "oel": ("MixedGram", "OelModel", "OutputFactor", "OutputSet", "fit_embedding",
             "assemble_mixed_gram", "fit_oel", "factor_outputs", "fit_oel_factored",
-            "embed_candidates", "embed_tests", "embed_inputs", "surrogate_sq_errors"),
+            "embed_candidates", "embed_inputs", "surrogate_sq_errors"),
     "decode": ("decode_oel", "decode_iokr"),
     "metrics": ("MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
                 "topk_accuracy", "kendall_tau", "hamming"),

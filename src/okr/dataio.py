@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .config import write_snapshot
-from .krr import EXACT, NYSTROM, KrrModel, fold_readout
+from .krr import EXACT, NYSTROM, KrrModel
 from .linalg import RegularizedSolver
 from .oel import OelModel
 
@@ -115,6 +115,8 @@ def load_dense(path) -> np.ndarray:
         _fail(path, 1, f"malformed dimension header {lines[0]!r}")
     if rows < 0 or cols < 0:
         _fail(path, 1, f"negative dimension in header {lines[0]!r}")
+    if not (_in_int64(rows) and _in_int64(cols)):
+        _fail(path, 1, f"dimension beyond the int64 range in header {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         _fail(path, len(lines), f"expected {rows} data rows, found {len(body)}")
@@ -148,19 +150,24 @@ def save_dense(path, M) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_sparse(path) -> np.ndarray:
-    """Sparse rows: '#dim D' header, then 'index:value' pairs per example."""
-    lines = _read_lines(path)
-    header = _header_value(path, lines, "dim D")
-    parts = header.split()
+def _dim_header(path, lines) -> int:
+    """D of a '#dim D' header line; D must fit the int64 range."""
+    parts = _header_value(path, lines, "dim D").split()
     if len(parts) != 2 or parts[0] != "dim":
         _fail(path, 1, f"expected header '#dim D', got {lines[0]!r}")
     try:
         dim = int(parts[1])
     except ValueError:
         dim = -1
-    if dim < 0:
+    if dim < 0 or not _in_int64(dim):
         _fail(path, 1, f"bad dimension {parts[1]!r}")
+    return dim
+
+
+def load_sparse(path) -> np.ndarray:
+    """Sparse rows: '#dim D' header, then 'index:value' pairs per example."""
+    lines = _read_lines(path)
+    dim = _dim_header(path, lines)
     rows = []
     for i, ln in enumerate(lines[1:]):
         row = np.zeros(dim)
@@ -187,16 +194,7 @@ def load_bitsets(path) -> np.ndarray:
     """Bitsets: '#dim D' header, then active label indices per line (an empty
     line is an empty label set). Returns a 0/1 float matrix."""
     lines = _read_lines(path)
-    header = _header_value(path, lines, "dim D")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        _fail(path, 1, f"expected header '#dim D', got {lines[0]!r}")
-    try:
-        dim = int(parts[1])
-    except ValueError:
-        dim = -1
-    if dim < 0:
-        _fail(path, 1, f"bad dimension {parts[1]!r}")
+    dim = _dim_header(path, lines)
     rows = []
     for i, ln in enumerate(lines[1:]):
         row = np.zeros(dim)
@@ -225,20 +223,22 @@ def save_bitsets(path, B) -> None:
 
 
 def load_permutations(path) -> np.ndarray:
-    """Permutations: comma-separated ranks per line, ranks exactly 1..K."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines:
-        _fail(path, 1, "no data rows")
+    """Permutations: comma-separated ranks per line, ranks exactly 1..K;
+    blank lines are skipped."""
     rows = []
-    for i, ln in enumerate(lines):
+    for lineno, ln in enumerate(_read_lines(path), 1):
+        if not ln.strip():
+            continue
         try:
             ranks = np.array([int(tok) for tok in ln.split(",")])
             rows.append(kernels.check_permutation(ranks))
         except ValueError as exc:
-            _fail(path, i + 1, str(exc))
+            _fail(path, lineno, str(exc))
         if rows[0].size != rows[-1].size:
-            _fail(path, i + 1, f"rank count {rows[-1].size} differs from first row "
-                               f"({rows[0].size})")
+            _fail(path, lineno, f"rank count {rows[-1].size} differs from first row "
+                                f"({rows[0].size})")
+    if not rows:
+        _fail(path, 1, "no data rows")
     return np.vstack(rows)
 
 
@@ -777,11 +777,11 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
     """Pack fitted models (plus caller-provided context such as training
     features and kernel parameters) into a persistable bundle.
 
-    An embedded bundle serves test inputs through the folded readout
-    T_x = krr.fold_readout(krr_model, T) (oel_T_x) and candidates through
-    oel_R, so it keeps no ridge solve state; only a regression-only bundle
-    (no oel_model) stores the Cholesky factor (krr_factor) or the Nystrom
-    dual weights (krr_dual). Nystrom bundles keep the anchor indices."""
+    An embedded bundle stores the model's two readouts as fitted, oel_T_x
+    for test inputs and oel_R for candidates, so it keeps no ridge solve
+    state; only a regression-only bundle (no oel_model) stores the Cholesky
+    factor (krr_factor) or the Nystrom dual weights (krr_dual). Nystrom
+    bundles keep the anchor indices."""
     manifest = {
         "krr.mode": krr_model.mode,
         "krr.lambda": repr(krr_model.lam),
@@ -807,7 +807,7 @@ def bundle_from_models(krr_model: KrrModel, oel_model: OelModel | None = None,
         })
         matrices["oel_mu"] = oel_model.mu[:, None]
         matrices["oel_R"] = oel_model.R
-        matrices["oel_T_x"] = fold_readout(krr_model, oel_model.T)
+        matrices["oel_T_x"] = oel_model.T_x
     manifest.update(extra_manifest or {})
     matrices.update(extra_matrices or {})
     return ModelBundle(manifest=manifest, matrices=matrices)
@@ -817,7 +817,7 @@ def models_from_bundle(bundle: ModelBundle):
     """Rebuild (krr_model, oel_model_or_None) from a loaded bundle,
     reproducing the original predictions bit for bit. The ridge model of an
     embedded bundle has no solve state: it only says which kernel columns
-    (training inputs or anchors) the folded readout T_x reads."""
+    (training inputs or anchors) the test readout T_x reads."""
     man = bundle.manifest
     mode = man["krr.mode"]
     lam = float(man["krr.lambda"])
@@ -840,7 +840,7 @@ def models_from_bundle(bundle: ModelBundle):
                         f"{krr_model.alpha_rows} kernel rows)")
     oel_model = OelModel(
         beta=None, mu=bundle.matrices["oel_mu"].ravel(), c=float(man["oel.c"]), n=n,
-        m=int(man["oel.m"]), R=R, T=None, T_x=T_x,
+        m=int(man["oel.m"]), R=R, T_x=T_x,
         gram_trace=float(man["oel.gram_trace"]),
         ortho_defect=float(man["oel.ortho_defect"]))
     return krr_model, oel_model

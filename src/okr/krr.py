@@ -6,9 +6,10 @@ downstream code consumes alpha columns together with output-kernel columns.
 Regularization follows the n*lambda convention, i.e. the solve is against
 (K_x + n*lambda*I), so lambda values are comparable across sample sizes.
 
-A p-row readout T of alpha columns (oel's test readout) folds into a p-row
-readout of the input-kernel columns themselves: T alpha(x) = T_x kappa(x)
-with T_x = fold_readout(model, T), so serving it needs no solve state.
+A p-row readout T of alpha columns folds into a p-row readout of the
+input-kernel columns themselves: T alpha(x) = T_x kappa(x) with
+T_x = fold_readout(model, T). Every oel fit ends with that fold, so an
+embedded model serves test inputs with no solve state.
 
 The exact-mode solve state is the Cholesky factor of (K_x + n*lambda*I),
 written over one copy of the shifted Gram by linalg.cholesky_lower; every
@@ -119,7 +120,7 @@ def predict_alpha(model: KrrModel, kappa_test) -> np.ndarray:
     """
     if (model.solver if model.mode == EXACT else model.dual_weights) is None:
         raise ValueError("ridge model without its solve state (rebuilt from an embedded "
-                         "bundle): use the folded readout (fold_readout)")
+                         "bundle): embed test inputs with oel.embed_inputs")
     kappa = np.asarray(kappa_test, dtype=np.float64)
     squeeze = kappa.ndim == 1
     if squeeze:

@@ -198,11 +198,6 @@ class RegularizedSolver:
         return cho_solve(self._factor, B)
 
 
-def solve_regularized(K, shift: float) -> RegularizedSolver:
-    """Factor (K + shift*I) once so many right-hand sides can be solved."""
-    return RegularizedSolver(K, shift)
-
-
 @dataclass(frozen=True)
 class PivotedCholesky:
     """K ~ F F^T from r pivoted Cholesky steps on an N x N PSD matrix.

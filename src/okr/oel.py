@@ -7,11 +7,13 @@ sqrt((1-c)/m) * psi(y_j) for the unsupervised pool. The embedding of any new
 point is linear in its kernel column, so a fit ends by folding the
 eigenvector coefficients into two p-row readout matrices: R maps the
 output-kernel columns of a decode candidate against the model's reference
-outputs to its embedding, and T maps the alpha column of a test prediction
-to its embedding. Since alpha(x) is linear in the input-kernel column
-kappa(x), T folds further into T_x = krr.fold_readout(krr_model, T), and a
-served model embeds a test input as T_x kappa(x) (embed_inputs) with no
-ridge solve. A model bundle stores R and T_x.
+outputs to its embedding (embed_candidates), and T_x maps the input-kernel
+column of a test input to the embedding of its prediction (embed_inputs).
+The fit forms T_x from the readout T of alpha columns, which it then drops:
+alpha(x) is linear in the input-kernel column kappa(x), so
+T_x = krr.fold_readout(krr_model, T) takes the ridge solve in, and no test
+embedding needs one. A fitted model and one rebuilt from a bundle both hold
+R and T_x, which are what the bundle stores.
 
 There are two ways to the top p, and fit_embedding, the entry point from a
 fitted ridge model and an OutputSet of training outputs, picks between them:
@@ -37,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .krr import EXACT, KrrModel, predict_alpha, train_alpha_times
+from .krr import EXACT, KrrModel, fold_readout, predict_alpha, train_alpha_times
 from .linalg import (NumericalError, column_signs, eig_topk_exact, eig_topk_randomized,
                      pivoted_cholesky, solve_lower)
 
@@ -175,13 +177,12 @@ class OelModel:
 
         R   (p x n_ref): a candidate embeds as R C, with C the output-kernel
             columns of the candidate against the reference outputs;
-        T   (p x n):     a test prediction embeds as T alpha(x);
         T_x (p x alpha_rows of the ridge model): a test input embeds as
-            T_x kappa(x), T with the ridge solve folded in
-            (krr.fold_readout).
+            T_x kappa(x), with kappa(x) its input-kernel column as
+            krr.predict_alpha takes it.
 
-    A fit sets beta, R and T. A model rebuilt from a bundle has R and T_x
-    and None for beta and T, which serving does not read.
+    Every model has both. A fit also sets beta; a model rebuilt from a bundle
+    has None for it, which serving does not read.
 
     ref_rows indexes the reference outputs among the n supervised then m
     unsupervised outputs (all of them for a dense fit, the pivots for a
@@ -191,15 +192,14 @@ class OelModel:
     from one has None for both.
     """
 
-    def __init__(self, beta, mu, c, n, m, R, T, gram_trace, ortho_defect,
-                 ref_rows=None, eigensolver=None, T_x=None):
+    def __init__(self, beta, mu, c, n, m, R, T_x, gram_trace, ortho_defect,
+                 ref_rows=None, eigensolver=None):
         self.beta = beta
         self.mu = mu
         self.c = float(c)
         self.n = int(n)
         self.m = int(m)
         self.R = R
-        self.T = T
         self.T_x = T_x
         self.gram_trace = float(gram_trace)
         self.ortho_defect = float(ortho_defect)
@@ -257,9 +257,13 @@ def _certify(BKB: np.ndarray) -> float:
     return defect
 
 
-def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
-            oversample: int = 10, power_iters: int = 2) -> OelModel:
-    """Eigendecompose the mixed Gram and keep the top p components.
+def fit_oel(krr_model: KrrModel, mixed: MixedGram, p: int, method: str = "exact",
+            seed: int = 0, oversample: int = 10, power_iters: int = 2) -> OelModel:
+    """Eigendecompose the mixed Gram of a fitted ridge model and keep the top p
+    components.
+
+    mixed is assembled from krr_model's training alpha matrix, and the test
+    readout T alpha(x) is folded through krr_model into T_x.
 
     Eigenvalues below DROP_RTOL * mu_1 are discarded with a warning (the
     effective p shrinks). Method "exact" uses linalg.eig_topk_exact (Lanczos
@@ -291,7 +295,8 @@ def fit_oel(mixed: MixedGram, p: int, method: str = "exact", seed: int = 0,
         R = np.hstack([R_s, R_u])
     else:
         R = R_s
-    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R=R, T=T,
+    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R=R,
+                    T_x=fold_readout(krr_model, T),
                     gram_trace=float(np.trace(mixed.K)), ortho_defect=defect,
                     ref_rows=np.arange(size), eigensolver=eig.solver)
 
@@ -336,19 +341,21 @@ def factor_outputs(spec: kernels.KernelSpec, Y_sup, Y_unsup=None) -> OutputFacto
     return OutputFactor(F=chol.F, pivots=chol.pivots, n=len(Y_sup))
 
 
-def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelModel:
+def fit_oel_factored(krr_model: KrrModel, factor: OutputFactor, AF_s, p: int,
+                     c: float = 1.0) -> OelModel:
     """The top-p embedding from an output factor, with no (n+m)-sized Gram.
 
-    AF_s is A F_s (n x r), with A the n x n training alpha matrix (alpha(x_i)
-    in column i; symmetric in both ridge modes, see
+    AF_s is A F_s (n x r), with A the n x n training alpha matrix of
+    krr_model (alpha(x_i) in column i; symmetric in both ridge modes, see
     krr.train_alpha_times). Row i of G = [sqrt(c/n) A F_s ; sqrt((1-c)/m) F_u]
     holds the coordinates of spanning vector i in the factor's basis, so the
     mixed Gram is G G^T. With G^T G V = V diag(mu), the top p give
     beta = G V_p / mu, the orthonormal directions V_p in that basis, and the
     readouts R = V_p^T L^-1 against the pivot outputs (L = F[pivots]) and
-    T = V_p^T F_s^T. Requires p < r; fit_embedding takes the dense path
-    otherwise. The top p come from one full symmetric eigendecomposition of
-    the r x r matrix, and R from a triangular solve (linalg.solve_lower).
+    T_x, the alpha readout T = V_p^T F_s^T folded through krr_model.
+    Requires p < r; fit_embedding takes the dense path otherwise. The top p
+    come from one full symmetric eigendecomposition of the r x r matrix, and
+    R from a triangular solve (linalg.solve_lower).
     """
     n, m, r = factor.n, factor.m, factor.r
     _check_balance(c, m)
@@ -376,7 +383,7 @@ def fit_oel_factored(factor: OutputFactor, AF_s, p: int, c: float = 1.0) -> OelM
     L = factor.F[factor.pivots]
     R = solve_lower(L, V, trans=True).T
     T = V.T @ factor.F_s.T
-    return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T=T,
+    return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T_x=fold_readout(krr_model, T),
                     gram_trace=float(np.einsum("ij,ij->", G, G)), ortho_defect=defect,
                     ref_rows=factor.pivots, eigensolver=f"pivoted_cholesky r={r}")
 
@@ -449,7 +456,7 @@ def fit_embedding(krr_model: KrrModel, K_cols, outputs: OutputSet, p: int, c: fl
     if factor is not None and p < factor.r:
         AF_s = _kept(products, ("A F_s", outputs),
                      lambda: train_alpha_times(krr_model, K_cols, factor.F_s))
-        return fit_oel_factored(factor, AF_s, p, c)
+        return fit_oel_factored(krr_model, factor, AF_s, p, c)
     # the training inputs' kernel columns as predict_alpha takes them
     kappa_train = K_cols if krr_model.mode == EXACT else np.asarray(K_cols).T
     A = _kept(products, "A", lambda: predict_alpha(krr_model, kappa_train))
@@ -460,7 +467,7 @@ def fit_embedding(krr_model: KrrModel, K_cols, outputs: OutputSet, p: int, c: fl
                        lambda: mixed_gram_blocks(A, outputs.K_ss, outputs.K_su))
     mixed = assemble_mixed_gram(A, outputs.K_ss, K_y_su=outputs.K_su, K_y_uu=outputs.K_uu,
                                 c=c, blocks=blocks)
-    return fit_oel(mixed, p, method=method, seed=seed, oversample=oversample,
+    return fit_oel(krr_model, mixed, p, method=method, seed=seed, oversample=oversample,
                    power_iters=power_iters)
 
 
@@ -485,28 +492,14 @@ def embed_candidates(model: OelModel, C) -> np.ndarray:
     return model.R @ _check_cols("C", C, model.R.shape[1], None)
 
 
-def embed_tests(model: OelModel, A_test) -> np.ndarray:
-    """Embed test predictions from their alpha columns.
-
-    A_test holds alpha(x_test_j) in column j; column j of the result is the
-    p-vector G h(x_test_j) = T alpha(x_test_j)."""
-    if model.T is None:
-        raise ValueError("model rebuilt from a bundle keeps only the folded test "
-                         "readout: use embed_inputs")
-    return model.T @ _check_cols("A_test", A_test, model.n, None)
-
-
 def embed_inputs(model: OelModel, kappa) -> np.ndarray:
-    """Embed test inputs from their input-kernel columns through the folded
-    readout T_x, with no ridge solve.
+    """Embed test inputs from their input-kernel columns, with no ridge solve.
 
     kappa holds in column j the kernel column of x_test_j that
-    krr.predict_alpha would take (against the n training inputs, or the q
-    Nystrom anchors); column j of the result equals
-    embed_tests(model, predict_alpha(krr_model, kappa))[:, j] up to rounding.
+    krr.predict_alpha takes (against the n training inputs, or the q Nystrom
+    anchors); column j of the result is the p-vector G h(x_test_j) =
+    T_x kappa_j, the embedding of the ridge prediction for x_test_j.
     """
-    if model.T_x is None:
-        raise ValueError("model has no folded test readout (krr.fold_readout)")
     return model.T_x @ _check_cols("kappa", kappa, model.T_x.shape[1], None)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,16 +113,23 @@ def _with_sigma2(spec: kernels.KernelSpec, sigma2):
 
 class _Ridge:
     """One ridge fit of a fold: the model, the training kernel columns it
-    reads (krr.train_alpha_times), the validation alpha columns, and the
-    memo in which oel.fit_embedding keeps the ridge's products (the training
-    alpha matrix, A F_s, the mixed Gram blocks): one grid point's, or with
-    --share-krr every point's that shares the ridge."""
+    reads (krr.train_alpha_times), the validation kernel columns as
+    krr.predict_alpha takes them, and the memo in which oel.fit_embedding
+    keeps the ridge's products (the training alpha matrix, A F_s, the mixed
+    Gram blocks): one grid point's, or with --share-krr every point's that
+    shares the ridge."""
 
-    def __init__(self, model, K_cols, A_val):
+    def __init__(self, model, K_cols, kappa_val):
         self.model = model
         self.K_cols = K_cols
-        self.A_val = A_val
+        self.kappa_val = kappa_val
         self.products = {}
+
+    @cached_property
+    def A_val(self) -> np.ndarray:
+        """The validation alpha columns, which only regression-only grid
+        points read: an embedded point reads kappa_val through its T_x."""
+        return predict_alpha(self.model, self.kappa_val)
 
 
 class _FoldCache:
@@ -185,12 +193,11 @@ class _FoldCache:
         K_x, kappa_val = self.x_grams(cfg.sigma2_in)
         n_tr = K_x.shape[0]
         if cfg.q is None:
-            model = fit_krr(K_x, cfg.lam)
-            return _Ridge(model, K_x, predict_alpha(model, kappa_val))
+            return _Ridge(fit_krr(K_x, cfg.lam), K_x, kappa_val)
         anchors = select_anchors(n_tr, cfg.q, dataio.named_seed(self.seed, "anchors"))
         K_cols = K_x[:, anchors]
         model = fit_krr_nystrom(K_cols, K_x[np.ix_(anchors, anchors)], cfg.lam, anchors)
-        return _Ridge(model, K_cols, predict_alpha(model, kappa_val[anchors, :]))
+        return _Ridge(model, K_cols, kappa_val[anchors, :])
 
 
 def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
@@ -207,11 +214,11 @@ def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
                                   1.0 if cfg.c is None else cfg.c, method=oel_method,
                                   seed=oel_seed, products=ridge.products)
         Y_ref = model.reference_outputs(Y_tr, Y_pool)
+        Z_val = oel.embed_inputs(model, ridge.kappa_val)
 
     if metric == "surrogate_mse":
         self_norms_val = kernels.self_norms(out_spec, Y_val)
         if use_oel:
-            Z_val = oel.embed_tests(model, ridge.A_val)
             Z_true = oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, Y_val))
             errs = oel.surrogate_sq_errors(Z_val, Z_true, self_norms_val)
         else:
@@ -225,9 +232,8 @@ def _evaluate_config(cache: _FoldCache, cfg: TrialConfig, metric: str,
     cand = np.vstack([Y_tr, Y_pool]) if Y_pool is not None else Y_tr
     cand_norms = kernels.self_norms(out_spec, cand)
     if use_oel:
-        ids, _ = decode_oel(oel.embed_tests(model, ridge.A_val),
-                            oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, cand)),
-                            cand_norms, k=1)
+        Z_cand = oel.embed_candidates(model, kernels.gram(out_spec, Y_ref, cand))
+        ids, _ = decode_oel(Z_val, Z_cand, cand_norms, k=1)
     else:
         ids, _ = decode_iokr(ridge.A_val, kernels.gram(out_spec, Y_tr, cand),
                              cand_norms, k=1)

@@ -62,7 +62,7 @@ def build_explicit(rng, n, m, d_out, lam, c, p, method="exact", seed=0):
     krr_model = okr.fit_krr(K_x, lam)
     A = okr.predict_alpha(krr_model, K_x)
     mixed = okr.assemble_mixed_gram(A, K_y, K_y_su=K_su, K_y_uu=K_uu, c=c)
-    oel_model = okr.fit_oel(mixed, p, method=method, seed=seed)
+    oel_model = okr.fit_oel(krr_model, mixed, p, method=method, seed=seed)
     H = Y.T @ A
     parts = [oel_model.scale_sup * H]
     if m:
@@ -132,6 +132,8 @@ def load_dense(path):
         _fail(path, 1, f"malformed dimension header {lines[0]!r}")
     if rows < 0 or cols < 0:
         _fail(path, 1, f"negative dimension in header {lines[0]!r}")
+    if not (-2 ** 63 <= rows < 2 ** 63 and -2 ** 63 <= cols < 2 ** 63):
+        _fail(path, 1, f"dimension beyond the int64 range in header {lines[0]!r}")
     body = [(no, ln) for no, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(body) != rows:
         _fail(path, len(lines), f"expected {rows} data rows, found {len(body)}")

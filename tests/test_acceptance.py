@@ -44,7 +44,7 @@ def test_criterion_1_orthonormality_and_idempotence():
         mixed = oel.assemble_mixed_gram(
             A, Y @ Y.T, K_y_su=None if m == 0 else Y @ Yu.T,
             K_y_uu=None if m == 0 else Yu @ Yu.T, c=c)
-        model = oel.fit_oel(mixed, p)
+        model = oel.fit_oel(krr_model, mixed, p)
 
         cert = model.beta.T @ mixed.K @ model.beta - np.eye(model.p)
         worst_cert = max(worst_cert, float(np.max(np.abs(cert))))
@@ -79,9 +79,9 @@ def test_criterion_2_decoder_oracle_equivalence():
         model = prob.oel_model
         n_cand = int(rng.integers(2, 51))
         cands = rng.standard_normal((n_cand, d))
-        A_test = okr.predict_alpha(prob.krr_model,
-                                   prob.K_x[:, rng.integers(0, n, size=4)])
-        Z_test = oel.embed_tests(model, A_test)
+        kappa = prob.K_x[:, rng.integers(0, n, size=4)]
+        A_test = okr.predict_alpha(prob.krr_model, kappa)
+        Z_test = oel.embed_inputs(model, kappa)
         Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
         Z_cand = oel.embed_candidates(model, Y_ref @ cands.T)
         norms = np.einsum("ij,ij->i", cands, cands)
@@ -106,11 +106,12 @@ def test_criterion_3_full_rank_reduction_and_kernel_pca():
         model = prob.oel_model
         assert model.p == d
         cands = rng.standard_normal((30, d))
-        A_test = okr.predict_alpha(prob.krr_model, prob.K_x[:, :5])
+        kappa = prob.K_x[:, :5]
+        A_test = okr.predict_alpha(prob.krr_model, kappa)
         norms = np.einsum("ij,ij->i", cands, cands)
         C_s = prob.Y @ cands.T
         ids_oel, scores_oel = decode_oel(
-            oel.embed_tests(model, A_test),
+            oel.embed_inputs(model, kappa),
             oel.embed_candidates(model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
             norms, k=30)
         ids_iokr, scores_iokr = decode_iokr(A_test, C_s, norms, k=30)
@@ -207,14 +208,13 @@ def test_criterion_6_supervised_benefit_reproduction():
         krr_sup = okr.fit_krr(K_x, lam)
         sup = okr.fit_embedding(krr_sup, K_x, okr.OutputSet(lin, ds.y_sup), 1, 1.0,
                                 method="randomized", seed=seed)
-        A_test = okr.predict_alpha(krr_sup, kappa)
-        z = oel.embed_tests(sup, A_test)
+        z = oel.embed_inputs(sup, kappa)
         z_true = oel.embed_candidates(sup, C_s_true)
         err_sup = float(np.mean(oel.surrogate_sq_errors(z, z_true, norms)))
 
         unsup = okr.fit_embedding(krr_sup, K_x, okr.OutputSet(lin, ds.y_sup, ds.y_unsup),
                                   1, 0.0, method="randomized", seed=seed)
-        z0 = oel.embed_tests(unsup, A_test)
+        z0 = oel.embed_inputs(unsup, kappa)
         z0_true = oel.embed_candidates(unsup, np.vstack([C_s_true, C_u_true]))
         err_unsup = float(np.mean(oel.surrogate_sq_errors(z0, z0_true, norms)))
 
@@ -348,15 +348,14 @@ def test_criterion_10_usps_reproduction():
         C_s = kernels.gram(out_spec, y_sup, candidates)
         cand_norms = kernels.self_norms(out_spec, candidates)
         krr_model = okr.fit_krr(K_x, cfg.lam)
-        A_test = okr.predict_alpha(krr_model, kappa)
         if cfg.p is None:
-            ids, _ = decode_iokr(A_test, C_s, cand_norms, k=1)
+            ids, _ = decode_iokr(okr.predict_alpha(krr_model, kappa), C_s, cand_norms, k=1)
         else:
             model = okr.fit_embedding(krr_model, K_x,
                                       okr.OutputSet(out_spec, y_sup, y_unsup),
                                       cfg.p, cfg.c, method="randomized", seed=0)
             C_u = kernels.gram(out_spec, y_unsup, candidates)
-            ids, _ = decode_oel(oel.embed_tests(model, A_test),
+            ids, _ = decode_oel(oel.embed_inputs(model, kappa),
                                 oel.embed_candidates(model, np.vstack([C_s, C_u])),
                                 cand_norms, k=1)
         pred = candidates[ids[:, 0]]

@@ -221,8 +221,10 @@ class TestFitPredictEvaluate:
 
 class TestFoldedReadout:
     """Embedded predict embeds a test input as T_x kappa, with the ridge
-    solve folded into T_x at fit; it must rank exactly as decoding
-    T predict_alpha(kappa) with the fitted models does."""
+    solve folded into T_x at fit. The bundle keeps the fitted T_x, predict
+    ranks exactly as decoding with the fitted model does, and T_x kappa is
+    the embedding of the ridge prediction h(x) = sum_i alpha_i(x) psi(y_i),
+    which the candidate readout R gives independently of T_x."""
 
     KEYS = ("kernel.x.kind = gaussian", "kernel.x.sigma2 = 1.0", "kernel.y.kind = gaussian",
             "kernel.y.sigma2 = 4.0", "krr.lambda = 1e-3", "oel.p = 4", "oel.c = 0.5")
@@ -270,23 +272,25 @@ class TestFoldedReadout:
             ref = ds.x if case == "exact" else ds.x[krr_model.anchors]
             kappa = kernels.gram(kernels.KernelSpec(kernels.GAUSSIAN, sigma2=1.0), ref,
                                  ds.x_test)
-        Z_test = oel_model.T @ krr.predict_alpha(krr_model, kappa)
-        T_x = krr.fold_readout(krr_model, oel_model.T)
+        Z_test = okr.embed_inputs(oel_model, kappa)
         bundle = dataio.load_model(tmp_path / "fit" / "model")
-        assert bundle.matrices["oel_T_x"].tobytes() == T_x.tobytes()
+        assert bundle.matrices["oel_T_x"].tobytes() == oel_model.T_x.tobytes()
         assert not {"krr_factor", "krr_dual"} & bundle.matrices.keys()
-        # both sides sum the same terms in another order, so they agree to
-        # rounding relative to the size of those terms, |T_x| |kappa| (the
-        # Nystrom dual weights make T_x entries of ~1e4 here, against
-        # embeddings below 1)
-        scale = np.abs(T_x) @ np.abs(kappa)
-        assert np.all(np.abs(T_x @ kappa - Z_test) <= 1e-12 * scale)
 
         spec_y = kernels.KernelSpec(kernels.GAUSSIAN, sigma2=4.0)
+        Y_ref = oel_model.reference_outputs(ds.y_sup, ds.y_unsup)
+        # G h(x) = sum_i alpha_i(x) G psi(y_i), each G psi(y_i) through R
+        E_sup = okr.embed_candidates(oel_model, kernels.gram(spec_y, Y_ref, ds.y_sup))
+        alpha = krr.predict_alpha(krr_model, kappa)
+        # the two sides sum different terms, so they agree to rounding
+        # relative to the size of those terms (the Nystrom dual weights make
+        # alpha and T_x entries far larger than the embeddings)
+        scale = np.abs(E_sup) @ np.abs(alpha) + np.abs(oel_model.T_x) @ np.abs(kappa)
+        assert np.all(np.abs(Z_test - E_sup @ alpha) <= 1e-12 * scale)
+
         cand = ds.candidate_outputs()
-        Z_cand = okr.embed_candidates(oel_model, kernels.gram(
-            spec_y, oel_model.reference_outputs(ds.y_sup, ds.y_unsup), cand))
-        expect = tmp_path / "unfolded.tsv"
+        Z_cand = okr.embed_candidates(oel_model, kernels.gram(spec_y, Y_ref, cand))
+        expect = tmp_path / "fitted.tsv"
         dataio.save_rankings(expect, *decode_oel(Z_test, Z_cand,
                                                  kernels.self_norms(spec_y, cand), k=5))
         assert (tmp_path / "pred" / "rankings.tsv").read_bytes() == expect.read_bytes()
@@ -948,8 +952,7 @@ def test_nystrom_fit_matches_library_fit(tmp_path):
     assert (f"oel.eigensolver = {model.eigensolver}"
             in (tmp_path / "fit" / "config.resolved").read_text())
     np.testing.assert_array_equal(bundle.matrices["oel_R"], model.R)
-    np.testing.assert_array_equal(bundle.matrices["oel_T_x"],
-                                  krr.fold_readout(krr_model, model.T))
+    np.testing.assert_array_equal(bundle.matrices["oel_T_x"], model.T_x)
     np.testing.assert_array_equal(bundle.matrices["y_ref_features"],
                                   model.reference_outputs(ds.y_sup, ds.y_unsup))
 

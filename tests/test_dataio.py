@@ -1,8 +1,9 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -60,6 +61,14 @@ class TestDense:
         with pytest.raises(dataio.DataError, match=r"m\.csv:1: negative dimension"):
             dataio.load_dense(p)
 
+    @pytest.mark.parametrize("header", ["#2,99999999999999999999", "#0,99999999999999999999",
+                                        "#99999999999999999999,1"])
+    def test_dimension_beyond_int64(self, tmp_path, header):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{header}\n1\n2\n")
+        with pytest.raises(dataio.DataError, match=r"m\.csv:1: dimension beyond the int64"):
+            dataio.load_dense(p)
+
 
 class TestSparse:
     def test_basic_row(self, tmp_path):
@@ -97,7 +106,7 @@ class TestBitsets:
             dataio.load_bitsets(p)
 
     @pytest.mark.parametrize("loader", [dataio.load_bitsets, dataio.load_sparse])
-    @pytest.mark.parametrize("dim", ["x", "-2"])
+    @pytest.mark.parametrize("dim", ["x", "-2", "99999999999999999999"])
     def test_bad_dimension_header(self, tmp_path, loader, dim):
         p = tmp_path / "b.txt"
         p.write_text(f"#dim {dim}\n0\n")
@@ -116,6 +125,12 @@ class TestPermutations:
         p = tmp_path / "p.txt"
         p.write_text("1,2,3\n1,1,3\n")
         with pytest.raises(dataio.DataError, match=r"p\.txt:2"):
+            dataio.load_permutations(p)
+
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "p.txt"
+        p.write_text("\n1,2\n\n2,1,3\n")
+        with pytest.raises(dataio.DataError, match=r"p\.txt:4: rank count 3"):
             dataio.load_permutations(p)
 
 
@@ -180,15 +195,23 @@ def _padded(core, tabs=True):
     return st.tuples(pad, core, pad).map("".join)
 
 
+def _float_spelling():
+    return st.one_of(st.floats().map(repr), st.sampled_from(FLOAT_SPELLINGS))
+
+
 def _float_text(tabs=True):
-    return _padded(st.one_of(st.floats().map(repr), st.sampled_from(FLOAT_SPELLINGS)), tabs)
+    return _padded(_float_spelling(), tabs)
+
+
+def _int_spelling(value):
+    sign, digits = "-" if value < 0 else "", str(abs(value))
+    arabic = "".join(chr(0x660 + int(d)) for d in digits)
+    return st.sampled_from([sign + digits, (sign or "+") + digits, f"{sign}00{digits}",
+                            f"{sign}0_{digits}", sign + arabic])
 
 
 def _int_text(value, tabs=True):
-    sign, digits = "-" if value < 0 else "", str(abs(value))
-    arabic = "".join(chr(0x660 + int(d)) for d in digits)
-    return _padded(st.sampled_from([sign + digits, (sign or "+") + digits, f"{sign}00{digits}",
-                                    f"{sign}0_{digits}", sign + arabic]), tabs)
+    return _padded(_int_spelling(value), tabs)
 
 
 @st.composite
@@ -227,12 +250,56 @@ def _rankings_text(draw, bounds=(None, 31, 10**6)):
     return lines + draw(BLANK_LINES), n_candidates
 
 
+# integers int() reads and an int64 array cannot hold
+BEYOND_INT64 = ["99999999999999999999", "-99999999999999999999", "9223372036854775808",
+                "-9223372036854775809"]
+# a '#dim D' header's D spelled beyond int64, negative or not as an integer
+BAD_DIMS = BEYOND_INT64 + ["-1", "-3", "2.5", "1e3", "x", "", "0x3"]
+DENSE_HEADERS = ["#", "#2", "#2,2", "#-1,3", "#1,x", "#0,0", "# 3 , 2", "#1,1"]
+DIM_HEADERS = ["#dim", "#dim 0", "#dim 3", "#dim 3 3", "#3", "# dim 3", "#Dim 3",
+               *(f"#dim {d}" for d in BAD_DIMS)]
+
+
 @st.composite
-def _mutated(draw, lines, sep):
+def _dim_text(draw, bitsets):
+    """The lines of a '#dim D' file, bitsets or sparse rows, with D in [0, 6]
+    or spelled from BAD_DIMS, and the matrix the loader must return (None
+    when it must reject line 1: a bad D, or no data rows)."""
+    dim, bad = draw(st.integers(0, 6)), draw(st.one_of(st.none(), st.sampled_from(BAD_DIMS)))
+    lines, rows = [f"#dim {draw(_int_text(dim)) if bad is None else bad}"], []
+    for _ in range(draw(st.integers(0, 4))):
+        row, toks = np.zeros(dim), []
+        for i in draw(st.lists(st.integers(0, max(dim - 1, 0)), unique=True, max_size=dim)):
+            if bitsets:
+                row[i] = 1.0
+                toks.append(draw(_int_spelling(i)))
+            else:
+                value = draw(_float_spelling())
+                row[i] = float(value)
+                toks.append(f"{draw(_int_spelling(i))}:{value}")
+        lines.append(draw(st.sampled_from([" ", "\t", "  \u3000"])).join(toks))
+        rows.append(row)
+    return lines, None if bad is not None or not rows else np.vstack(rows)
+
+
+@st.composite
+def _permutation_text(draw):
+    """The lines of a permutations file, rows of one size K in [1, 5], and the
+    matrix they hold."""
+    size, lines, rows = draw(st.integers(1, 5)), [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows.append(draw(st.permutations(range(1, size + 1))))
+        lines += draw(BLANK_LINES)
+        lines.append(",".join(draw(_int_text(r)) for r in rows[-1]))
+    return lines + draw(BLANK_LINES), np.array(rows, dtype=np.int64)
+
+
+@st.composite
+def _mutated(draw, lines, sep, numbers=(), headers=DENSE_HEADERS):
     """lines with one to three faults, each at a drawn line and column: an
-    inserted separator, sign, dot, space, '#' or letter, a separator swapped for
-    another, a dropped field, a dropped or repeated line, a truncation, or a
-    wrong header line."""
+    inserted separator, sign, dot, space, '#', letter or one of numbers, a
+    separator swapped for another, a dropped field, a dropped or repeated line,
+    a truncation, or a header line drawn from headers."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         row = draw(st.integers(0, len(lines) - 1))
@@ -241,7 +308,7 @@ def _mutated(draw, lines, sep):
         kind = draw(st.sampled_from(["insert", "swap", "drop", "drop line", "repeat line",
                                      "truncate", "header"]))
         if kind == "insert":
-            lines[row] = line[:at] + draw(st.sampled_from(",\t:#xe_-. ")) + line[at:]
+            lines[row] = line[:at] + draw(st.sampled_from([*",\t:#xe_-. ", *numbers])) + line[at:]
         elif kind == "swap" and any(ch in ",\t:" for ch in line):
             at = draw(st.sampled_from([i for i, ch in enumerate(line) if ch in ",\t:"]))
             other = draw(st.sampled_from([ch for ch in ",\t:" if ch != line[at]]))
@@ -257,8 +324,7 @@ def _mutated(draw, lines, sep):
         elif kind == "truncate":
             lines = lines[:row] + [line[:at]]
         elif kind == "header":
-            header = draw(st.sampled_from(["#", "#2", "#2,2", "#-1,3", "#1,x", "#0,0",
-                                           "# 3 , 2", "#1,1"]))
+            header = draw(st.sampled_from(headers))
             lines = [header] + lines[1 if lines[0].startswith("#") else 0:]
     return "\n".join(lines)
 
@@ -416,6 +482,83 @@ class TestTextLoadersMatchLineLoops:
         np.testing.assert_array_equal(dataio.load_dense(tmp_path / "m.csv"), M)
 
 
+def _assert_reads(path, load, want):
+    """load returns want bit for bit, or for want None raises a DataError
+    naming path:1."""
+    if want is None:
+        with pytest.raises(dataio.DataError, match=rf"^{re.escape(str(path))}:1: "):
+            load(path)
+        return
+    got = load(path)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _assert_parses_or_names_line(path, load):
+    """load returns, or raises a DataError naming path:line; no other
+    exception escapes."""
+    try:
+        load(path)
+    except dataio.DataError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(exc)), str(exc)
+
+
+def _allocates_no_huge_row(text):
+    """Whether every integer in the first line is small or beyond int64. A
+    '#dim D' header with D in between makes the loaders allocate D floats per
+    row, so such files are not drawn."""
+    header = text.split("\n", 1)[0]
+    return all(int(run) <= 1000 or not dataio._in_int64(int(run))
+               for run in re.findall(r"\d+(?:_\d+)*", header))
+
+
+class TestLineLoadersFuzzed:
+    # load_sparse, load_bitsets and load_permutations have only line loops:
+    # a valid file reads to the matrix it holds, and a mutated one parses or
+    # raises DataError naming its file:line
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @FUZZ
+    @given(case=_dim_text(bitsets=False))
+    def test_valid_sparse(self, tmp_path, case):
+        lines, want = case
+        _assert_reads(self._write(tmp_path, "\n".join(lines) + "\n"), dataio.load_sparse, want)
+
+    @FUZZ
+    @given(case=_dim_text(bitsets=True))
+    def test_valid_bitsets(self, tmp_path, case):
+        lines, want = case
+        _assert_reads(self._write(tmp_path, "\n".join(lines) + "\n"), dataio.load_bitsets,
+                      want)
+
+    @FUZZ
+    @given(case=_permutation_text())
+    def test_valid_permutations(self, tmp_path, case):
+        lines, want = case
+        _assert_reads(self._write(tmp_path, "\n".join(lines) + "\n"),
+                      dataio.load_permutations, want)
+
+    @FUZZ
+    @given(data=st.data(), bitsets=st.booleans())
+    def test_mutated_dim_files(self, tmp_path, data, bitsets):
+        lines, _ = data.draw(_dim_text(bitsets))
+        text = data.draw(_mutated(lines, " ", BEYOND_INT64, DIM_HEADERS))
+        assume(_allocates_no_huge_row(text))
+        load = dataio.load_bitsets if bitsets else dataio.load_sparse
+        _assert_parses_or_names_line(self._write(tmp_path, text), load)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_permutations(self, tmp_path, data):
+        lines, _ = data.draw(_permutation_text())
+        text = data.draw(_mutated(lines, ",", BEYOND_INT64))
+        _assert_parses_or_names_line(self._write(tmp_path, text), dataio.load_permutations)
+
+
 class TestCandidateMap:
     def test_basic(self, tmp_path):
         p = tmp_path / "map.txt"
@@ -525,7 +668,7 @@ class TestSynthRemark1:
             A, kernels.gram(lin, ds.y_sup),
             K_y_su=kernels.gram(lin, ds.y_sup, ds.y_unsup),
             K_y_uu=kernels.gram(lin, ds.y_unsup), c=0.0)
-        model = okr.fit_oel(mixed, p=1)
+        model = okr.fit_oel(krr_model, mixed, p=1)
         axis = (model.scale_unsup * ds.y_unsup.T) @ model.beta[20:]
         axis = axis[:, 0] / np.linalg.norm(axis[:, 0])
         np.testing.assert_allclose(np.abs(axis), [1.0, 0.0], atol=1e-10)
@@ -610,7 +753,7 @@ class TestModelPersistence:
             A = okr.predict_alpha(krr_model, K_x)
         mixed = okr.assemble_mixed_gram(A, Y @ Y.T, K_y_su=Y @ Yu.T,
                                         K_y_uu=Yu @ Yu.T, c=0.5)
-        oel_model = okr.fit_oel(mixed, p=3)
+        oel_model = okr.fit_oel(krr_model, mixed, p=3)
         return krr_model, oel_model, K_x, Y, Yu
 
     @pytest.mark.parametrize("nystrom", [False, True])
@@ -622,10 +765,10 @@ class TestModelPersistence:
         _, oel2 = dataio.models_from_bundle(loaded)
         kappa = K_x[:, :3] if not nystrom else K_x[krr_model.anchors, :3]
 
-        # the embedded bundle serves tests through the folded readout
-        T_x = okr.fold_readout(krr_model, oel_model.T)
-        assert oel2.T_x.tobytes() == T_x.tobytes()
-        assert okr.embed_inputs(oel2, kappa).tobytes() == (T_x @ kappa).tobytes()
+        # the embedded bundle stores the fitted test readout as it is
+        assert oel2.T_x.tobytes() == oel_model.T_x.tobytes()
+        assert (okr.embed_inputs(oel2, kappa).tobytes()
+                == okr.embed_inputs(oel_model, kappa).tobytes())
 
         # the regression-only bundle keeps the solve state
         dataio.save_model(dataio.bundle_from_models(krr_model), tmp_path / "iokr")
@@ -639,6 +782,35 @@ class TestModelPersistence:
         c1 = okr.embed_candidates(oel_model, C)
         c2 = okr.embed_candidates(oel2, C)
         assert c1.tobytes() == c2.tobytes()
+
+    @pytest.mark.parametrize("nystrom", [False, True], ids=["exact", "nystrom"])
+    @pytest.mark.parametrize("method", ["exact", "randomized"], ids=["factored", "dense"])
+    def test_fitted_and_loaded_models_embed_inputs_alike(self, tmp_path, method, nystrom):
+        # both paths of fit_embedding give a model with its test readout T_x,
+        # and the model rebuilt from its bundle embeds test inputs to the
+        # same bytes (the output factor has rank 80 of 400 here)
+        ds = dataio.synth_remark1(200, 200, 7, 1.0, 4.0, seed=3)
+        gx = kernels.KernelSpec("gaussian", sigma2=1.0)
+        K_x = kernels.gram(gx, ds.x)
+        if nystrom:
+            anchors = okr.select_anchors(200, 50, seed=2)
+            K_cols = K_x[:, anchors]
+            krr_model = okr.fit_krr_nystrom(K_cols, K_x[np.ix_(anchors, anchors)], 1e-3,
+                                            anchors)
+            kappa = kernels.gram(gx, ds.x[anchors], ds.x_test)
+        else:
+            K_cols, krr_model = K_x, okr.fit_krr(K_x, 1e-3)
+            kappa = kernels.gram(gx, ds.x, ds.x_test)
+        outputs = okr.OutputSet(kernels.KernelSpec("gaussian", sigma2=16.0), ds.y_sup,
+                                ds.y_unsup)
+        model = okr.fit_embedding(krr_model, K_cols, outputs, 4, 0.5, method=method, seed=1)
+        assert model.eigensolver.startswith("pivoted_cholesky" if method == "exact"
+                                            else "randomized")
+        assert model.T_x.shape == (4, krr_model.alpha_rows)
+        dataio.save_model(dataio.bundle_from_models(krr_model, model), tmp_path / "model")
+        _, loaded = dataio.models_from_bundle(dataio.load_model(tmp_path / "model"))
+        assert (okr.embed_inputs(loaded, kappa).tobytes()
+                == okr.embed_inputs(model, kappa).tobytes())
 
     def test_manifest_tamper_detected(self, tmp_path):
         krr_model, oel_model, *_ = self._fit_models()

@@ -120,7 +120,7 @@ class TestOracleEquivalence:
             cands = rng.standard_normal((30, d))
             kappa = prob.K_x[:, rng.integers(0, n, size=5)]
             A_test = okr.predict_alpha(prob.krr_model, kappa)
-            Z_test = okr.embed_tests(model, A_test)
+            Z_test = okr.embed_inputs(model, kappa)
             Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
             Z_cand = okr.embed_candidates(model, Y_ref @ cands.T)
             norms = np.einsum("ij,ij->i", cands, cands)
@@ -145,7 +145,7 @@ class TestOracleEquivalence:
             norms = np.einsum("ij,ij->i", cands, cands)
             C_s = prob.Y @ cands.T
             ids_oel, scores_oel = decode_oel(
-                okr.embed_tests(model, A_test),
+                okr.embed_inputs(model, kappa),
                 okr.embed_candidates(
                     model, model.reference_outputs(prob.Y, prob.Y_unsup) @ cands.T),
                 norms, k=25)

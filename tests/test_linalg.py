@@ -12,16 +12,16 @@ from _oracles import random_psd
 
 class TestRegularizedSolver:
     def test_scalar_case(self):
-        solver = linalg.solve_regularized(np.array([[1.0]]), 1.0)
+        solver = linalg.RegularizedSolver(np.array([[1.0]]), 1.0)
         np.testing.assert_allclose(solver.solve(np.array([1.0])), [0.5])
 
     def test_pure_shift(self):
-        solver = linalg.solve_regularized(np.zeros((2, 2)), 2.0)
+        solver = linalg.RegularizedSolver(np.zeros((2, 2)), 2.0)
         np.testing.assert_allclose(solver.solve(np.eye(2)), 0.5 * np.eye(2))
 
     def test_hand_inverse_2x2(self):
         # (K + I) = [[3,1],[1,3]], inverse = [[3,-1],[-1,3]]/8
-        solver = linalg.solve_regularized(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0)
+        solver = linalg.RegularizedSolver(np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0)
         np.testing.assert_allclose(solver.solve(np.array([1.0, 1.0])), [0.25, 0.25],
                                    atol=1e-14)
 
@@ -29,14 +29,14 @@ class TestRegularizedSolver:
         rng = np.random.default_rng(0)
         K = random_psd(rng, 30)
         a = 0.3
-        solver = linalg.solve_regularized(K, a)
+        solver = linalg.RegularizedSolver(K, a)
         v = rng.standard_normal(30)
         back = solver.solve((K + a * np.eye(30)) @ v)
         assert np.linalg.norm(back - v) <= 1e-8 * np.linalg.norm(v)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            linalg.solve_regularized(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
+            linalg.RegularizedSolver(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
     @pytest.mark.parametrize("i, j", [(0, 599), (300, 299), (599, 512)])
     def test_rejects_nonsymmetric_in_any_block(self, i, j):
@@ -48,17 +48,17 @@ class TestRegularizedSolver:
 
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError, match="positive"):
-            linalg.solve_regularized(np.eye(2), 0.0)
+            linalg.RegularizedSolver(np.eye(2), 0.0)
 
     def test_indefinite_reports_pivot(self):
         K = np.diag([1.0, -5.0])
         with pytest.raises(linalg.NumericalError, match="minor"):
-            linalg.solve_regularized(K, 0.5)
+            linalg.RegularizedSolver(K, 0.5)
 
     def test_from_factor_is_bit_exact(self):
         rng = np.random.default_rng(1)
         K = random_psd(rng, 12)
-        solver = linalg.solve_regularized(K, 0.7)
+        solver = linalg.RegularizedSolver(K, 0.7)
         clone = linalg.RegularizedSolver.from_factor(solver.factor.copy(), solver.shift)
         B = rng.standard_normal((12, 3))
         assert np.array_equal(solver.solve(B), clone.solve(B))
@@ -131,7 +131,7 @@ class TestBlockedCholesky:
     @pytest.mark.parametrize("n", SIZES)
     def test_from_factor_solves_bit_exactly(self, n):
         A = self._spd(n, n)
-        solver = linalg.solve_regularized(A, 0.5)
+        solver = linalg.RegularizedSolver(A, 0.5)
         clone = linalg.RegularizedSolver.from_factor(solver.factor.copy(), solver.shift)
         B = self._rhs(n, "matrix", n + 3)
         assert np.array_equal(solver.solve(B), clone.solve(B))

@@ -58,10 +58,16 @@ class TestAssemble:
                                     K_y_su=np.ones((2, 4)), K_y_uu=np.eye(4), c=0.5)
 
 
+def _ridge(n):
+    """A ridge model on n points, for fits whose mixed Gram is made by hand:
+    the fit only folds its test readout through it."""
+    return okr.fit_krr(np.eye(n), 1.0)
+
+
 class TestFit:
     def test_identity_gram(self):
         mixed = oel.assemble_mixed_gram(np.eye(2) * np.sqrt(2.0), np.eye(2), c=1.0)
-        model = oel.fit_oel(mixed, p=2)
+        model = oel.fit_oel(_ridge(2), mixed, p=2)
         certificate = model.beta.T @ mixed.K @ model.beta
         np.testing.assert_allclose(certificate, np.eye(2), atol=1e-12)
 
@@ -71,7 +77,7 @@ class TestFit:
                               scale_sup=np.sqrt(0.5), scale_unsup=np.sqrt(0.5),
                               alpha_train=np.eye(1), K_y_ss=np.eye(1),
                               K_y_su=np.eye(1))
-        model = oel.fit_oel(mixed, p=1)
+        model = oel.fit_oel(_ridge(1), mixed, p=1)
         np.testing.assert_allclose(model.beta, [[0.5], [0.0]], atol=1e-12)
         np.testing.assert_allclose(mixed.K @ model.beta, [[2.0], [0.0]], atol=1e-12)
 
@@ -96,7 +102,7 @@ class TestFit:
         A = np.eye(10)
         mixed = oel.assemble_mixed_gram(A, Y @ Y.T, c=1.0)
         with pytest.warns(UserWarning, match="effective p = 2"):
-            model = oel.fit_oel(mixed, p=6)
+            model = oel.fit_oel(_ridge(10), mixed, p=6)
         assert model.p == 2
 
     def test_projection_idempotent_and_symmetric(self):
@@ -148,7 +154,7 @@ class TestEmbed:
         model = prob.oel_model
         Z = oel.embed_candidates(model, np.zeros((12, 3)))
         np.testing.assert_array_equal(Z, np.zeros((3, 3)))
-        np.testing.assert_array_equal(oel.embed_tests(model, np.zeros((8, 2))),
+        np.testing.assert_array_equal(oel.embed_inputs(model, np.zeros((8, 2))),
                                       np.zeros((3, 2)))
 
     def test_candidate_embedding_matches_explicit(self):
@@ -165,8 +171,9 @@ class TestEmbed:
         prob = build_explicit(rng, n=12, m=7, d_out=6, lam=0.2, c=0.6, p=4)
         model = prob.oel_model
         kappa = prob.K_x[:, 2:5]
+        # oracle: the explicit prediction h(x) projected on the basis
         A_test = okr.predict_alpha(prob.krr_model, kappa)
-        Z = oel.embed_tests(model, A_test)
+        Z = oel.embed_inputs(model, kappa)
         np.testing.assert_allclose(Z, prob.basis.T @ prob.h_test(A_test), atol=1e-8)
 
     def test_unsup_training_point_reproduces_gy_row(self):
@@ -182,12 +189,14 @@ class TestEmbed:
         np.testing.assert_allclose(Z[:, 0] * model.scale_unsup, gy[n + j], atol=1e-8)
 
     def test_unit_alpha_column_equals_candidate_embedding(self):
-        # alpha = e_i makes the test embedding exactly the embedding of y_i
+        # the kernel column kappa = (K_x + n lambda I) e_i has alpha = e_i,
+        # which makes the test embedding exactly the embedding of y_i
         rng = np.random.default_rng(13)
         prob = build_explicit(rng, n=9, m=5, d_out=4, lam=0.05, c=0.7, p=3)
         model = prob.oel_model
         i = 4
-        Z_test = oel.embed_tests(model, np.eye(9)[:, [i]])
+        kappa = (prob.K_x + 9 * prob.lam * np.eye(9))[:, [i]]
+        Z_test = oel.embed_inputs(model, kappa)
         Y_ref = model.reference_outputs(prob.Y, prob.Y_unsup)
         Z_cand = oel.embed_candidates(model, Y_ref @ prob.Y[i:i + 1].T)
         np.testing.assert_allclose(Z_test, Z_cand, atol=1e-10)
@@ -238,12 +247,12 @@ class TestFactored:
             okr.predict_alpha(krr_model, kappa_train), kernels.gram(self.GY, ds.y_sup),
             K_y_su=kernels.gram(self.GY, ds.y_sup, ds.y_unsup),
             K_y_uu=kernels.gram(self.GY, ds.y_unsup), c=c)
-        dense = oel.fit_oel(mixed, p)
-        return ds, outputs.factor, okr.predict_alpha(krr_model, kappa_test), factored, dense
+        dense = oel.fit_oel(krr_model, mixed, p)
+        return ds, outputs.factor, kappa_test, factored, dense
 
     @pytest.mark.parametrize("nystrom", [False, True], ids=["exact", "nystrom"])
     def test_matches_dense_path(self, nystrom):
-        ds, factor, A_test, factored, dense = self._fits(nystrom)
+        ds, factor, kappa_test, factored, dense = self._fits(nystrom)
         assert factored.eigensolver == f"pivoted_cholesky r={factor.r}"
         np.testing.assert_allclose(factored.mu, dense.mu, rtol=0, atol=1e-12 * dense.mu[0])
         norms = kernels.self_norms(self.GY, ds.candidates)
@@ -251,7 +260,7 @@ class TestFactored:
         for model in (factored, dense):
             Y_ref = model.reference_outputs(ds.y_sup, ds.y_unsup)
             Z_cand = oel.embed_candidates(model, kernels.gram(self.GY, Y_ref, ds.candidates))
-            runs.append(decode_oel(oel.embed_tests(model, A_test), Z_cand, norms, k=10))
+            runs.append(decode_oel(oel.embed_inputs(model, kappa_test), Z_cand, norms, k=10))
         (ids_a, scores_a), (ids_b, scores_b) = runs
         np.testing.assert_array_equal(ids_a, ids_b)
         np.testing.assert_allclose(scores_a, scores_b, rtol=0, atol=1e-10)
@@ -259,14 +268,16 @@ class TestFactored:
     def test_readouts_read_the_pivots(self):
         ds, factor, _, model, _ = self._fits(False)
         r = factor.r
-        assert model.R.shape == (32, r) and model.T.shape == (32, 600)
+        assert model.R.shape == (32, r) and model.T_x.shape == (32, 600)
         np.testing.assert_array_equal(model.ref_rows, factor.pivots)
         assert model.eigensolver == f"pivoted_cholesky r={r}"
         assert model.ortho_defect <= 1e-10
-        # a training output embeds through R exactly as its factor row does
+        # a training output embeds through R as the test input whose alpha
+        # column is e_i does through T_x: kappa = (K_x + n lambda I) e_i
         Y_ref = model.reference_outputs(ds.y_sup, ds.y_unsup)
         Z = oel.embed_candidates(model, kernels.gram(self.GY, Y_ref, ds.y_sup[:5]))
-        np.testing.assert_allclose(Z, model.T @ np.eye(600)[:, :5], atol=1e-8)
+        shifted = kernels.gram(self.GX, ds.x, ds.x[:5]) + 600 * 1e-4 * np.eye(600)[:, :5]
+        np.testing.assert_allclose(Z, oel.embed_inputs(model, shifted), atol=1e-8)
 
     def test_p_not_below_rank_rejected(self):
         rng = np.random.default_rng(30)
@@ -274,7 +285,7 @@ class TestFactored:
         factor = oel.factor_outputs(kernels.KernelSpec("linear"), Y)
         assert factor.r == 3
         with pytest.raises(ValueError, match=r"p must be in \[1, r\)"):
-            oel.fit_oel_factored(factor, factor.F_s, p=3)
+            oel.fit_oel_factored(_ridge(20), factor, factor.F_s, p=3)
 
     def test_fingerprint_outputs_fall_back(self):
         # random fingerprints have a full-rank tanimoto Gram: the factor
@@ -373,7 +384,7 @@ class TestSurrogateErrors:
         Y_true = rng.standard_normal((4, 5))
         kappa = prob.K_x[:, :4]
         A_test = okr.predict_alpha(prob.krr_model, kappa)
-        Z_test = oel.embed_tests(model, A_test)
+        Z_test = oel.embed_inputs(model, kappa)
         Z_true = oel.embed_candidates(
             model, model.reference_outputs(prob.Y, prob.Y_unsup) @ Y_true.T)
         errs = oel.surrogate_sq_errors(Z_test, Z_true,

@@ -207,8 +207,7 @@ class TestNestedCv:
             kappa = kernels.gram(GAUSS, ds.x[tr], ds.x[te])
             krr_model = okr.fit_krr(K_x, lam)
             model = okr.fit_embedding(krr_model, K_x, okr.OutputSet(LIN, ds.y_sup[tr]), p)
-            A_test = okr.predict_alpha(krr_model, kappa)
-            Z_test = okr.embed_tests(model, A_test)
+            Z_test = okr.embed_inputs(model, kappa)
             C_true = kernels.gram(LIN, model.reference_outputs(ds.y_sup[tr]), ds.y_sup[te])
             Z_true = okr.embed_candidates(model, C_true)
             errs = oel.surrogate_sq_errors(Z_test, Z_true,
