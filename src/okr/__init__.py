@@ -21,9 +21,9 @@ _EXPORTS = {
                "PivotedCholesky", "pivoted_cholesky", "NumericalError"),
     "krr": ("KrrModel", "fit_krr", "fit_krr_nystrom", "predict_alpha", "fold_readout",
             "train_alpha_times", "select_anchors"),
-    "oel": ("MixedGram", "OelModel", "OutputFactor", "OutputSet", "fit_embedding",
-            "assemble_mixed_gram", "fit_oel", "factor_outputs", "fit_oel_factored",
-            "embed_candidates", "embed_inputs", "surrogate_sq_errors"),
+    "oel": ("OelModel", "OutputFactor", "OutputSet", "fit_embedding", "mixed_gram_blocks",
+            "fit_oel", "factor_outputs", "fit_oel_factored", "embed_candidates",
+            "embed_inputs", "surrogate_sq_errors"),
     "decode": ("decode_oel", "decode_iokr"),
     "metrics": ("MetricReport", "rkhs_loss", "f1_example", "f1_example_mean",
                 "topk_accuracy", "kendall_tau", "hamming"),

@@ -128,18 +128,33 @@ def load_dense(path) -> np.ndarray:
 
 def _dense_by_line(path, lines, rows, cols) -> np.ndarray:
     """load_dense's rows read value by value: what the C parse rejects but
-    float() takes, or else the first failing file:line."""
-    out = np.empty((rows, cols))
-    numbered = ((lineno, ln) for lineno, ln in enumerate(lines[1:], 2) if ln.strip())
-    for i, (lineno, ln) in enumerate(numbered):
+    float() takes, or else the first failing file:line. The matrix is
+    allocated once every row has shown its cols values, so a header's size
+    is never allocated before the text bears it out."""
+    values = []
+    for lineno, ln in enumerate(lines[1:], 2):
+        if not ln.strip():
+            continue
         toks = ln.split(",")
         if len(toks) != cols:
             _fail(path, lineno, f"expected {cols} values, found {len(toks)}")
         try:
-            out[i] = [float(tok) for tok in toks]
+            values.append([float(tok) for tok in toks])
         except ValueError:
             _fail(path, lineno, f"non-numeric value in {ln!r}")
+    out = _zeros(path, rows, cols)
+    for i, row in enumerate(values):
+        out[i] = row
     return out
+
+
+def _zeros(path, rows: int, cols: int) -> np.ndarray:
+    """np.zeros((rows, cols)), or a DataError at path:1, the header that
+    asked for it, when no such array can be allocated."""
+    try:
+        return np.zeros((rows, cols))
+    except (MemoryError, ValueError):
+        _fail(path, 1, f"a {rows} x {cols} matrix cannot be allocated")
 
 
 def save_dense(path, M) -> None:
@@ -164,13 +179,21 @@ def _dim_header(path, lines) -> int:
     return dim
 
 
+def _dim_rows(path, lines) -> np.ndarray:
+    """The zero matrix a '#dim D' file fills: one row of D per line after
+    the header."""
+    dim = _dim_header(path, lines)
+    if len(lines) < 2:
+        _fail(path, 1, "no data rows")
+    return _zeros(path, len(lines) - 1, dim)
+
+
 def load_sparse(path) -> np.ndarray:
     """Sparse rows: '#dim D' header, then 'index:value' pairs per example."""
     lines = _read_lines(path)
-    dim = _dim_header(path, lines)
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        row = np.zeros(dim)
+    out = _dim_rows(path, lines)
+    dim = out.shape[1]
+    for i, (ln, row) in enumerate(zip(lines[1:], out)):
         seen = set()
         for tok in ln.split():
             try:
@@ -184,20 +207,16 @@ def load_sparse(path) -> np.ndarray:
                 _fail(path, i + 2, f"duplicate index {idx}")
             seen.add(idx)
             row[idx] = val
-        rows.append(row)
-    if not rows:
-        _fail(path, 1, "no data rows")
-    return np.vstack(rows)
+    return out
 
 
 def load_bitsets(path) -> np.ndarray:
     """Bitsets: '#dim D' header, then active label indices per line (an empty
     line is an empty label set). Returns a 0/1 float matrix."""
     lines = _read_lines(path)
-    dim = _dim_header(path, lines)
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        row = np.zeros(dim)
+    out = _dim_rows(path, lines)
+    dim = out.shape[1]
+    for i, (ln, row) in enumerate(zip(lines[1:], out)):
         for tok in ln.split():
             try:
                 idx = int(tok)
@@ -208,10 +227,7 @@ def load_bitsets(path) -> np.ndarray:
             if row[idx]:
                 _fail(path, i + 2, f"duplicate label index {idx}")
             row[idx] = 1.0
-        rows.append(row)
-    if not rows:
-        _fail(path, 1, "no data rows")
-    return np.vstack(rows)
+    return out
 
 
 def save_bitsets(path, B) -> None:
@@ -287,12 +303,17 @@ def _parse_matrix(path, buf: bytearray) -> np.ndarray:
         raise DataError(f"{path}: bad magic {bytes(buf[:8])!r}, not a matrix file")
     if len(buf) < 24:
         raise DataError(f"{path}: {len(buf)} bytes, too short for a matrix header")
-    rows, cols = np.frombuffer(buf, dtype="<u8", count=2, offset=8)
+    # Python ints: the uint64 product rows * cols * 8 could wrap
+    rows, cols = map(int, np.frombuffer(buf, dtype="<u8", count=2, offset=8))
     expect = 24 + rows * cols * 8
     if len(buf) != expect:
         raise DataError(f"{path}: payload is {len(buf)} bytes, expected {expect} "
                         f"for a {rows}x{cols} matrix")
-    return np.frombuffer(buf, dtype="<f8", offset=24).reshape(int(rows), int(cols))
+    try:
+        return np.frombuffer(buf, dtype="<f8", offset=24).reshape(rows, cols)
+    except ValueError:
+        # an empty matrix whose other dimension is past what numpy can shape
+        raise DataError(f"{path}: numpy cannot shape a {rows}x{cols} matrix") from None
 
 
 def load_matrix_binary(path) -> np.ndarray:

@@ -47,10 +47,6 @@ class KrrModel:
         self.anchors = anchors
 
     @property
-    def q(self) -> int | None:
-        return None if self.anchors is None else int(self.anchors.size)
-
-    @property
     def alpha_rows(self) -> int:
         """Expected row count of kernel columns passed to predict_alpha."""
         return self.n if self.mode == EXACT else int(self.anchors.size)

@@ -266,10 +266,6 @@ class EigPair:
     vectors: np.ndarray
     solver: str
 
-    @property
-    def p(self) -> int:
-        return self.values.size
-
 
 def column_signs(U: np.ndarray) -> np.ndarray:
     """+1 or -1 per column: the sign that makes the column's largest-magnitude

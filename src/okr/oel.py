@@ -25,9 +25,15 @@ fitted ridge model and an OutputSet of training outputs, picks between them:
   Nothing of size n x n or (n+m) x (n+m) is formed, and the reference
   outputs are the r pivots. Taken with method "exact" when the factor stays
   within its rank cap and p < r.
-- Dense (assemble_mixed_gram, then fit_oel): the (n+m) x (n+m) mixed Gram,
-  decomposed by Lanczos, eigh or the randomized sketch. The reference
-  outputs are all n + m outputs.
+- Dense (fit_oel): the (n+m) x (n+m) mixed Gram, written from the training
+  alpha matrix A and its products with the output Grams
+  (mixed_gram_blocks), decomposed by Lanczos, eigh or the randomized
+  sketch. The reference outputs are all n + m outputs.
+
+Both fits take what depends on the outputs alone from an OutputSet (the
+factor, the output Grams) and what depends on the ridge model as its
+products with them (A F_s; A and the blocks), which fit_embedding computes
+or takes from a memo.
 """
 
 from __future__ import annotations
@@ -62,26 +68,6 @@ METHODS = ("exact", "randomized")
 FACTOR_MAX_RANK_FRACTION = 1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class MixedGram:
-    """PSD Gram of the n + m scaled spanning vectors, plus the pieces that
-    fit_oel folds into the readout matrices of OelModel."""
-
-    K: np.ndarray
-    n: int
-    m: int
-    c: float
-    scale_sup: float
-    scale_unsup: float
-    alpha_train: np.ndarray = field(repr=False)
-    K_y_ss: np.ndarray = field(repr=False)
-    K_y_su: np.ndarray | None = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m
-
-
 def _check_balance(c: float, m: int) -> None:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"balance c must lie in [0, 1], got {c}")
@@ -90,81 +76,40 @@ def _check_balance(c: float, m: int) -> None:
         raise ValueError("m = 0 (no unsupervised outputs) requires c = 1")
 
 
-def mixed_gram_blocks(alpha_train, K_y_ss, K_y_su=None):
-    """The regression-dependent Gram products K_h = A K_y^ss A^T and
-    K_hy = A K_y^su.
+def mixed_gram_blocks(A, K_y_ss, K_y_su=None):
+    """The ridge products of the mixed Gram, K_h = A K_y^ss A^T and
+    K_hy = A K_y^su, with A the n x n training alpha matrix.
 
-    These depend on (lambda, kernels) but not on (p, c), so hyperparameter
-    sweeps can compute them once and hand them to assemble_mixed_gram."""
-    A = np.asarray(alpha_train, dtype=np.float64)
+    These depend on the ridge model and the outputs but not on (p, c), so
+    fit_embedding keeps them in its products memo across (p, c)."""
+    A = np.asarray(A, dtype=np.float64)
     K_h = A @ np.asarray(K_y_ss, dtype=np.float64) @ A.T
     K_h = 0.5 * (K_h + K_h.T)
     K_hy = None if K_y_su is None else A @ np.asarray(K_y_su, dtype=np.float64)
     return K_h, K_hy
 
 
-def assemble_mixed_gram(alpha_train, K_y_ss, K_y_su=None, K_y_uu=None,
-                        c: float = 1.0, blocks=None) -> MixedGram:
-    """Build the (n+m) x (n+m) mixed Gram matrix.
-
-    alpha_train is the n x n matrix with alpha(x_i) in column i (symmetric in
-    exact KRR, where it equals W K_x). With K_h = A K_y^ss A^T and
-    K_hy = A K_y^su, the blocks are
+def _mixed_gram(outputs: OutputSet, blocks, c: float) -> np.ndarray:
+    """The (n+m) x (n+m) mixed Gram in one buffer. With (K_h, K_hy) = blocks,
+    read only when c > 0, its blocks are
 
         [ (c/n) K_h                  sqrt(c(1-c)/(nm)) K_hy ]
         [ sqrt(c(1-c)/(nm)) K_hy^T   ((1-c)/m) K_y^uu       ]
 
-    m = 0 (no unsupervised outputs) requires c = 1 and yields the n x n
-    supervised block alone; c = 0 requires m > 0 and zeroes the supervised
-    blocks, reducing the embedding to kernel PCA of the output pool.
-    blocks, when given, must be the mixed_gram_blocks(...) products for the
-    same (alpha_train, K_y_ss, K_y_su).
-    """
-    A = np.asarray(alpha_train, dtype=np.float64)
-    K_y_ss = np.asarray(K_y_ss, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"alpha_train must be n x n, got {A.shape}")
-    n = A.shape[0]
-    if K_y_ss.shape != (n, n):
-        raise ValueError(f"K_y_ss must be {n} x {n}, got {K_y_ss.shape}")
-
-    if K_y_uu is None:
-        m = 0
-        if K_y_su is not None and np.size(K_y_su):
-            raise ValueError("K_y_su given without K_y_uu")
-    else:
-        K_y_uu = np.asarray(K_y_uu, dtype=np.float64)
-        K_y_su = np.asarray(K_y_su, dtype=np.float64) if K_y_su is not None else None
-        m = K_y_uu.shape[0]
-        if K_y_uu.shape != (m, m):
-            raise ValueError(f"K_y_uu must be square, got {K_y_uu.shape}")
-        if K_y_su is None or K_y_su.shape != (n, m):
-            got = None if K_y_su is None else K_y_su.shape
-            raise ValueError(f"K_y_su must be {n} x {m}, got {got}")
-    _check_balance(c, m)
-
-    scale_sup = np.sqrt(c / n)
-    scale_unsup = np.sqrt((1.0 - c) / m) if m else 0.0
-
-    if blocks is None and c > 0.0:
-        blocks = mixed_gram_blocks(A, K_y_ss, K_y_su if m else None)
+    m = 0 leaves the n x n supervised block alone (c = 1); c = 0 zeroes the
+    supervised blocks, reducing the embedding to kernel PCA of the output
+    pool."""
+    n, m = len(outputs.Y_sup), outputs.m
     K = np.zeros((n + m, n + m))
+    if m and c < 1.0:
+        K[n:, n:] = ((1.0 - c) / m) * (0.5 * (outputs.K_uu + outputs.K_uu.T))
     if c > 0.0:
         K_h, K_hy = blocks
-        if K_h.shape != (n, n):
-            raise ValueError(f"precomputed K_h has shape {K_h.shape}, expected {(n, n)}")
         K[:n, :n] = (c / n) * K_h
         if m and c < 1.0:
-            if K_hy is None or K_hy.shape != (n, m):
-                raise ValueError("precomputed blocks lack a conformable K_hy")
             K[:n, n:] = np.sqrt(c * (1.0 - c) / (n * m)) * K_hy
             K[n:, :n] = K[:n, n:].T
-    if m and c < 1.0:
-        K[n:, n:] = ((1.0 - c) / m) * (0.5 * (K_y_uu + K_y_uu.T))
-
-    return MixedGram(K=K, n=n, m=m, c=float(c), scale_sup=float(scale_sup),
-                     scale_unsup=float(scale_unsup), alpha_train=A,
-                     K_y_ss=K_y_ss, K_y_su=K_y_su)
+    return K
 
 
 class OelModel:
@@ -257,48 +202,50 @@ def _certify(BKB: np.ndarray) -> float:
     return defect
 
 
-def fit_oel(krr_model: KrrModel, mixed: MixedGram, p: int, method: str = "exact",
-            seed: int = 0, oversample: int = 10, power_iters: int = 2) -> OelModel:
-    """Eigendecompose the mixed Gram of a fitted ridge model and keep the top p
-    components.
+def fit_oel(krr_model: KrrModel, outputs: OutputSet, A, blocks, p: int, c: float = 1.0,
+            method: str = "exact", seed: int = 0, oversample: int = 10,
+            power_iters: int = 2) -> OelModel:
+    """The top-p embedding from the dense (n+m) x (n+m) mixed Gram.
 
-    mixed is assembled from krr_model's training alpha matrix, and the test
-    readout T alpha(x) is folded through krr_model into T_x.
+    A is the n x n training alpha matrix of krr_model (alpha(x_i) in column
+    i), and blocks = mixed_gram_blocks(A, outputs.K_ss, outputs.K_su), read
+    only when c > 0. The readouts read all n + m outputs, R from beta and A,
+    and the test readout T alpha(x) is folded through krr_model into T_x.
 
     Eigenvalues below DROP_RTOL * mu_1 are discarded with a warning (the
     effective p shrinks). Method "exact" uses linalg.eig_topk_exact (Lanczos
     for small p, full eigh otherwise or as its fallback); "randomized" uses
     the sketched eigendecomposition with the given oversample / power_iters /
-    seed. The model's eigensolver attribute names the solver that ran, and
-    its reference outputs are all n + m outputs.
+    seed. The model's eigensolver attribute names the solver that ran.
     """
-    size = mixed.size
-    if not 1 <= p <= size:
-        raise ValueError(f"p must be in [1, {size}], got {p}")
-    if method == "exact":
-        eig = eig_topk_exact(mixed.K, p)
-    elif method == "randomized":
-        eig = eig_topk_randomized(mixed.K, p, oversample=oversample,
-                                  power_iters=power_iters, seed=seed)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'exact' or 'randomized'")
-
+    n, m = len(outputs.Y_sup), outputs.m
+    _check_balance(c, m)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not 1 <= p <= n + m:
+        raise ValueError(f"p must be in [1, {n + m}], got {p}")
+    A = np.asarray(A, dtype=np.float64)
+    if A.shape != (n, n):
+        raise ValueError(f"A must be {n} x {n}, got {A.shape}")
+    K = _mixed_gram(outputs, blocks, c)
+    del blocks  # a memo keeps its own reference; the eigensolve needs none
+    eig = (eig_topk_exact(K, p) if method == "exact" else
+           eig_topk_randomized(K, p, oversample=oversample, power_iters=power_iters,
+                               seed=seed))
     mu, U = _drop_null(eig.values, eig.vectors, p)
     beta = U / np.sqrt(mu)[None, :] if mu.size else U
-    defect = _certify(beta.T @ (mixed.K @ beta))
-    n = mixed.n
-    R_s = mixed.scale_sup * (beta[:n].T @ mixed.alpha_train)
-    T = R_s @ mixed.K_y_ss
-    if mixed.m:
-        R_u = mixed.scale_unsup * beta[n:].T
-        T += R_u @ mixed.K_y_su.T
+    defect = _certify(beta.T @ (K @ beta))
+    R_s = np.sqrt(c / n) * (beta[:n].T @ A)
+    T = R_s @ outputs.K_ss
+    if m:
+        R_u = np.sqrt((1.0 - c) / m) * beta[n:].T
+        T += R_u @ outputs.K_su.T
         R = np.hstack([R_s, R_u])
     else:
         R = R_s
-    return OelModel(beta=beta, mu=mu, c=mixed.c, n=n, m=mixed.m, R=R,
-                    T_x=fold_readout(krr_model, T),
-                    gram_trace=float(np.trace(mixed.K)), ortho_defect=defect,
-                    ref_rows=np.arange(size), eigensolver=eig.solver)
+    return OelModel(beta=beta, mu=mu, c=c, n=n, m=m, R=R, T_x=fold_readout(krr_model, T),
+                    gram_trace=float(np.trace(K)), ortho_defect=defect,
+                    ref_rows=np.arange(n + m), eigensolver=eig.solver)
 
 
 @dataclass(frozen=True)
@@ -400,6 +347,10 @@ class OutputSet:
         self.Y_sup = Y_sup
         self.Y_unsup = Y_unsup
 
+    @property
+    def m(self) -> int:
+        return 0 if self.Y_unsup is None else len(self.Y_unsup)
+
     @cached_property
     def factor(self) -> OutputFactor | None:
         """factor_outputs of the outputs, tried once: None, kept as such, once
@@ -440,8 +391,8 @@ def fit_embedding(krr_model: KrrModel, K_cols, outputs: OutputSet, p: int, c: fl
     p < r. At p >= r the embedding would take every direction the factor
     resolves, down to those at its tolerance, so the dense path decides which
     survive DROP_RTOL. The dense path, which method "randomized" always
-    takes, builds the (n+m) x (n+m) mixed Gram and runs fit_oel with
-    seed / oversample / power_iters.
+    takes, runs fit_oel on the training alpha matrix and its mixed Gram
+    blocks, with seed / oversample / power_iters.
 
     K_cols are the training kernel columns the ridge model was fit on: the
     n x n input Gram in exact mode, the n x q anchor columns in Nystrom mode
@@ -460,14 +411,13 @@ def fit_embedding(krr_model: KrrModel, K_cols, outputs: OutputSet, p: int, c: fl
     # the training inputs' kernel columns as predict_alpha takes them
     kappa_train = K_cols if krr_model.mode == EXACT else np.asarray(K_cols).T
     A = _kept(products, "A", lambda: predict_alpha(krr_model, kappa_train))
-    # without a memo assemble_mixed_gram forms the blocks and drops them
-    blocks = None
-    if products is not None and c > 0.0:
-        blocks = _kept(products, ("blocks", outputs),
-                       lambda: mixed_gram_blocks(A, outputs.K_ss, outputs.K_su))
-    mixed = assemble_mixed_gram(A, outputs.K_ss, K_y_su=outputs.K_su, K_y_uu=outputs.K_uu,
-                                c=c, blocks=blocks)
-    return fit_oel(krr_model, mixed, p, method=method, seed=seed, oversample=oversample,
+    # the blocks go unnamed, so that without a memo fit_oel holds their only
+    # reference and frees them before its eigensolve
+    return fit_oel(krr_model, outputs, A,
+                   _kept(products, ("blocks", outputs),
+                         lambda: mixed_gram_blocks(A, outputs.K_ss, outputs.K_su))
+                   if c > 0.0 else None,
+                   p, c, method=method, seed=seed, oversample=oversample,
                    power_iters=power_iters)
 
 

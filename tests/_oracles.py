@@ -55,14 +55,11 @@ def build_explicit(rng, n, m, d_out, lam, c, p, method="exact", seed=0):
     K_x = random_psd(rng, n)
     Y = rng.standard_normal((n, d_out))
     Yu = rng.standard_normal((m, d_out)) if m else None
-    K_y = Y @ Y.T
-    K_su = Y @ Yu.T if m else None
-    K_uu = Yu @ Yu.T if m else None
     # the dense path on purpose: every reference output is an explicit row
     krr_model = okr.fit_krr(K_x, lam)
     A = okr.predict_alpha(krr_model, K_x)
-    mixed = okr.assemble_mixed_gram(A, K_y, K_y_su=K_su, K_y_uu=K_uu, c=c)
-    oel_model = okr.fit_oel(krr_model, mixed, p, method=method, seed=seed)
+    oel_model = fit_dense(krr_model, A, okr.OutputSet(okr.KernelSpec("linear"), Y, Yu), p, c,
+                          method=method, seed=seed)
     H = Y.T @ A
     parts = [oel_model.scale_sup * H]
     if m:
@@ -73,6 +70,13 @@ def build_explicit(rng, n, m, d_out, lam, c, p, method="exact", seed=0):
     return ExplicitProblem(K_x=K_x, Y=Y, Y_unsup=Yu, lam=lam, c=c,
                            krr_model=krr_model, oel_model=oel_model,
                            H=H, V=V, basis=basis, P=P)
+
+
+def fit_dense(krr_model, A, outputs, p, c, **kwargs):
+    """okr.fit_oel on the training alpha matrix A, with the mixed Gram blocks
+    as fit_embedding computes them."""
+    blocks = okr.mixed_gram_blocks(A, outputs.K_ss, outputs.K_su) if c > 0.0 else None
+    return okr.fit_oel(krr_model, outputs, A, blocks, p, c, **kwargs)
 
 
 def second_moment_eigs(problem: ExplicitProblem) -> np.ndarray:

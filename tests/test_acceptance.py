@@ -14,7 +14,7 @@ import okr
 from okr import cli, dataio, kernels, linalg, metrics, oel, tuning
 from okr.decode import decode_iokr, decode_oel
 
-from _oracles import (align_columns, brute_force_decode, build_explicit,
+from _oracles import (align_columns, brute_force_decode, build_explicit, fit_dense,
                       kpca_scores, random_psd, second_moment_eigs)
 
 
@@ -41,18 +41,17 @@ def test_criterion_1_orthonormality_and_idempotence():
         Yu = rng.standard_normal((m, d_out)) if m else None
         krr_model = okr.fit_krr(K_x, lam)
         A = okr.predict_alpha(krr_model, K_x)
-        mixed = oel.assemble_mixed_gram(
-            A, Y @ Y.T, K_y_su=None if m == 0 else Y @ Yu.T,
-            K_y_uu=None if m == 0 else Yu @ Yu.T, c=c)
-        model = oel.fit_oel(krr_model, mixed, p)
+        model = fit_dense(krr_model, A, oel.OutputSet(kernels.KernelSpec("linear"), Y, Yu),
+                          p, c)
 
-        cert = model.beta.T @ mixed.K @ model.beta - np.eye(model.p)
-        worst_cert = max(worst_cert, float(np.max(np.abs(cert))))
-
+        # the mixed Gram of the explicit scaled spanning vectors
         parts = [model.scale_sup * (Y.T @ A)]
         if m:
             parts.append(model.scale_unsup * Yu.T)
         V = np.hstack(parts)
+        cert = model.beta.T @ (V.T @ V) @ model.beta - np.eye(model.p)
+        worst_cert = max(worst_cert, float(np.max(np.abs(cert))))
+
         basis = V @ model.beta
         P = basis @ basis.T
         worst_idem = max(worst_idem, float(np.linalg.norm(P @ P - P)))

@@ -536,6 +536,9 @@ BAD_FIT_INPUTS = [
      cli.EXIT_USAGE, "usage error", "oel.p + oel.oversample must be <= n + m = 40, got 41"),
     ("bitset_dim_not_integer", lambda d: _bitset_cfg(d, "#dim x\n0\n1\n2\n"), None,
      cli.EXIT_DATA, "data error", "y.txt:1: bad dimension 'x'"),
+    ("bitset_dim_unallocatable", lambda d: _bitset_cfg(d, "#dim 3000000000000\n0\n1\n2\n"),
+     None, cli.EXIT_DATA, "data error",
+     "y.txt:1: a 3 x 3000000000000 matrix cannot be allocated"),
     ("non_utf8_data_file", _non_utf8_cfg, None,
      cli.EXIT_DATA, "data error", "x.csv: not UTF-8"),
     ("unexpected_exception", _fit_cfg, ("okr.oel.fit_oel_factored", _failing_fit_oel),

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -10,7 +11,7 @@ import _oracles
 import okr
 from okr import dataio, kernels
 
-from _oracles import random_psd
+from _oracles import fit_dense, random_psd
 
 
 class TestDense:
@@ -69,6 +70,20 @@ class TestDense:
         with pytest.raises(dataio.DataError, match=r"m\.csv:1: dimension beyond the int64"):
             dataio.load_dense(p)
 
+    def test_huge_width_checked_before_allocation(self, tmp_path):
+        # the header's 1 x 3e12 matrix would need 24 TB
+        p = tmp_path / "m.csv"
+        p.write_text("#1,3000000000000\n1,2\n")
+        with pytest.raises(dataio.DataError, match=r"m\.csv:2: expected 3000000000000 values"):
+            dataio.load_dense(p)
+
+    def test_empty_matrix_of_unshapeable_width(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("#0,2305843009213693952\n")
+        with pytest.raises(dataio.DataError,
+                           match=r"m\.csv:1: a 0 x 2305843009213693952 matrix cannot be"):
+            dataio.load_dense(p)
+
 
 class TestSparse:
     def test_basic_row(self, tmp_path):
@@ -113,6 +128,18 @@ class TestBitsets:
         with pytest.raises(dataio.DataError, match=r"b\.txt:1: bad dimension"):
             loader(p)
 
+    @pytest.mark.parametrize("loader, row", [(dataio.load_bitsets, "0"),
+                                             (dataio.load_sparse, "0:1.5")])
+    @pytest.mark.parametrize("dim", ["3000000000000", "2305843009213693952"])
+    def test_unallocatable_dimension(self, tmp_path, loader, row, dim):
+        # 2 rows of 3e12 floats need 48 TB; of 2**61, more bytes than numpy
+        # can count
+        p = tmp_path / "b.txt"
+        p.write_text(f"#dim {dim}\n{row}\n{row}\n")
+        with pytest.raises(dataio.DataError,
+                           match=rf"b\.txt:1: a 2 x {dim} matrix cannot be allocated"):
+            loader(p)
+
 
 class TestPermutations:
     def test_roundtrip(self, tmp_path):
@@ -154,6 +181,21 @@ class TestBinaryMatrix:
         dataio.save_matrix_binary(p, np.ones((3, 3)))
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(dataio.DataError, match="payload"):
+            dataio.load_matrix_binary(p)
+
+    @pytest.mark.parametrize("rows, cols", [(2 ** 61, 8), (8, 2 ** 61), (2 ** 62, 2 ** 62)])
+    def test_header_product_does_not_wrap(self, tmp_path, rows, cols):
+        # 24 + rows * cols * 8 wraps to 24 in uint64, the header-only size
+        p = tmp_path / "m.mat"
+        p.write_bytes(dataio.MAGIC + np.array([rows, cols], dtype="<u8").tobytes())
+        with pytest.raises(dataio.DataError, match="payload is 24 bytes"):
+            dataio.load_matrix_binary(p)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2 ** 63), (2 ** 63 - 1, 0)])
+    def test_empty_matrix_of_unshapeable_size(self, tmp_path, rows, cols):
+        p = tmp_path / "m.mat"
+        p.write_bytes(dataio.MAGIC + np.array([rows, cols], dtype="<u8").tobytes())
+        with pytest.raises(dataio.DataError, match=f"cannot shape a {rows}x{cols} matrix"):
             dataio.load_matrix_binary(p)
 
     def test_gram_symmetry_enforced(self, tmp_path):
@@ -505,7 +547,8 @@ def _assert_parses_or_names_line(path, load):
 def _allocates_no_huge_row(text):
     """Whether every integer in the first line is small or beyond int64. A
     '#dim D' header with D in between makes the loaders allocate D floats per
-    row, so such files are not drawn."""
+    row, which may succeed at a size no test should take, so such files are
+    not drawn."""
     header = text.split("\n", 1)[0]
     return all(int(run) <= 1000 or not dataio._in_int64(int(run))
                for run in re.findall(r"\d+(?:_\d+)*", header))
@@ -557,6 +600,95 @@ class TestLineLoadersFuzzed:
         lines, _ = data.draw(_permutation_text())
         text = data.draw(_mutated(lines, ",", BEYOND_INT64))
         _assert_parses_or_names_line(self._write(tmp_path, text), dataio.load_permutations)
+
+
+@st.composite
+def _candidate_map_text(draw):
+    """The lines of a candidate map over queries 0..Q-1, its pairs in drawn
+    order, and the per-query candidate lists it holds."""
+    lists = draw(st.lists(st.lists(st.integers(0, 10**12), min_size=1, max_size=3),
+                          min_size=1, max_size=4))
+    pairs = draw(st.permutations([(q, c) for q, cids in enumerate(lists) for c in cids]))
+    lines = []
+    for q, c in pairs:
+        lines += draw(BLANK_LINES)
+        lines.append(draw(_int_text(q)) + draw(st.sampled_from([" ", "\t", "  "]))
+                     + draw(_int_text(c)))
+    want = [np.array([c for p, c in pairs if p == q], dtype=np.int64) for q in range(len(lists))]
+    return lines + draw(BLANK_LINES), want
+
+
+# manifest lines for _mutated's "header" fault: values beyond int64, empty
+# or unknown matrix names, a missing separator, a forged digest
+MANIFEST_LINES = ["bundle_version = 99999999999999999999", "matrix_names = a,a",
+                  "matrix_names = ", "matrix_names = ,", "matrix_names = c", "sha256.a = ",
+                  "manifest_sha256 = 0", "no separator"]
+# .mat header dimensions: small, the 2**61 x 8 whose byte count wraps uint64
+# to the header's, and the uint64 values past int64
+MAT_DIMS = [0, 1, 2, 3, 6, 8, 2 ** 61, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+
+
+def _resigned(lines):
+    """Manifest lines with the digest line load_model checks recomputed, so
+    a fault reaches the parse behind it."""
+    body = [ln for ln in lines if ln.strip() and not ln.startswith("manifest_sha256 = ")]
+    return body + [f"manifest_sha256 = {dataio._manifest_digest(body)}"]
+
+
+def _assert_parses_or_names_file(path, load, *args):
+    """load returns, or raises a DataError naming path (and a line where the
+    fault has one); no other exception escapes."""
+    try:
+        load(path, *args)
+    except dataio.DataError as exc:
+        assert str(exc).startswith(str(path)), str(exc)
+
+
+class TestMoreLoadersFuzzed:
+    # load_candidate_map and a bundle directory (manifest lines, .mat
+    # headers): a valid input reads back, and a mutated one parses or raises
+    # DataError
+
+    @FUZZ
+    @given(case=_candidate_map_text())
+    def test_valid_candidate_map(self, tmp_path, case):
+        lines, want = case
+        path = tmp_path / "map.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = dataio.load_candidate_map(path)
+        assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
+
+    @FUZZ
+    @given(data=st.data(), n_candidates=st.sampled_from([None, 5, 10**12]))
+    def test_mutated_candidate_map(self, tmp_path, data, n_candidates):
+        lines, _ = data.draw(_candidate_map_text())
+        path = tmp_path / "map.txt"
+        path.write_text(data.draw(_mutated(lines, " ", BEYOND_INT64)), encoding="utf-8")
+        _assert_parses_or_names_file(path, dataio.load_candidate_map, n_candidates)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_bundle(self, tmp_path, data):
+        d = tmp_path / "model"
+        mats = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones((1, 1))}
+        dataio.save_model(dataio.ModelBundle({"krr.mode": "exact", "krr.n": "2"}, mats), d)
+        lines = (d / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        if data.draw(st.booleans()):
+            # drawn .mat dimensions over a drawn payload, checksums recorded
+            name = data.draw(st.sampled_from(sorted(mats)))
+            dims = [data.draw(st.sampled_from(MAT_DIMS)) for _ in range(2)]
+            payload = (d / f"{name}.mat").read_bytes()[24:][:data.draw(st.sampled_from([0, 8, 48]))]
+            raw = dataio.MAGIC + np.array(dims, dtype="<u8").tobytes() + payload
+            (d / f"{name}.mat").write_bytes(raw)
+            key = f"sha256.{name} = "
+            lines = _resigned([key + hashlib.sha256(raw).hexdigest() if ln.startswith(key)
+                               else ln for ln in lines])
+        else:
+            lines = data.draw(_mutated(lines, " ", BEYOND_INT64, MANIFEST_LINES)).split("\n")
+            if data.draw(st.booleans()):
+                lines = _resigned(lines)
+        (d / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _assert_parses_or_names_file(d, dataio.load_model)
 
 
 class TestCandidateMap:
@@ -664,11 +796,7 @@ class TestSynthRemark1:
         K_x = kernels.gram(lin, ds.x)
         krr_model = okr.fit_krr(K_x, 1e-3)
         A = okr.predict_alpha(krr_model, K_x)
-        mixed = okr.assemble_mixed_gram(
-            A, kernels.gram(lin, ds.y_sup),
-            K_y_su=kernels.gram(lin, ds.y_sup, ds.y_unsup),
-            K_y_uu=kernels.gram(lin, ds.y_unsup), c=0.0)
-        model = okr.fit_oel(krr_model, mixed, p=1)
+        model = fit_dense(krr_model, A, okr.OutputSet(lin, ds.y_sup, ds.y_unsup), 1, 0.0)
         axis = (model.scale_unsup * ds.y_unsup.T) @ model.beta[20:]
         axis = axis[:, 0] / np.linalg.norm(axis[:, 0])
         np.testing.assert_allclose(np.abs(axis), [1.0, 0.0], atol=1e-10)
@@ -751,9 +879,8 @@ class TestModelPersistence:
         else:
             krr_model = okr.fit_krr(K_x, 0.1)
             A = okr.predict_alpha(krr_model, K_x)
-        mixed = okr.assemble_mixed_gram(A, Y @ Y.T, K_y_su=Y @ Yu.T,
-                                        K_y_uu=Yu @ Yu.T, c=0.5)
-        oel_model = okr.fit_oel(krr_model, mixed, p=3)
+        oel_model = fit_dense(krr_model, A, okr.OutputSet(kernels.KernelSpec("linear"), Y, Yu),
+                              3, 0.5)
         return krr_model, oel_model, K_x, Y, Yu
 
     @pytest.mark.parametrize("nystrom", [False, True])

@@ -5,104 +5,105 @@ import okr
 from okr import dataio, kernels, oel
 from okr.decode import decode_oel
 
-from _oracles import (align_columns, build_explicit, kpca_scores, random_psd,
+from _oracles import (align_columns, build_explicit, fit_dense, kpca_scores, random_psd,
                       second_moment_eigs)
 
 
+LIN = kernels.KernelSpec("linear")
+
+
+def _mixed(A, outputs, c):
+    """The mixed Gram fit_oel decomposes, from blocks as fit_embedding
+    computes them."""
+    blocks = oel.mixed_gram_blocks(A, outputs.K_ss, outputs.K_su) if c > 0.0 else None
+    return oel._mixed_gram(outputs, blocks, c)
+
+
 class TestAssemble:
+    # the mixed Gram fit_oel decomposes, from a linear output kernel on
+    # explicit rows Y: K_y^ss = Y Y^T
+
     def test_supervised_only_block(self):
         rng = np.random.default_rng(0)
         n = 6
         A = random_psd(rng, n)
-        K_y = random_psd(rng, n)
-        mixed = oel.assemble_mixed_gram(A, K_y, c=1.0)
-        np.testing.assert_allclose(mixed.K, (A @ K_y @ A.T) / n, atol=1e-12)
-        assert mixed.m == 0 and mixed.size == n
+        Y = rng.standard_normal((n, 2 * n))
+        K = _mixed(A, oel.OutputSet(LIN, Y), 1.0)
+        np.testing.assert_allclose(K, (A @ (Y @ Y.T) @ A.T) / n, atol=1e-12)
+        assert K.shape == (n, n)
 
     def test_unsupervised_only_block(self):
         rng = np.random.default_rng(1)
         n, m = 4, 7
-        A = random_psd(rng, n)
-        K_y = random_psd(rng, n)
-        K_su = rng.standard_normal((n, m))
-        K_uu = random_psd(rng, m)
-        mixed = oel.assemble_mixed_gram(A, K_y, K_y_su=K_su, K_y_uu=K_uu, c=0.0)
-        np.testing.assert_allclose(mixed.K[n:, n:], K_uu / m, atol=1e-12)
-        assert np.all(mixed.K[:n, :] == 0.0)
-        assert np.all(mixed.K[:, :n] == 0.0)
+        Y, Yu = rng.standard_normal((n, 14)), rng.standard_normal((m, 14))
+        K = _mixed(random_psd(rng, n), oel.OutputSet(LIN, Y, Yu), 0.0)
+        np.testing.assert_allclose(K[n:, n:], (Yu @ Yu.T) / m, atol=1e-12)
+        assert np.all(K[:n, :] == 0.0)
+        assert np.all(K[:, :n] == 0.0)
 
     def test_hand_1x1_blocks(self):
         a = 0.7
-        mixed = oel.assemble_mixed_gram(np.array([[a]]), np.array([[1.0]]),
-                                        K_y_su=np.array([[1.0]]),
-                                        K_y_uu=np.array([[1.0]]), c=0.5)
+        one = np.array([[1.0]])
+        K = _mixed(np.array([[a]]), oel.OutputSet(LIN, one, one), 0.5)
         expect = np.array([[a * a / 2.0, a / 2.0], [a / 2.0, 0.5]])
-        np.testing.assert_allclose(mixed.K, expect, atol=1e-15)
+        np.testing.assert_allclose(K, expect, atol=1e-15)
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(2)
         n, m = 9, 5
-        mixed = oel.assemble_mixed_gram(rng.standard_normal((n, n)),
-                                        random_psd(rng, n),
-                                        K_y_su=rng.standard_normal((n, m)),
-                                        K_y_uu=random_psd(rng, m), c=0.4)
-        assert np.array_equal(mixed.K, mixed.K.T)
+        outputs = oel.OutputSet(LIN, rng.standard_normal((n, 4)), rng.standard_normal((m, 4)))
+        K = _mixed(rng.standard_normal((n, n)), outputs, 0.4)
+        assert np.array_equal(K, K.T)
 
     def test_m0_requires_c1(self):
         with pytest.raises(ValueError, match="requires c = 1"):
-            oel.assemble_mixed_gram(np.eye(2), np.eye(2), c=0.5)
+            oel.fit_oel(_ridge(2), oel.OutputSet(LIN, np.eye(2)), np.eye(2), None, 1, c=0.5)
 
     def test_dimension_checks(self):
-        with pytest.raises(ValueError, match="K_y_su"):
-            oel.assemble_mixed_gram(np.eye(3), np.eye(3),
-                                    K_y_su=np.ones((2, 4)), K_y_uu=np.eye(4), c=0.5)
+        outputs = oel.OutputSet(LIN, np.eye(3), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="A must be 3 x 3"):
+            oel.fit_oel(_ridge(3), outputs, np.eye(2), None, 1, c=0.5)
 
 
 def _ridge(n):
-    """A ridge model on n points, for fits whose mixed Gram is made by hand:
-    the fit only folds its test readout through it."""
+    """A ridge model on n points, for fits whose alpha matrix is made by
+    hand: the fit only folds its test readout through it."""
     return okr.fit_krr(np.eye(n), 1.0)
 
 
 class TestFit:
     def test_identity_gram(self):
-        mixed = oel.assemble_mixed_gram(np.eye(2) * np.sqrt(2.0), np.eye(2), c=1.0)
-        model = oel.fit_oel(_ridge(2), mixed, p=2)
-        certificate = model.beta.T @ mixed.K @ model.beta
+        A, outputs = np.eye(2) * np.sqrt(2.0), oel.OutputSet(LIN, np.eye(2))
+        model = fit_dense(_ridge(2), A, outputs, 2, 1.0)
+        certificate = model.beta.T @ _mixed(A, outputs, 1.0) @ model.beta
         np.testing.assert_allclose(certificate, np.eye(2), atol=1e-12)
 
     def test_diag_hand_case(self):
-        # fabricate a mixed gram equal to diag(4, 1): beta_1 = e1/2, K beta_1 = (2, 0)
-        mixed = oel.MixedGram(K=np.diag([4.0, 1.0]), n=1, m=1, c=0.5,
-                              scale_sup=np.sqrt(0.5), scale_unsup=np.sqrt(0.5),
-                              alpha_train=np.eye(1), K_y_ss=np.eye(1),
-                              K_y_su=np.eye(1))
-        model = oel.fit_oel(_ridge(1), mixed, p=1)
+        # outputs and alpha made so that the mixed gram is diag(4, 1):
+        # beta_1 = e1/2, K beta_1 = (2, 0)
+        A, outputs = np.array([[2.0]]), oel.OutputSet(LIN, np.array([[1.0, 1.0]]),
+                                                      np.array([[1.0, -1.0]]))
+        K = _mixed(A, outputs, 0.5)
+        np.testing.assert_array_equal(K, np.diag([4.0, 1.0]))
+        model = fit_dense(_ridge(1), A, outputs, 1, 0.5)
         np.testing.assert_allclose(model.beta, [[0.5], [0.0]], atol=1e-12)
-        np.testing.assert_allclose(mixed.K @ model.beta, [[2.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(K @ model.beta, [[2.0], [0.0]], atol=1e-12)
 
     def test_orthonormality_certificate_random(self):
         rng = np.random.default_rng(3)
         for c, m in ((1.0, 0), (0.5, 12), (0.0, 12)):
             prob = build_explicit(rng, n=15, m=m, d_out=8, lam=0.1, c=c, p=5)
             model = prob.oel_model
-            # rebuild the mixed gram via the library for the certificate
-            A = okr.predict_alpha(prob.krr_model, prob.K_x)
-            mixed = oel.assemble_mixed_gram(
-                A, prob.Y @ prob.Y.T,
-                K_y_su=None if not m else prob.Y @ prob.Y_unsup.T,
-                K_y_uu=None if not m else prob.Y_unsup @ prob.Y_unsup.T, c=c)
-            cert = model.beta.T @ mixed.K @ model.beta
+            # the mixed gram of the explicit scaled spanning vectors
+            cert = model.beta.T @ (prob.V.T @ prob.V) @ model.beta
             np.testing.assert_allclose(cert, np.eye(model.p), atol=1e-8)
             assert model.ortho_defect <= 1e-8
 
     def test_effective_p_reduction_warns(self):
         rng = np.random.default_rng(4)
         Y = rng.standard_normal((10, 2))         # rank-2 output features
-        A = np.eye(10)
-        mixed = oel.assemble_mixed_gram(A, Y @ Y.T, c=1.0)
         with pytest.warns(UserWarning, match="effective p = 2"):
-            model = oel.fit_oel(_ridge(10), mixed, p=6)
+            model = fit_dense(_ridge(10), np.eye(10), oel.OutputSet(LIN, Y), 6, 1.0)
         assert model.p == 2
 
     def test_projection_idempotent_and_symmetric(self):
@@ -243,11 +244,8 @@ class TestFactored:
             kappa_test = kernels.gram(self.GX, ds.x, ds.x_test)
         outputs = oel.OutputSet(self.GY, ds.y_sup, ds.y_unsup)
         factored = oel.fit_embedding(krr_model, K_cols, outputs, p, c)
-        mixed = oel.assemble_mixed_gram(
-            okr.predict_alpha(krr_model, kappa_train), kernels.gram(self.GY, ds.y_sup),
-            K_y_su=kernels.gram(self.GY, ds.y_sup, ds.y_unsup),
-            K_y_uu=kernels.gram(self.GY, ds.y_unsup), c=c)
-        dense = oel.fit_oel(krr_model, mixed, p)
+        A = okr.predict_alpha(krr_model, kappa_train)
+        dense = fit_dense(krr_model, A, outputs, p, c)
         return ds, outputs.factor, kappa_test, factored, dense
 
     @pytest.mark.parametrize("nystrom", [False, True], ids=["exact", "nystrom"])
@@ -355,12 +353,15 @@ class TestFitEmbedding:
             oel.fit_embedding(krr_model, K_x, outputs, 1, method="lanczos")
 
     def test_products_memo_reused(self, monkeypatch):
-        # a products memo kept with the ridge model serves A F_s to every
-        # fit on the same outputs; a new output set gets its own
-        calls = []
-        real = oel.train_alpha_times
-        monkeypatch.setattr(oel, "train_alpha_times",
-                            lambda *a: calls.append(1) or real(*a))
+        # a products memo kept with the ridge model serves A F_s (factored
+        # path), or A and the mixed Gram blocks (dense path), to every fit on
+        # the same outputs; a new output set gets its own
+        calls = {"train_alpha_times": 0, "predict_alpha": 0, "mixed_gram_blocks": 0}
+        for name in calls:
+            def counted(*a, _real=getattr(oel, name), _name=name):
+                calls[_name] += 1
+                return _real(*a)
+            monkeypatch.setattr(oel, name, counted)
         rng = np.random.default_rng(34)
         Y = rng.standard_normal((30, 4))
         krr_model, K_x = self._ridge(20)
@@ -368,12 +369,29 @@ class TestFitEmbedding:
         products = {}
         fits = [oel.fit_embedding(krr_model, K_x, outputs, p, 0.5, products=products)
                 for p in (1, 2, 3)]
-        assert len(calls) == 1
+        assert calls["train_alpha_times"] == 1
         oel.fit_embedding(krr_model, K_x, oel.OutputSet(self.LIN, Y[:20], Y[20:]), 2, 0.5,
                           products=products)
-        assert len(calls) == 2
+        assert calls["train_alpha_times"] == 2
         fresh = oel.fit_embedding(krr_model, K_x, outputs, 2, 0.5)
         np.testing.assert_array_equal(fresh.R, fits[1].R)
+
+        # the dense path: p >= r = 4, and the randomized method; the blocks
+        # serve every c > 0, and c = 0 reads none
+        assert calls["predict_alpha"] == calls["mixed_gram_blocks"] == 0
+        for p, method in ((4, "exact"), (2, "randomized")):
+            products = {}
+            fits = {c: oel.fit_embedding(krr_model, K_x, outputs, p, c, method=method, seed=1,
+                                         products=products)
+                    for c in (0.5, 1.0, 0.0)}
+            assert calls["predict_alpha"] == calls["mixed_gram_blocks"] == 1
+            for c, fit in fits.items():
+                fresh = oel.fit_embedding(krr_model, K_x, outputs, p, c, method=method, seed=1)
+                assert fresh.eigensolver == fit.eigensolver == ("eigh" if p == 4 else method)
+                for name in ("R", "T_x", "mu"):
+                    assert getattr(fresh, name).tobytes() == getattr(fit, name).tobytes()
+            assert calls["predict_alpha"] == 4 and calls["mixed_gram_blocks"] == 3
+            calls.update(predict_alpha=0, mixed_gram_blocks=0)
 
 
 class TestSurrogateErrors:
