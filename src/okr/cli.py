@@ -263,22 +263,29 @@ def _cmd_fit(args, out):
 
 def _cmd_predict(args, out):
     from . import dataio, kernels, krr, oel
-    from .config import kernel_spec, read
+    from .config import UsageError, kernel_spec, read
     from .dataio import DataError
 
     cfg, base, vals = _load_cfg(args, "model.dir", "decode.k", "data.")
     bundle = dataio.load_model(base / vals["model.dir"])
     krr_model, oel_model = dataio.models_from_bundle(bundle)
-    man = bundle.manifest
+
+    def bundle_kernel(prefix):
+        # the manifest is data: a bad kernel entry in it is a data error
+        try:
+            return kernel_spec(read(bundle.manifest, (f"{prefix}.",)), prefix)
+        except UsageError as exc:
+            raise bundle.error(str(exc)) from None
+
     ds = dataio.load_dataset(cfg, base)
-    if ds.output_kind != man["output.kind"]:
+    if ds.output_kind != bundle.value("output.kind"):
         raise DataError(f"dataset output kind {ds.output_kind!r} does not match the "
-                        f"model's {man['output.kind']!r}")
+                        f"model's {bundle.value('output.kind')!r}")
     if ds.n_test == 0:
         raise DataError("predict needs data.x_test")
 
     # kappa: the test inputs' kernel columns as the ridge model reads them
-    if man["input.mode"] == "gram":
+    if bundle.value("input.mode") == "gram":
         kappa = ds.x_test
         if kappa.shape[0] != krr_model.n:
             raise DataError(f"{base / vals['data.x_test']}: test Gram block has "
@@ -287,20 +294,19 @@ def _cmd_predict(args, out):
         if krr_model.mode == krr.NYSTROM:
             kappa = kappa[krr_model.anchors, :]
     else:
-        in_spec = kernel_spec(read(man, ("kernel.x.",)), "kernel.x")
-        ref = (bundle.matrices["x_train"] if krr_model.mode == krr.EXACT
-               else bundle.matrices["x_anchors"])
+        in_spec = bundle_kernel("kernel.x")
+        ref = bundle.matrix("x_train" if krr_model.mode == krr.EXACT else "x_anchors")
         if ds.x_test.shape[1] != ref.shape[1]:
             raise DataError(f"{base / vals['data.x_test']}: test inputs have "
                             f"{ds.x_test.shape[1]} features, but the model was fit on "
                             f"{ref.shape[1]}")
         kappa = kernels.gram(in_spec, ref, ds.x_test)
 
-    out_spec = kernel_spec(read(man, ("kernel.y.",)), "kernel.y")
+    out_spec = bundle_kernel("kernel.y")
     cand_f = dataio.output_features(ds.output_kind, ds.candidate_outputs())
     # the reference outputs: all n training outputs for full-dimensional
     # decoding, the ones the embedding's candidate readout reads otherwise
-    Y_ref = bundle.matrices["y_train_features" if oel_model is None else "y_ref_features"]
+    Y_ref = bundle.matrix("y_train_features" if oel_model is None else "y_ref_features")
     if cand_f.shape[1] != Y_ref.shape[1]:
         path = base / (vals["data.candidates"] or vals["data.y"])
         raise DataError(f"{path}: candidate outputs have {cand_f.shape[1]} "

@@ -722,10 +722,36 @@ def _subsample(n, ratio, rng):
 @dataclass
 class ModelBundle:
     """Everything a prediction run needs: a string manifest plus named
-    float64 matrices."""
+    float64 matrices. A loaded bundle keeps its directory in path, so that
+    a fault in what it holds names the file."""
 
     manifest: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)
+    path: Path | None = None
+
+    def error(self, message: str) -> DataError:
+        """A DataError about the manifest, naming it."""
+        where = "bundle manifest" if self.path is None else self.path / "manifest.txt"
+        return DataError(f"{where}: {message}")
+
+    def value(self, key: str, parse=str):
+        """The manifest value under key, parsed by parse (str, int or
+        float); a missing key, or a value parse rejects, raises DataError
+        naming the manifest and the key."""
+        if key not in self.manifest:
+            raise self.error(f"missing key {key!r}")
+        try:
+            return parse(self.manifest[key])
+        except ValueError:
+            raise self.error(f"{key} = {self.manifest[key]!r} is not "
+                             f"{'an integer' if parse is int else 'a number'}") from None
+
+    def matrix(self, name: str) -> np.ndarray:
+        """The matrix under name; DataError, naming the manifest, if the
+        bundle lists no such matrix."""
+        if name not in self.matrices:
+            raise self.error(f"no matrix {name!r} in matrix_names")
+        return self.matrices[name]
 
 
 def _manifest_digest(lines) -> str:
@@ -776,7 +802,7 @@ def load_model(dirpath) -> ModelBundle:
         if hashlib.sha256(buf).hexdigest() != manifest.get(f"sha256.{name}"):
             raise DataError(f"{fname}: checksum mismatch")
         matrices[name] = _parse_matrix(fname, buf)
-    return ModelBundle(manifest=manifest, matrices=matrices)
+    return ModelBundle(manifest=manifest, matrices=matrices, path=dirpath)
 
 
 def fingerprint(*arrays) -> str:
@@ -839,31 +865,44 @@ def models_from_bundle(bundle: ModelBundle):
     reproducing the original predictions bit for bit. The ridge model of an
     embedded bundle has no solve state: it only says which kernel columns
     (training inputs or anchors) the test readout T_x reads."""
-    man = bundle.manifest
-    mode = man["krr.mode"]
-    lam = float(man["krr.lambda"])
-    n = int(man["krr.n"])
-    anchors = (bundle.matrices["krr_anchors"].ravel().astype(np.int64)
-               if mode == NYSTROM else None)
-    if "oel.p" not in man:
+    mode = bundle.value("krr.mode")
+    if mode not in (EXACT, NYSTROM):
+        raise bundle.error(f"krr.mode = {mode!r} is not {EXACT!r} or {NYSTROM!r}")
+    lam = bundle.value("krr.lambda", float)
+    n = bundle.value("krr.n", int)
+    if n < 1:
+        raise bundle.error(f"krr.n = {n} is not positive")
+    anchors = None
+    if mode == NYSTROM:
+        anchors = bundle.matrix("krr_anchors").ravel()
+        if not np.all((anchors >= 0) & (anchors < n) & (anchors == np.floor(anchors))):
+            raise bundle.error(f"krr_anchors are not indices into the krr.n = {n} "
+                               f"training points")
+        anchors = anchors.astype(np.int64)
+    if "oel.p" not in bundle.manifest:
         if mode == EXACT:
-            solver = RegularizedSolver.from_factor(bundle.matrices["krr_factor"],
-                                                   float(man["krr.shift"]))
+            factor = bundle.matrix("krr_factor")
+            if factor.shape != (n, n):
+                raise bundle.error(f"krr_factor {factor.shape} inconsistent with krr.n = {n}")
+            solver = RegularizedSolver.from_factor(factor, bundle.value("krr.shift", float))
             return KrrModel(EXACT, lam, n, solver=solver), None
-        return KrrModel(NYSTROM, lam, n, dual_weights=bundle.matrices["krr_dual"],
-                        anchors=anchors), None
+        dual = bundle.matrix("krr_dual")
+        if dual.shape != (anchors.size, n):
+            raise bundle.error(f"krr_dual {dual.shape} inconsistent with {anchors.size} "
+                               f"anchors and krr.n = {n}")
+        return KrrModel(NYSTROM, lam, n, dual_weights=dual, anchors=anchors), None
     krr_model = KrrModel(mode, lam, n, anchors=anchors)
-    p = int(man["oel.p"])
-    R, T_x = bundle.matrices["oel_R"], bundle.matrices["oel_T_x"]
+    p = bundle.value("oel.p", int)
+    R, T_x = bundle.matrix("oel_R"), bundle.matrix("oel_T_x")
     if R.shape[0] != p or T_x.shape != (p, krr_model.alpha_rows):
-        raise DataError(f"readouts oel_R {R.shape} and oel_T_x {T_x.shape} inconsistent "
-                        f"with the manifest (p={p}, {mode} ridge reading "
-                        f"{krr_model.alpha_rows} kernel rows)")
+        raise bundle.error(f"readouts oel_R {R.shape} and oel_T_x {T_x.shape} inconsistent "
+                           f"with the manifest (p={p}, {mode} ridge reading "
+                           f"{krr_model.alpha_rows} kernel rows)")
     oel_model = OelModel(
-        beta=None, mu=bundle.matrices["oel_mu"].ravel(), c=float(man["oel.c"]), n=n,
-        m=int(man["oel.m"]), R=R, T_x=T_x,
-        gram_trace=float(man["oel.gram_trace"]),
-        ortho_defect=float(man["oel.ortho_defect"]))
+        beta=None, mu=bundle.matrix("oel_mu").ravel(), c=bundle.value("oel.c", float), n=n,
+        m=bundle.value("oel.m", int), R=R, T_x=T_x,
+        gram_trace=bundle.value("oel.gram_trace", float),
+        ortho_defect=bundle.value("oel.ortho_defect", float))
     return krr_model, oel_model
 
 

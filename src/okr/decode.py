@@ -23,7 +23,13 @@ so the whole matrix need never exist. All N candidates are scored a block
 at a time into one reused queries x block buffer; per-query lists read
 scattered columns of the assembled matrix and are scored into padded rows,
 in batches no larger than that buffer. Every block and every batch goes
-through one selection step, _merge_topk.
+through one selection step, _merge_topk. It keeps only the scores not above
+a row's threshold, an upper bound on the row's k-th best: the k-th best so
+far once the row's running top-k holds k real scores, and otherwise (the
+first block of a run, or fewer than k real scores so far) the bound _bound
+reads off the minima of disjoint column groups of the block. No selection
+runs over a whole block, and after the first block of a run most blocks
+cost one comparison pass.
 
 Scoring all N candidates can run on several worker threads (workers=, one
 by default). _runs splits the candidate range into one contiguous run of
@@ -35,11 +41,10 @@ column wide, a matrix-vector product, in the last bit, and the worker count
 moves the block edges.) numpy releases the GIL in the GEMM, the kernel arithmetic and the
 selection, so the workers overlap; the caller should keep BLAS itself to one
 thread, or the two pools oversubscribe the cores. One worker scores blocks
-of _BLOCK candidates; w > 1 workers score blocks of _BLOCK / (2 w), half as
-many columns in all. Each thread's allocator arena keeps its own freed
-scratch (the score buffer, the partition copy and masks of _merge_topk), so
-at _BLOCK / w columns each the workers together held more memory than one
-worker does.
+of _BLOCK candidates; w > 1 workers score blocks of _BLOCK / w, as many
+columns in all. Each thread's allocator arena keeps its own freed scratch
+(the score buffer, and the masks and group minima of _merge_topk), so
+wider blocks per worker would hold more memory than one worker does.
 """
 
 from __future__ import annotations
@@ -79,11 +84,15 @@ class CandidateBlocks:
         return out
 
 
-# candidate-axis block width. Every block pays a fixed merge and bookkeeping
-# cost, so a narrow block keeps the cost per candidate of N ~ 1e3 (one
-# partial block) close to that of N ~ 1e5; 2048 measured about as fast as
-# 8192 at N = 1e5 and flatter across N
-_BLOCK = 2048
+# candidate-axis block width of one worker. Every block pays a fixed merge
+# and bookkeeping cost, and the first block of a call also _bound, so a
+# narrow block keeps the cost per candidate of N ~ 1e3 (one partial block)
+# close to that of N ~ 1e5. With a threshold that needs no per-block
+# selection the fixed cost is most of what a block costs beyond its GEMM:
+# at 64 queries, p = 100 and one thread of a 2-vCPU x86 VM, 2048 read
+# 7.8 / 6.3 / 6.5 ns per candidate-query at N = 1e3 / 1e4 / 1e5 (13.6% from
+# linear) and 1024 read 7.7 / 6.8 / 6.9 (8.4%)
+_BLOCK = 1024
 
 
 def _cores() -> int:
@@ -101,22 +110,45 @@ def _runs(n_cand: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
     The worker count is clamped to the CPUs this process may use and to the
     number of blocks; a candidate set that fits in one _BLOCK gets one
     worker. One worker keeps blocks of _BLOCK, w workers blocks of
-    _BLOCK // (2 w), and every run but the last holds whole blocks."""
+    _BLOCK // w, and every run but the last holds whole blocks."""
     workers = min(workers, _cores())
     if workers <= 1 or n_cand <= _BLOCK:
         return _BLOCK, [(0, n_cand)]
-    width = max(1, _BLOCK // (2 * workers))
+    width = max(1, _BLOCK // workers)
     n_blocks = -(-n_cand // width)
     workers = min(workers, n_blocks)
     cuts = [width * (n_blocks * i // workers) for i in range(workers)] + [n_cand]
     return width, list(zip(cuts[:-1], cuts[1:]))
 
 
+def _bound(S: np.ndarray, kk: int) -> np.ndarray:
+    """An upper bound on each row's kk-th smallest score in S (rows x w),
+    NaN where none is found.
+
+    Folds of up to four strided column groups shrink each row to g minima of
+    disjoint column groups, 4 kk <= g < 8 kk (no fold below 8 kk columns;
+    the last columns of a fold that does not come out even join no group).
+    The bound is the kk-th smallest minimum: kk groups each hold a real
+    score at or below it, so the row's kk-th best is at or below it too.
+    fmin leaves NaN scores out of a minimum; a row with fewer than kk real
+    minima, or a block narrower than kk, gets NaN."""
+    t, w = S.shape
+    if w < kk:
+        return np.full(t, np.nan)
+    minima = S
+    while minima.shape[1] >= 8 * kk:
+        fold = min(4, minima.shape[1] // (4 * kk))
+        g = minima.shape[1] // fold
+        minima = np.fmin.reduce(minima[:, :fold * g].reshape(t, fold, g), axis=1)
+    return np.partition(minima, kk - 1, axis=1)[:, kk - 1]
+
+
 def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
                 ids: np.ndarray, kk: int):
-    """Merge the scores S (rows x w) of the candidates ids (rows x w) into
-    the running lists best_ids, best_vals (rows x kept, (score, id)-ordered)
-    and return the best min(kk, kept + w) of each row.
+    """Merge the scores S (rows x w) of the candidates ids (w ids shared by
+    every row, or rows x w) into the running lists best_ids, best_vals
+    (rows x kept, (score, id)-ordered) and return the best min(kk, kept + w)
+    of each row.
 
     The merge needs two things of each row of ids: every id exceeds those of
     the running list, and entries with equal scores (NaN counting as equal
@@ -125,40 +157,48 @@ def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
     several such outputs side by side in id order, which is how the workers'
     runs are joined.
 
-    A row's threshold is the smaller of its k-th smallest score in S and its
-    running k-th best. Both are upper bounds on the final k-th best, so a
-    score above the threshold can never enter the top k. Only scores at or
-    below it survive (every tie on the threshold included), and only the
+    A row's threshold is an upper bound on its final k-th best, so a score
+    above it can never enter the top k. A row whose running list holds kk
+    real scores takes its running k-th best; any other row (the first block
+    of a run, or fewer than kk real scores so far) takes _bound of its
+    scores in S, and no selection runs over the whole block. Only scores at
+    or below the threshold survive (every tie on it included), and only the
     survivors are merged into the running lists, by a stable per-row sort on
     score over a layout that keeps equal scores in ascending id order. The
     threshold comparison and the merge are exact, so the output is identical
     to the full sort, ties included."""
     t, w = S.shape
     kept = best_vals.shape[1]
-    if w >= kk:
-        thr = np.partition(S, kk - 1, axis=1)[:, kk - 1].copy()
+    if kept < kk:
+        thr = _bound(S, kk)
     else:
-        thr = np.full(t, np.inf)
-    if kept == kk:
-        # fmin: a NaN k-th best (fewer than kk real scores) sets no bound
-        np.fmin(thr, best_vals[:, -1], out=thr)
+        thr = best_vals[:, -1]
+        # a NaN k-th best: fewer than kk real scores, so no bound yet
+        open_rows = np.flatnonzero(np.isnan(thr))
+        if open_rows.size:
+            thr = thr.copy()
+            thr[open_rows] = _bound(S[open_rows], kk)
     # "not above" keeps ties on the threshold, and keeps everything in a
     # row whose threshold is NaN
     hit = np.flatnonzero(~(S > thr[:, None]))
-    rows, cols = np.divmod(hit, w)
+    rows = hit // w
     # lay each row out as [running list, survivors in the order of S],
     # padded with NaN (sorted last, after every real entry); a stable sort
-    # by score then orders equal scores by id
+    # by score then orders equal scores by id. Survivor i of row r lands at
+    # flat position i + r * width + kept - (survivors before row r)
     counts = np.bincount(rows, minlength=t)
-    pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
-    vals = np.full((t, kept + counts.max()), np.nan)
-    out_ids = np.empty(vals.shape, dtype=np.int64)
+    width = kept + int(counts.max())
+    starts = np.arange(t) * width
+    dest = np.arange(hit.size) + (starts + kept - (np.cumsum(counts) - counts))[rows]
+    vals = np.full((t, width), np.nan)
+    out_ids = np.empty((t, width), dtype=np.int64)
     vals[:, :kept] = best_vals
     out_ids[:, :kept] = best_ids
-    vals[rows, pos] = S.ravel()[hit]
-    out_ids[rows, pos] = ids[rows, cols]
+    vals.reshape(-1)[dest] = S.reshape(-1)[hit]
+    out_ids.reshape(-1)[dest] = ids[hit % w] if ids.ndim == 1 else ids.reshape(-1)[hit]
     sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
-    return np.take_along_axis(out_ids, sel, axis=1), np.take_along_axis(vals, sel, axis=1)
+    sel += starts[:, None]
+    return out_ids.reshape(-1)[sel], vals.reshape(-1)[sel]
 
 
 def _decode_run(neg2_Et: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,
@@ -175,8 +215,7 @@ def _decode_run(neg2_Et: np.ndarray, cands: CandidateBlocks, self_norms: np.ndar
         S = score_buf[:t * (b1 - b0)].reshape(t, b1 - b0)
         np.matmul(neg2_Et, cands.columns(b0, b1), out=S)
         S += self_norms[b0:b1]
-        block_ids = np.broadcast_to(np.arange(b0, b1), S.shape)
-        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, block_ids, kk)
+        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, np.arange(b0, b1), kk)
     return best_ids, best_vals
 
 

@@ -2,6 +2,9 @@
 the measured margin (run with -s or -rA to see them)."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -259,10 +262,16 @@ def test_criterion_8_decoding_complexity(tmp_path):
     """Per-query decode cost is linear in the candidate count within 25%
     across N in {1e3, 1e4, 1e5}, and the embedded decoder (p = n/20) beats
     the full-dimensional one per query at n = 2000."""
+    # a fresh interpreter, so that --threads 1 caps BLAS before numpy loads;
+    # inside pytest numpy is loaded already and BLAS would keep its threads
     out = tmp_path / "bench"
-    code = cli.main(["bench-decode", "--out", str(out), "--seed", "1",
-                     "--threads", "1"])
-    assert code == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "okr.cli", "bench-decode", "--out", str(out),
+                           "--seed", "1", "--threads", "1"], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    print(proc.stdout, end="")
     lines = (out / "bench.tsv").read_text().strip().splitlines()
     rows = [tuple(float(v) for v in ln.split("\t")) for ln in lines[1:]]
     assert [int(r[0]) for r in rows] == [1000, 10000, 100000]

@@ -625,15 +625,16 @@ def _short_map_cfg(tmp_path):
                                 f"model.dir = {tmp_path / 'fit' / 'model'}")
 
 
-def _v2_bundle_cfg(tmp_path):
-    """predict config over a fitted bundle whose manifest says version 2."""
+def _edited_manifest_cfg(tmp_path, line, edited):
+    """predict config over a fitted bundle whose manifest line is replaced
+    by edited, and the manifest digest recomputed."""
     data_dir, dataset_cfg = synth_workspace(tmp_path)
     fit_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
     assert run("fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fit")) == 0
     mpath = tmp_path / "fit" / "model" / "manifest.txt"
-    lines = [ln.replace(f"bundle_version = {dataio.BUNDLE_VERSION}", "bundle_version = 2")
-             for ln in mpath.read_text().splitlines()
+    lines = [edited if ln == line else ln for ln in mpath.read_text().splitlines()
              if not ln.startswith("manifest_sha256")]
+    assert edited in lines
     lines.append("manifest_sha256 = " + dataio._manifest_digest(lines))
     mpath.write_text("\n".join(lines) + "\n")
     return "predict", write_cfg(data_dir / "pred.cfg", dataset_cfg,
@@ -695,8 +696,20 @@ BAD_RUN_INPUTS = [
      cli.EXIT_DATA, "data error", "short_truth.txt: 3 true candidates for 6 test queries"),
     ("predict_candidate_map_too_short", _short_map_cfg,
      cli.EXIT_DATA, "data error", "short_map.txt: 2 candidate lists for 6 test queries"),
-    ("predict_v2_bundle", _v2_bundle_cfg,
+    ("predict_v2_bundle",
+     lambda d: _edited_manifest_cfg(d, f"bundle_version = {dataio.BUNDLE_VERSION}",
+                                    "bundle_version = 2"),
      cli.EXIT_DATA, "data error", "bundle version '2' unsupported (expected 4); refit"),
+    ("predict_manifest_p_not_integer",
+     lambda d: _edited_manifest_cfg(d, "oel.p = 1", "oel.p = 3.5"),
+     cli.EXIT_DATA, "data error", "manifest.txt: oel.p = '3.5' is not an integer"),
+    ("predict_manifest_output_kind_dropped",
+     lambda d: _edited_manifest_cfg(d, "output.kind = dense", "output.kinds = dense"),
+     cli.EXIT_DATA, "data error", "manifest.txt: missing key 'output.kind'"),
+    ("predict_manifest_kernel_kind_unknown",
+     lambda d: _edited_manifest_cfg(d, "kernel.y.kind = linear", "kernel.y.kind = cosine"),
+     cli.EXIT_DATA, "data error", "manifest.txt: kernel.y.kind must be one of gaussian, "
+     "linear, tanimoto, gaussian_tanimoto, got 'cosine'"),
     ("predict_gram_block_rows_mismatch", _gram_rows_cfg,
      cli.EXIT_DATA, "data error",
      "k4_test.mat: test Gram block has 4 rows, but the model was fit on 6 training points"),

@@ -623,6 +623,9 @@ def _candidate_map_text(draw):
 MANIFEST_LINES = ["bundle_version = 99999999999999999999", "matrix_names = a,a",
                   "matrix_names = ", "matrix_names = ,", "matrix_names = c", "sha256.a = ",
                   "manifest_sha256 = 0", "no separator"]
+# manifest values: fractional, signed, non-finite, empty, words, other modes
+MANIFEST_VALUES = ["3.5", "-1", "0", "1", "2", "1e3", "nan", "inf", "", "abc", "exact",
+                   "nystrom", "gram", "features", "gaussian", *BEYOND_INT64]
 # .mat header dimensions: small, the 2**61 x 8 whose byte count wraps uint64
 # to the header's, and the uint64 values past int64
 MAT_DIMS = [0, 1, 2, 3, 6, 8, 2 ** 61, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
@@ -689,6 +692,36 @@ class TestMoreLoadersFuzzed:
                 lines = _resigned(lines)
         (d / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_parses_or_names_file(d, dataio.load_model)
+
+    @pytest.fixture(scope="class")
+    def bundles(self):
+        """Embedded and regression-only bundles of exact and Nystrom ridge
+        models."""
+        fits = [TestModelPersistence()._fit_models(nystrom=nystrom)[:2]
+                for nystrom in (False, True)]
+        return ([dataio.bundle_from_models(*models) for models in fits]
+                + [dataio.bundle_from_models(krr_model) for krr_model, _ in fits])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_manifest_values(self, tmp_path, bundles, data):
+        # a re-signed manifest whose values were edited or dropped: the
+        # models rebuild, or DataError names the manifest
+        bundle = data.draw(st.sampled_from(bundles))
+        d = tmp_path / f"model{data.draw(st.integers(0, 2 ** 32))}"
+        dataio.save_model(bundle, d)
+        lines = [ln for ln in (d / "manifest.txt").read_text(encoding="utf-8").splitlines()
+                 if not ln.startswith("manifest_sha256 = ")]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            key = lines[row].split(" = ", 1)[0]
+            if data.draw(st.booleans()):
+                lines[row] = f"{key} = {data.draw(st.sampled_from(MANIFEST_VALUES))}"
+            else:
+                del lines[row]
+        (d / "manifest.txt").write_text("\n".join(_resigned(lines)) + "\n", encoding="utf-8")
+        _assert_parses_or_names_file(
+            d, lambda path: dataio.models_from_bundle(dataio.load_model(path)))
 
 
 class TestCandidateMap:

@@ -225,8 +225,10 @@ def test_block_source_matches_whole_matrix(decoder, k, t, n_cand, nans, lists, s
                      for start in range(0, n_cand, _BLOCK)]
 
 
-# per-worker block widths at 2, 3 and 4 workers: 512, 341 and 256
-_WORKER_N = [1, 511, 513, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5]
+# per-worker block widths at 2, 3 and 4 workers: 512, 341 and 256; the
+# counts sit on both sides of one and of two one-worker blocks
+_WORKER_N = [1, 511, 513, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1,
+             6 * _BLOCK + 5]
 
 
 @pytest.mark.parametrize("n_cand", _WORKER_N)
@@ -275,7 +277,7 @@ def test_runs_split_whole_blocks(monkeypatch):
     assert decode._runs(_BLOCK, 4) == (_BLOCK, [(0, _BLOCK)])
     assert decode._runs(10 ** 5, 1) == (_BLOCK, [(0, 10 ** 5)])
     width, runs = decode._runs(10 ** 5, 2)
-    assert width == _BLOCK // 4
+    assert width == _BLOCK // 2
     assert runs[0][0] == 0 and runs[-1][1] == 10 ** 5
     assert all(a[1] == b[0] and a[1] % width == 0 for a, b in zip(runs, runs[1:]))
 
@@ -327,3 +329,135 @@ def test_workers_agree_under_frequent_thread_switches(monkeypatch):
             np.testing.assert_array_equal(scores, expect[1])
     finally:
         sys.setswitchinterval(interval)
+
+
+def _full_sort(scores, k):
+    """Each row's best k (ids, scores) by (score, id), NaN last: the order
+    every decode must reproduce."""
+    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    order = np.lexsort((ids, scores), axis=-1)[:, :k]
+    return order, np.take_along_axis(scores, order, axis=1)
+
+
+def _exact_problem(rng, n_cand, t=5, distinct=None):
+    """Half-integer embeddings and coarse norms, so that every score is exact
+    whatever the BLAS summation order; with distinct, the candidates repeat
+    that many columns, and every row's k-th best ties with hundreds."""
+    E_cand = rng.integers(-2, 3, (2, distinct or n_cand)) / 2.0
+    if distinct:
+        E_cand = E_cand[:, rng.integers(0, distinct, n_cand)]
+    norms = np.round(rng.uniform(0.0, 1.0, n_cand), 1)
+    return rng.integers(-2, 3, (2, t)) / 2.0, E_cand, norms
+
+
+def _scores(E_test, E_cand, norms):
+    return norms - 2.0 * (E_test.T @ E_cand)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_nan_running_kth_after_first_block(monkeypatch, workers):
+    # each run's first block holds 3 real scores, so after it every running
+    # list ends in NaN and the next blocks must still bound those rows
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    rng = np.random.default_rng(workers)
+    n_cand, k = 3 * _BLOCK + 5, 10
+    E_test, E_cand, norms = _exact_problem(rng, n_cand)
+    width, runs = decode._runs(n_cand, workers)
+    for start, _ in runs:
+        first = np.arange(start, min(start + width, n_cand))
+        E_cand[:, np.setdiff1d(first, rng.choice(first, 3, replace=False))] = np.nan
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, workers=workers)
+    want_ids, want_vals = _full_sort(_scores(E_test, E_cand, norms), k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(vals, want_vals)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 10, 300])
+def test_ties_on_running_threshold_across_edges(monkeypatch, workers, k):
+    # three distinct candidates repeated over four blocks: every threshold
+    # is a score that hundreds of candidates share, on both sides of every
+    # block and run edge, and the smallest ids among them must win
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    rng = np.random.default_rng(k + workers)
+    E_test, E_cand, norms = _exact_problem(rng, 3 * _BLOCK + 5, distinct=3)
+    norms[:] = 0.5
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, workers=workers)
+    want_ids, want_vals = _full_sort(_scores(E_test, E_cand, norms), k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(vals, want_vals)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_k_wider_than_first_block(monkeypatch, workers):
+    # the first blocks cannot fill the running lists, so no block bounds a
+    # row until kept + block width passes k
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    rng = np.random.default_rng(5)
+    n_cand = 3 * _BLOCK + 5
+    E_test, E_cand, norms = _exact_problem(rng, n_cand, distinct=40)
+    E_cand[:, rng.random(n_cand) < 0.05] = np.nan
+    k = decode._runs(n_cand, workers)[0] + 7
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, workers=workers)
+    want_ids, want_vals = _full_sort(_scores(E_test, E_cand, norms), k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(vals, want_vals)
+
+
+@pytest.mark.parametrize("k", [1, 4, 50])
+def test_lists_with_nans_and_ties_match_full_sort(k):
+    # per-query lists go through the same selection, padded rows included
+    rng = np.random.default_rng(k)
+    n_cand = 300
+    E_test, E_cand, norms = _exact_problem(rng, n_cand, t=6, distinct=5)
+    E_cand[:, rng.random(n_cand) < 0.2] = np.nan
+    lists = [rng.choice(n_cand, size=size, replace=False) for size in (1, 3, 40, 120, 250, 300)]
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, query_cands=lists)
+    scores = _scores(E_test, E_cand, norms)
+    for j, cands in enumerate(lists):
+        cands = np.sort(cands)
+        order, want = _full_sort(scores[j:j + 1, cands], k)
+        n = order.shape[1]
+        np.testing.assert_array_equal(ids[j, :n], cands[order[0]])
+        np.testing.assert_array_equal(vals[j, :n], want[0])
+        assert np.all(ids[j, n:] == -1) and np.all(np.isnan(vals[j, n:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 700), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 31 - 1))
+def test_bound_is_above_kth_best(t, w, kk, nan_share, seed):
+    rng = np.random.default_rng(seed)
+    S = np.round(rng.standard_normal((t, w)), 1)
+    S[rng.random((t, w)) < nan_share] = np.nan
+    bound = decode._bound(S, kk)
+    kth = np.sort(S, axis=1)[:, kk - 1] if w >= kk else np.full(t, np.nan)
+    # NaN where the row has fewer than kk real scores, else NaN or at or
+    # above the kk-th best
+    assert np.all(np.isnan(bound[np.isnan(kth)]))
+    real = ~np.isnan(kth) & ~np.isnan(bound)
+    assert np.all(bound[real] >= kth[real])
+
+
+def test_full_running_lists_skip_partition(monkeypatch):
+    partitioned = []
+    partition = np.partition
+
+    def spy(a, *args, **kwargs):
+        partitioned.append(a.shape)
+        return partition(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    rng = np.random.default_rng(6)
+    empty_ids, empty_vals = np.empty((5, 0), dtype=np.int64), np.empty((5, 0))
+    best = decode._merge_topk(empty_ids, empty_vals, rng.standard_normal((5, 400)),
+                              np.arange(400), 10)
+    partitioned.clear()
+    # every row holds 10 real scores: its 10th best is the threshold
+    decode._merge_topk(*best, rng.standard_normal((5, 400)), np.arange(400, 800), 10)
+    assert partitioned == []
+    # a decode over four blocks bounds only its first
+    n_cand = 3 * _BLOCK + 5
+    decode_oel(rng.standard_normal((3, 5)), rng.standard_normal((3, n_cand)),
+               np.ones(n_cand), k=10)
+    assert len(partitioned) == 1
