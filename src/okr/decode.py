@@ -24,12 +24,11 @@ at a time into one reused queries x block buffer; per-query lists read
 scattered columns of the assembled matrix and are scored into padded rows,
 in batches no larger than that buffer. Every block and every batch goes
 through one selection step, _merge_topk. It keeps only the scores not above
-a row's threshold, an upper bound on the row's k-th best: the k-th best so
-far once the row's running top-k holds k real scores, and otherwise (the
-first block of a run, or fewer than k real scores so far) the bound _bound
-reads off the minima of disjoint column groups of the block. No selection
-runs over a whole block, and after the first block of a run most blocks
-cost one comparison pass.
+a row's threshold: the smaller of the row's running k-th best and _bound,
+an upper bound on the row's k-th best in the block read off the minima of
+disjoint column groups. No selection runs over a whole block, and every
+block pays the same bound, so the cost per candidate does not depend on
+where a call's blocks start or on the order of the candidates.
 
 Scoring all N candidates can run on several worker threads (workers=, one
 by default). _runs splits the candidate range into one contiguous run of
@@ -85,13 +84,11 @@ class CandidateBlocks:
 
 
 # candidate-axis block width of one worker. Every block pays a fixed merge
-# and bookkeeping cost, and the first block of a call also _bound, so a
-# narrow block keeps the cost per candidate of N ~ 1e3 (one partial block)
-# close to that of N ~ 1e5. With a threshold that needs no per-block
-# selection the fixed cost is most of what a block costs beyond its GEMM:
-# at 64 queries, p = 100 and one thread of a 2-vCPU x86 VM, 2048 read
-# 7.8 / 6.3 / 6.5 ns per candidate-query at N = 1e3 / 1e4 / 1e5 (13.6% from
-# linear) and 1024 read 7.7 / 6.8 / 6.9 (8.4%)
+# and bookkeeping cost, so a narrow block keeps the cost per candidate of
+# N ~ 1e3 (one partial block) close to that of N ~ 1e5. At 64 queries,
+# p = 100 and one thread of a 2-vCPU x86 VM, N = 1e3 cost 6-7% more per
+# candidate-query than N = 1e5 with 1024-wide blocks and 15-17% more with
+# 2048-wide ones
 _BLOCK = 1024
 
 
@@ -111,7 +108,8 @@ def _runs(n_cand: int, workers: int) -> tuple[int, list[tuple[int, int]]]:
     number of blocks; a candidate set that fits in one _BLOCK gets one
     worker. One worker keeps blocks of _BLOCK, w workers blocks of
     _BLOCK // w, and every run but the last holds whole blocks."""
-    workers = min(workers, _cores())
+    if workers > 1 and n_cand > _BLOCK:
+        workers = min(workers, _cores())
     if workers <= 1 or n_cand <= _BLOCK:
         return _BLOCK, [(0, n_cand)]
     width = max(1, _BLOCK // workers)
@@ -145,10 +143,9 @@ def _bound(S: np.ndarray, kk: int) -> np.ndarray:
 
 def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
                 ids: np.ndarray, kk: int):
-    """Merge the scores S (rows x w) of the candidates ids (w ids shared by
-    every row, or rows x w) into the running lists best_ids, best_vals
-    (rows x kept, (score, id)-ordered) and return the best min(kk, kept + w)
-    of each row.
+    """Merge the scores S (rows x w) of the candidates ids (rows x w) into
+    the running lists best_ids, best_vals (rows x kept, (score, id)-ordered)
+    and return the best min(kk, kept + w) of each row.
 
     The merge needs two things of each row of ids: every id exceeds those of
     the running list, and entries with equal scores (NaN counting as equal
@@ -157,65 +154,61 @@ def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
     several such outputs side by side in id order, which is how the workers'
     runs are joined.
 
-    A row's threshold is an upper bound on its final k-th best, so a score
-    above it can never enter the top k. A row whose running list holds kk
-    real scores takes its running k-th best; any other row (the first block
-    of a run, or fewer than kk real scores so far) takes _bound of its
-    scores in S, and no selection runs over the whole block. Only scores at
-    or below the threshold survive (every tie on it included), and only the
-    survivors are merged into the running lists, by a stable per-row sort on
-    score over a layout that keeps equal scores in ascending id order. The
-    threshold comparison and the merge are exact, so the output is identical
-    to the full sort, ties included."""
+    A row's threshold is the smaller of _bound of its scores in S (at or
+    above their kk-th smallest) and its running k-th best. Both are upper
+    bounds on the final k-th best, so a score above the threshold can never
+    enter the top k. Only scores at or below it survive (every tie on the
+    threshold included), and only the survivors are merged into the running
+    lists, by a stable per-row sort on score over a layout that keeps equal
+    scores in ascending id order. The threshold comparison and the merge are
+    exact, so the output is identical to the full sort, ties included. The
+    bound is paid on every block, also where the running k-th best is the
+    smaller: a block's survivors then stay near kk per row whatever the
+    order of the candidates, and N = 1e3 (one block) costs about as much per
+    candidate as N = 1e5."""
     t, w = S.shape
     kept = best_vals.shape[1]
-    if kept < kk:
-        thr = _bound(S, kk)
-    else:
-        thr = best_vals[:, -1]
-        # a NaN k-th best: fewer than kk real scores, so no bound yet
-        open_rows = np.flatnonzero(np.isnan(thr))
-        if open_rows.size:
-            thr = thr.copy()
-            thr[open_rows] = _bound(S[open_rows], kk)
+    thr = _bound(S, kk)
+    if kept == kk:
+        # fmin: a NaN on either side (fewer than kk real scores) sets no bound
+        np.fmin(thr, best_vals[:, -1], out=thr)
     # "not above" keeps ties on the threshold, and keeps everything in a
     # row whose threshold is NaN
     hit = np.flatnonzero(~(S > thr[:, None]))
-    rows = hit // w
+    rows, cols = np.divmod(hit, w)
     # lay each row out as [running list, survivors in the order of S],
     # padded with NaN (sorted last, after every real entry); a stable sort
-    # by score then orders equal scores by id. Survivor i of row r lands at
-    # flat position i + r * width + kept - (survivors before row r)
+    # by score then orders equal scores by id
     counts = np.bincount(rows, minlength=t)
-    width = kept + int(counts.max())
-    starts = np.arange(t) * width
-    dest = np.arange(hit.size) + (starts + kept - (np.cumsum(counts) - counts))[rows]
-    vals = np.full((t, width), np.nan)
-    out_ids = np.empty((t, width), dtype=np.int64)
+    pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
+    vals = np.full((t, kept + counts.max()), np.nan)
+    out_ids = np.empty(vals.shape, dtype=np.int64)
     vals[:, :kept] = best_vals
     out_ids[:, :kept] = best_ids
-    vals.reshape(-1)[dest] = S.reshape(-1)[hit]
-    out_ids.reshape(-1)[dest] = ids[hit % w] if ids.ndim == 1 else ids.reshape(-1)[hit]
+    vals[rows, pos] = S.ravel()[hit]
+    out_ids[rows, pos] = ids[rows, cols]
     sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
-    sel += starts[:, None]
-    return out_ids.reshape(-1)[sel], vals.reshape(-1)[sel]
+    return np.take_along_axis(out_ids, sel, axis=1), np.take_along_axis(vals, sel, axis=1)
 
 
 def _decode_run(neg2_Et: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,
-                kk: int, start: int, stop: int, width: int, failed: Event):
-    """The running top-kk of candidates [start, stop), scored width at a time."""
+                kk: int, start: int, stop: int, width: int, failed: Event | None = None):
+    """The running top-kk of candidates [start, stop), scored width at a time;
+    it stops early once failed is set."""
     t = neg2_Et.shape[0]
     score_buf = np.empty(t * min(width, stop - start))
     best_ids = np.empty((t, 0), dtype=np.int64)
     best_vals = np.empty((t, 0))
     for b0 in range(start, stop, width):
-        if failed.is_set():     # another worker failed; its error is raised
+        # another worker failed; its error is raised
+        if failed is not None and failed.is_set():
             break
         b1 = min(b0 + width, stop)
         S = score_buf[:t * (b1 - b0)].reshape(t, b1 - b0)
         np.matmul(neg2_Et, cands.columns(b0, b1), out=S)
         S += self_norms[b0:b1]
-        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, np.arange(b0, b1), kk)
+        block_ids = np.broadcast_to(np.arange(b0, b1), S.shape)
+        best_ids, best_vals = _merge_topk(best_ids, best_vals, S, block_ids, kk)
     return best_ids, best_vals
 
 
@@ -230,9 +223,9 @@ def _decode_global(E_test: np.ndarray, cands: CandidateBlocks, self_norms: np.nd
     # bit-identical to self_norms - 2 (E_test^T E_cand)
     neg2_Et = -2.0 * np.ascontiguousarray(E_test.T)
     width, runs = _runs(n_cand, workers)
-    failed = Event()
     if len(runs) == 1:
-        return _decode_run(neg2_Et, cands, self_norms, kk, 0, n_cand, width, failed)
+        return _decode_run(neg2_Et, cands, self_norms, kk, 0, n_cand, width)
+    failed = Event()
 
     def run(bounds):
         try:

@@ -439,7 +439,9 @@ def test_bound_is_above_kth_best(t, w, kk, nan_share, seed):
     assert np.all(bound[real] >= kth[real])
 
 
-def test_full_running_lists_skip_partition(monkeypatch):
+def test_no_block_runs_a_full_width_partition(monkeypatch):
+    # every selection is over at most 8 k - 1 group minima, never over a
+    # whole block, and every block of a decode pays one
     partitioned = []
     partition = np.partition
 
@@ -449,15 +451,8 @@ def test_full_running_lists_skip_partition(monkeypatch):
 
     monkeypatch.setattr(np, "partition", spy)
     rng = np.random.default_rng(6)
-    empty_ids, empty_vals = np.empty((5, 0), dtype=np.int64), np.empty((5, 0))
-    best = decode._merge_topk(empty_ids, empty_vals, rng.standard_normal((5, 400)),
-                              np.arange(400), 10)
-    partitioned.clear()
-    # every row holds 10 real scores: its 10th best is the threshold
-    decode._merge_topk(*best, rng.standard_normal((5, 400)), np.arange(400, 800), 10)
-    assert partitioned == []
-    # a decode over four blocks bounds only its first
-    n_cand = 3 * _BLOCK + 5
+    n_cand = 3 * _BLOCK + 50
     decode_oel(rng.standard_normal((3, 5)), rng.standard_normal((3, n_cand)),
                np.ones(n_cand), k=10)
-    assert len(partitioned) == 1
+    assert len(partitioned) == 4
+    assert all(cols < 80 for _, cols in partitioned)
