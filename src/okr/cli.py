@@ -483,10 +483,22 @@ def _cmd_tune(args, out):
         print(f"per-fold table in {out / 'tune_table.tsv'}")
 
 
+# bench-decode times its sizes in interleaved rounds until _BENCH_SECONDS of
+# wall time have passed (and at least bench.repeats rounds have run), so a
+# slow stretch of a shared machine falls on every size alike, and reports
+# the median round per size. One sample of a size repeats calls until
+# _SAMPLE_SECONDS of decoding have passed, so the N = 1e3 point is not one
+# sub-millisecond call
+_BENCH_SECONDS = 12.0
+_SAMPLE_SECONDS = 0.02
+
+
 def _cmd_bench_decode(args, out):
+    import statistics
+
     import numpy as np
 
-    from .decode import decode_iokr, decode_oel
+    from .decode import CandidateBlocks, decode_iokr, decode_oel
 
     cfg, _, vals = _load_cfg(args, "seed", "bench.")
     seed, n, p, sizes = vals["seed"], vals["bench.n"], vals["bench.p"], vals["bench.sizes"]
@@ -494,6 +506,36 @@ def _cmd_bench_decode(args, out):
     rng = np.random.default_rng(seed)
     A_test = rng.standard_normal((n, queries))
     Z_test = rng.standard_normal((p, queries))
+    norms = {N: rng.uniform(0.5, 1.5, size=N) for N in sizes}
+    Z_cand = {N: rng.standard_normal((p, N)) for N in sizes}
+
+    # the n x N full-dimensional candidates are never held whole: each block
+    # is drawn when the decoder asks for it, from a seed of its own (its
+    # first column), and the drawing time is charged to neither decoder
+    drawing = 0.0
+
+    def draw(start, stop):
+        nonlocal drawing
+        t0 = time.perf_counter()
+        block = np.random.default_rng((seed, start)).integers(
+            -128, 128, (n, stop - start), dtype=np.int8) / 64.0
+        drawing += time.perf_counter() - t0
+        return block
+
+    C_s = {N: CandidateBlocks((n, N), draw) for N in sizes}
+
+    def sample(fn, E_test, E_cand, N):
+        """Seconds per query of one call, averaged over calls until
+        _SAMPLE_SECONDS of decoding have passed."""
+        nonlocal drawing
+        spent, calls = 0.0, 0
+        while spent < _SAMPLE_SECONDS:
+            drawing = 0.0
+            t0 = time.perf_counter()
+            fn(E_test, E_cand, norms[N], k=k)
+            spent += time.perf_counter() - t0 - drawing
+            calls += 1
+        return spent / calls / queries
 
     # let the clock governor settle before measuring anything: fresh
     # processes otherwise charge their ramp-up to the first grid point
@@ -501,26 +543,20 @@ def _cmd_bench_decode(args, out):
     t0 = time.perf_counter()
     while time.perf_counter() - t0 < 1.5:
         burn @ burn
+    for N in sizes:                         # warm-up, untimed
+        decode_iokr(A_test, C_s[N], norms[N], k=k)
+        decode_oel(Z_test, Z_cand[N], norms[N], k=k)
 
-    def time_decode(fn, E_test, E_cand, norms):
-        fn(E_test, E_cand, norms, k=k)      # warm-up, untimed
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(E_test, E_cand, norms, k=k)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2] / queries
-
-    rows = []
-    for N in sizes:
-        C_s = rng.standard_normal((n, N))
-        Z_cand = rng.standard_normal((p, N))
-        norms = rng.uniform(0.5, 1.5, size=N)
-        t_iokr = time_decode(decode_iokr, A_test, C_s, norms)
-        t_oel = time_decode(decode_oel, Z_test, Z_cand, norms)
-        rows.append((N, t_iokr, t_oel))
-        del C_s, Z_cand
+    times = {N: ([], []) for N in sizes}
+    rounds, t0 = 0, time.perf_counter()
+    while rounds < repeats or time.perf_counter() - t0 < _BENCH_SECONDS:
+        # alternate the order of the sizes, so none is always timed first
+        for N in sizes if rounds % 2 == 0 else sizes[::-1]:
+            times[N][0].append(sample(decode_iokr, A_test, C_s[N], N))
+            times[N][1].append(sample(decode_oel, Z_test, Z_cand[N], N))
+        rounds += 1
+    rows = [(N, statistics.median(times[N][0]), statistics.median(times[N][1]))
+            for N in sizes]
 
     table_path = out / "bench.tsv"
     with open(table_path, "w", encoding="utf-8") as fh:
@@ -528,16 +564,36 @@ def _cmd_bench_decode(args, out):
         for N, t_iokr, t_oel in rows:
             fh.write(f"{N}\t{t_iokr * 1e3!r}\t{t_oel * 1e3!r}\t{t_iokr / t_oel!r}\n")
     _snapshot(cfg, vals, args, out)
-    print(f"bench-decode: n={n} p={p} k={k} ({queries} queries, best of {repeats})")
-    print("      N   full-dim ms/query   embedded ms/query   speedup")
+    print(f"bench-decode: n={n} p={p} k={k} ({queries} queries, median of {rounds} "
+          f"interleaved rounds)")
+    print("      N   full-dim ms/query   embedded ms/query   speedup   "
+          "round spread (IQR / median)")
     for N, t_iokr, t_oel in rows:
+        spread = [np.subtract(*np.percentile(ts, [75, 25])) / statistics.median(ts)
+                  for ts in times[N]]
         print(f"{N:>7}   {t_iokr * 1e3:>17.3f}   {t_oel * 1e3:>17.3f}   "
-              f"{t_iokr / t_oel:>6.1f}x")
+              f"{t_iokr / t_oel:>6.1f}x   {spread[0]:.1%} / {spread[1]:.1%}")
     per_cand = [(t_i / N, t_o / N) for N, t_i, t_o in rows]
     for label, col in (("full-dimensional", 0), ("embedded", 1)):
         costs = np.array([pc[col] for pc in per_cand])
         dev = float(np.max(np.abs(costs - costs.mean())) / costs.mean())
         print(f"per-candidate cost deviation from linear ({label}): {dev:.1%}")
+    try:
+        import resource
+    except ImportError:      # no getrusage outside Unix
+        return
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # the peak resident set in KiB: Linux's VmHWM starts afresh at exec,
+    # while ru_maxrss keeps the high-water mark of a larger process that
+    # forked this one (a pytest run that has loaded other tests' data)
+    peak = usage.ru_maxrss
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        pass
+    print(f"peak RSS {peak / 1024:.0f} MB; context switches "
+          f"{usage.ru_nvcsw} voluntary, {usage.ru_nivcsw} involuntary")
 
 
 # the configs synth writes beside dataset.cfg, for the README quick start:

@@ -24,11 +24,15 @@ at a time into one reused queries x block buffer; per-query lists read
 scattered columns of the assembled matrix and are scored into padded rows,
 in batches no larger than that buffer. Every block and every batch goes
 through one selection step, _merge_topk. It keeps only the scores not above
-a row's threshold: the smaller of the row's running k-th best and _bound,
-an upper bound on the row's k-th best in the block read off the minima of
-disjoint column groups. No selection runs over a whole block, and every
-block pays the same bound, so the cost per candidate does not depend on
-where a call's blocks start or on the order of the candidates.
+a row's threshold, and merges only the rows that gained any. Once every
+row's running list holds k real scores, a row's threshold is its running
+k-th best, and a block costs one comparison and a merge of a few survivors.
+A run's first block, every per-query list batch, and any block in which a
+row would keep more than _CAP * k scores are bounded as well: there the
+threshold is the smaller of the running k-th best and _bound, an upper bound
+on the row's k-th best in the block read off the minima of disjoint column
+groups. No selection runs over a whole block, and the cap keeps a block's
+survivors near k per row whatever the order of the candidates.
 
 Scoring all N candidates can run on several worker threads (workers=, one
 by default). _runs splits the candidate range into one contiguous run of
@@ -83,13 +87,23 @@ class CandidateBlocks:
         return out
 
 
-# candidate-axis block width of one worker. Every block pays a fixed merge
-# and bookkeeping cost, so a narrow block keeps the cost per candidate of
-# N ~ 1e3 (one partial block) close to that of N ~ 1e5. At 64 queries,
-# p = 100 and one thread of a 2-vCPU x86 VM, N = 1e3 cost 6-7% more per
-# candidate-query than N = 1e5 with 1024-wide blocks and 15-17% more with
-# 2048-wide ones
+# candidate-axis block width of one worker. A call's first block pays a
+# fixed bound and a merge of every row, so a narrow block keeps the cost per
+# candidate of N ~ 1e3 (one partial block) close to that of N ~ 1e5, and
+# too narrow a block pays its comparison and merge too often. At 64
+# queries, p = 100 and one thread of a 2-vCPU x86 VM, N = 1e3 cost 14-22%
+# more per candidate-query than N = 1e5 with 1024-wide blocks, against 25%
+# with 2048-wide and 27% with 512-wide ones
 _BLOCK = 1024
+
+
+# a block whose rows each keep at most _CAP * kk scores under their running
+# k-th best is merged without _bound; one row above that has the block
+# bounded and filtered again. With 2000 queries, 512-wide blocks and kk = 10
+# (one thread of a 2-vCPU x86 VM), merging m survivors a row unbounded took
+# 4.0, 6.4, 10.6 and 13.4 ms at m = 1, 2, 3 and 4 kk, against 7.0-7.8 ms
+# for bounding and filtering again: the two cross between 2 kk and 3 kk
+_CAP = 2
 
 
 def _cores() -> int:
@@ -141,11 +155,33 @@ def _bound(S: np.ndarray, kk: int) -> np.ndarray:
     return np.partition(minima, kk - 1, axis=1)[:, kk - 1]
 
 
+def _survivors(S: np.ndarray, thr: np.ndarray, cap: int | None = None):
+    """The flat indices into S (rows x w) of the scores not above their
+    row's threshold thr, and each row's count of them; (None, None) where a
+    row would keep more than cap.
+
+    "Not above" keeps ties on the threshold, NaN scores, and everything in a
+    row whose threshold is NaN. More than cap survivors a row on average
+    means more in some row, and that is counted before the survivors are
+    collected, so a block where most scores pass costs one comparison."""
+    t, w = S.shape
+    keep = ~(S > thr[:, None])
+    if cap is not None and np.count_nonzero(keep) > cap * t:
+        return None, None
+    hit = np.flatnonzero(keep)
+    counts = np.bincount(hit // w, minlength=t)
+    if cap is not None and counts.max() > cap:
+        return None, None
+    return hit, counts
+
+
 def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
                 ids: np.ndarray, kk: int):
     """Merge the scores S (rows x w) of the candidates ids (rows x w) into
     the running lists best_ids, best_vals (rows x kept, (score, id)-ordered)
-    and return the best min(kk, kept + w) of each row.
+    and return the best min(kk, kept + w) of each row. Where the lists stay
+    as wide, rows that gain nothing are left as they are, and the rows that
+    gain are written into best_ids and best_vals in place.
 
     The merge needs two things of each row of ids: every id exceeds those of
     the running list, and entries with equal scores (NaN counting as equal
@@ -154,41 +190,58 @@ def _merge_topk(best_ids: np.ndarray, best_vals: np.ndarray, S: np.ndarray,
     several such outputs side by side in id order, which is how the workers'
     runs are joined.
 
-    A row's threshold is the smaller of _bound of its scores in S (at or
-    above their kk-th smallest) and its running k-th best. Both are upper
-    bounds on the final k-th best, so a score above the threshold can never
-    enter the top k. Only scores at or below it survive (every tie on the
-    threshold included), and only the survivors are merged into the running
-    lists, by a stable per-row sort on score over a layout that keeps equal
-    scores in ascending id order. The threshold comparison and the merge are
-    exact, so the output is identical to the full sort, ties included. The
-    bound is paid on every block, also where the running k-th best is the
-    smaller: a block's survivors then stay near kk per row whatever the
-    order of the candidates, and N = 1e3 (one block) costs about as much per
-    candidate as N = 1e5."""
+    A row whose running list holds kk real scores takes its running k-th
+    best as its threshold. Where any row's list is short or ends in NaN (a
+    run's first block, every per-query list batch), or where any row keeps
+    more than _CAP * kk scores under the running threshold, the block is
+    bounded as well: each row's threshold becomes the smaller of that and
+    _bound of its scores in S (at or above their kk-th smallest). Both are
+    upper bounds on the final k-th best, so a score above the threshold can
+    never enter the top k. Only scores at or below it survive (every tie on
+    the threshold included), and only the rows that gained survivors are
+    merged, by a stable per-row sort on score over a layout that keeps equal
+    scores in ascending id order. The threshold comparison and the merge
+    are exact, so the output is identical to the full sort, ties included.
+    The cap keeps a block's selection cost near kk per row whatever the
+    order of the candidates; in random order the running threshold alone
+    leaves a few survivors a row, and the bound is paid about once a run."""
     t, w = S.shape
     kept = best_vals.shape[1]
-    thr = _bound(S, kk)
-    if kept == kk:
+    thr = best_vals[:, -1] if kept == kk else np.full(t, np.nan)
+    if np.isnan(thr).any():
         # fmin: a NaN on either side (fewer than kk real scores) sets no bound
-        np.fmin(thr, best_vals[:, -1], out=thr)
-    # "not above" keeps ties on the threshold, and keeps everything in a
-    # row whose threshold is NaN
-    hit = np.flatnonzero(~(S > thr[:, None]))
+        hit, counts = _survivors(S, np.fmin(_bound(S, kk), thr))
+    else:
+        hit, counts = _survivors(S, thr, _CAP * kk)
+        if hit is None:
+            hit, counts = _survivors(S, np.fmin(_bound(S, kk), thr))
+    if hit.size == 0:
+        return best_ids, best_vals
+    # only the rows that gained survivors are merged; where a list is short
+    # every row gains (a NaN threshold keeps all w scores, a real bound at
+    # least kk)
+    gained = np.flatnonzero(counts)
     rows, cols = np.divmod(hit, w)
-    # lay each row out as [running list, survivors in the order of S],
-    # padded with NaN (sorted last, after every real entry); a stable sort
-    # by score then orders equal scores by id
-    counts = np.bincount(rows, minlength=t)
-    pos = np.arange(kept, kept + hit.size) - (np.cumsum(counts) - counts)[rows]
-    vals = np.full((t, kept + counts.max()), np.nan)
+    slot = np.cumsum(counts > 0)[rows] - 1      # each survivor's row in the layout
+    # lay each gained row out as [running list, survivors in the order of
+    # S], padded with NaN (sorted last, after every real entry); a stable
+    # sort by score then orders equal scores by id
+    first = np.cumsum(counts) - counts
+    pos = np.arange(kept, kept + hit.size) - first[rows]
+    vals = np.full((gained.size, kept + counts.max()), np.nan)
     out_ids = np.empty(vals.shape, dtype=np.int64)
-    vals[:, :kept] = best_vals
-    out_ids[:, :kept] = best_ids
-    vals[rows, pos] = S.ravel()[hit]
-    out_ids[rows, pos] = ids[rows, cols]
+    vals[:, :kept] = best_vals[gained]
+    out_ids[:, :kept] = best_ids[gained]
+    vals[slot, pos] = S.ravel()[hit]
+    out_ids[slot, pos] = ids[rows, cols]
     sel = np.argsort(vals, axis=1, kind="stable")[:, :min(kk, kept + w)]
-    return np.take_along_axis(out_ids, sel, axis=1), np.take_along_axis(vals, sel, axis=1)
+    merged_ids = np.take_along_axis(out_ids, sel, axis=1)
+    merged_vals = np.take_along_axis(vals, sel, axis=1)
+    if gained.size == t:
+        return merged_ids, merged_vals
+    best_ids[gained] = merged_ids
+    best_vals[gained] = merged_vals
+    return best_ids, best_vals
 
 
 def _decode_run(neg2_Et: np.ndarray, cands: CandidateBlocks, self_norms: np.ndarray,

@@ -323,7 +323,9 @@ class TestTuneAndBench:
         lines = (out / "tune_table.tsv").read_text().strip().splitlines()
         assert len(lines) == 1 + 5      # header + one row per outer fold
 
-    def test_bench_decode_smoke(self, tmp_path, capsys):
+    def test_bench_decode_smoke(self, tmp_path, capsys, monkeypatch):
+        # no wall-time budget: exactly bench.repeats rounds
+        monkeypatch.setattr(cli, "_BENCH_SECONDS", 0.0)
         cfg = write_cfg(tmp_path / "bench.cfg", "bench.n = 200", "bench.p = 10",
                         "bench.sizes = 500,1000", "bench.queries = 4",
                         "bench.repeats = 2")
@@ -334,6 +336,8 @@ class TestTuneAndBench:
         assert len(lines) == 3
         captured = capsys.readouterr().out
         assert "speedup" in captured
+        assert "median of 2 interleaved rounds" in captured
+        assert "peak RSS" in captured
 
 
 @pytest.mark.filterwarnings("ignore:only")

@@ -439,9 +439,26 @@ def test_bound_is_above_kth_best(t, w, kk, nan_share, seed):
     assert np.all(bound[real] >= kth[real])
 
 
-def test_no_block_runs_a_full_width_partition(monkeypatch):
-    # every selection is over at most 8 k - 1 group minima, never over a
-    # whole block, and every block of a decode pays one
+def _count_bounds(monkeypatch):
+    """Record the shape of every block _bound is asked to bound."""
+    bounded = []
+    bound = decode._bound
+
+    def spy(S, kk):
+        bounded.append(S.shape)
+        return bound(S, kk)
+
+    monkeypatch.setattr(decode, "_bound", spy)
+    return bounded
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_full_rows_under_the_cap_skip_the_bound(monkeypatch, workers):
+    # scores rise along the ids, so once a run's first block has filled its
+    # rows no later score survives, and only the first blocks are bounded;
+    # no selection is ever over a whole block
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    bounded = _count_bounds(monkeypatch)
     partitioned = []
     partition = np.partition
 
@@ -451,8 +468,59 @@ def test_no_block_runs_a_full_width_partition(monkeypatch):
 
     monkeypatch.setattr(np, "partition", spy)
     rng = np.random.default_rng(6)
-    n_cand = 3 * _BLOCK + 50
-    decode_oel(rng.standard_normal((3, 5)), rng.standard_normal((3, n_cand)),
-               np.ones(n_cand), k=10)
-    assert len(partitioned) == 4
-    assert all(cols < 80 for _, cols in partitioned)
+    n_cand, k = 3 * _BLOCK + 50, 10
+    E_test, E_cand, _ = _exact_problem(rng, n_cand)
+    norms = np.arange(n_cand, dtype=float)
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, workers=workers)
+    width, runs = decode._runs(n_cand, workers)
+    assert len(runs) == workers
+    assert bounded == [(5, width)] * workers
+    assert all(cols < 8 * k for _, cols in partitioned)
+    want_ids, want_vals = _full_sort(_scores(E_test, E_cand, norms), k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(vals, want_vals)
+
+
+@pytest.mark.parametrize("extra", [(0, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 1, 0)],
+                         ids=["at-cap", "one-over", "one-over-total-at-cap"])
+def test_cap_bounds_a_block_only_past_cap_times_k(monkeypatch, extra):
+    # full running lists, and a block where each row keeps _CAP * kk scores
+    # under its k-th best plus extra; one row above the cap bounds the block,
+    # also where the block's total stays at _CAP * kk a row
+    bounded = _count_bounds(monkeypatch)
+    t, w, kk = 4, 200, 5
+    keep = decode._CAP * kk
+    rng = np.random.default_rng(sum(extra))
+    best_vals = np.tile(np.arange(kk, dtype=float), (t, 1))
+    best_ids = np.tile(np.arange(kk), (t, 1))
+    S = np.full((t, w), 100.0)
+    for j in range(t):
+        cols = rng.choice(w, keep + extra[j], replace=False)
+        S[j, cols] = rng.integers(-50, kk, cols.size) / 2.0
+    ids = np.broadcast_to(np.arange(kk, kk + w), S.shape)
+    got_ids, got_vals = decode._merge_topk(best_ids.copy(), best_vals.copy(), S, ids, kk)
+    assert bounded == ([(t, w)] if max(extra) > 0 else [])
+    order, want_vals = _full_sort(np.hstack([best_vals, S]), kk)
+    np.testing.assert_array_equal(got_ids, order)
+    np.testing.assert_array_equal(got_vals, want_vals)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_falling_self_norms_fire_the_cap(monkeypatch, workers):
+    # self-norms that fall along the ids: every block beats everything
+    # before it, so under the running k-th best every score of a block
+    # survives; the cap bounds those blocks, and the result is the full sort
+    monkeypatch.setattr(decode, "_cores", lambda: 4)
+    bounded = _count_bounds(monkeypatch)
+    rng = np.random.default_rng(9)
+    n_cand, k = 3 * _BLOCK + 5, 10
+    E_test, E_cand, _ = _exact_problem(rng, n_cand)
+    norms = 10.0 * np.arange(n_cand, 0, -1)
+    ids, vals = decode_oel(E_test, E_cand, norms, k=k, workers=workers)
+    width, runs = decode._runs(n_cand, workers)
+    # every block but the last five-wide one is bounded: a run's first for
+    # its empty lists, every later one by the cap
+    assert len(bounded) == -(-n_cand // width) - 1
+    want_ids, want_vals = _full_sort(_scores(E_test, E_cand, norms), k)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(vals, want_vals)
