@@ -9,10 +9,6 @@ after it); the flags --out, --seed, --threads, --iokr-only (fit, tune) and
 there N is the number of decode worker threads (at most one per CPU the
 process may use), and BLAS runs on one thread so the two do not
 oversubscribe the cores.
-Every subcommand sets OPENBLAS_THREAD_TIMEOUT=4 unless the environment already
-sets it: numpy and scipy each load their own OpenBLAS, and after a call each
-pool's idle workers spin for about 2^28 cycles, which stalls the other
-library's next call when the cores are few. At 4 they sleep after 2^4 cycles.
 Every run writes the fully resolved configuration to <out>/config.resolved
 and appends error details to <out>/run.log. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure, 4 internal error (any other
@@ -20,10 +16,7 @@ exception; its traceback goes to run.log).
 
 Heavy imports happen inside the handlers so that --threads can cap the BLAS
 worker pools through the environment before numpy is loaded. Every
-factorization and solve, and every eigensolve but Lanczos, runs on numpy
-alone (linalg), so fit, tune, predict and evaluate load no scipy, and with it
-no second OpenBLAS, unless an embedding fit takes the dense path and runs
-Lanczos there (linalg.eig_topk_exact at small p).
+subcommand runs on numpy alone, with one BLAS library in the process.
 """
 
 from __future__ import annotations
@@ -107,8 +100,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # read by both OpenBLAS libraries when they load, so before numpy is imported
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     if args.threads is not None:
         # predict decodes on --threads workers of its own instead
         _cap_threads(1 if args.command == "predict" else max(1, args.threads))
@@ -571,7 +562,7 @@ def _cmd_bench_decode(args, out):
     for N, t_iokr, t_oel in rows:
         spread = [np.subtract(*np.percentile(ts, [75, 25])) / statistics.median(ts)
                   for ts in times[N]]
-        print(f"{N:>7}   {t_iokr * 1e3:>17.3f}   {t_oel * 1e3:>17.3f}   "
+        print(f"{N:>7}   {t_iokr * 1e3:>17.4g}   {t_oel * 1e3:>17.4g}   "
               f"{t_iokr / t_oel:>6.1f}x   {spread[0]:.1%} / {spread[1]:.1%}")
     per_cand = [(t_i / N, t_o / N) for N, t_i, t_o in rows]
     for label, col in (("full-dimensional", 0), ("embedded", 1)):

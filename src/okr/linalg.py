@@ -6,16 +6,15 @@ pivoted_cholesky factors a PSD matrix given only its diagonal and a way to
 compute one column, so the matrix is never formed: it stops once every
 residual diagonal entry is below PIVOT_RTOL times the largest diagonal
 entry, which bounds the trace of the residual K - F F^T by N times that.
-The exact top p come from implicitly restarted Lanczos (ARPACK) when p is
-small next to the dimension, with a full LAPACK eigendecomposition as the
-fallback whenever Lanczos does not converge or its result fails a check.
+The exact top p come from a block Krylov method when p is small next to the
+dimension, with a full LAPACK eigendecomposition as the fallback whenever
+its basis reaches a cap before every Ritz pair converges.
 
 Cholesky factors and triangular solves run by blocks of _BLOCK rows:
 LAPACK (through numpy) on each diagonal block, GEMM for the rest.
 cholesky_lower writes the factor over the lower triangle of its argument, so
-a factor costs no memory beyond the matrix it replaces. Everything but
-Lanczos uses numpy alone, and scipy is imported inside _lanczos_topk, so
-importing this module (and everything that imports it) loads numpy only."""
+a factor costs no memory beyond the matrix it replaces. Everything here runs
+on numpy alone."""
 
 from __future__ import annotations
 
@@ -34,23 +33,33 @@ _SYMMETRY_BLOCK = 256
 # rows per diagonal block of cholesky_lower and solve_lower
 _BLOCK = 256
 
-# Lanczos pays off against a full eigh only when p is small next to the
-# dimension N. Measured on 2 cores (Gaussian-kernel and flat Wishart
-# spectra), eigsh took 0.02-0.5 of eigh's time for p <= 2 sqrt(N) at
-# N = 720 and 1500, and 0.5 s against 6.7 s at N = 4000, p = 32; at N = 200
-# it won up to p = 28 on the Gaussian spectrum and lost by up to 1.6x (a few
-# ms) on the flat one, and at N = 100 it lost on both. The rule keeps a
-# margin inside the region where it won.
-LANCZOS_MIN_DIM = 200
-LANCZOS_MAX_P_PER_SQRT_DIM = 1.5
+# The block Krylov solver pays off against a full eigh only when p is small
+# next to the dimension N. Measured on 2 cores against eigh, on the mixed
+# Gram of a fit with tanimoto fingerprint outputs at p = 4 ... 1.5 sqrt(N):
+# 0.5-3.6x eigh's time at N = 720 (over 1 for p >= 8), 1.1-2.5x for p >= 32
+# at N = 1000 and 1200, 0.3-1.3x at N = 1500 (over 1 at p = 58 only),
+# 0.2-0.85x at N = 2000 and 0.1-0.3x at N = 4000, best of 2-3 runs each.
+# A Gaussian-kernel spectrum converges faster; a flat Wishart one
+# at N = 1500, p = 58 reaches the cap and falls back.
+KRYLOV_MIN_DIM = 1500
+KRYLOV_MAX_P_PER_SQRT_DIM = 1.5
 
-# a Lanczos Ritz pair (mu, u) is accepted when ||K u - mu u|| stays below
-# this times max(mu_1, 1)
-LANCZOS_RESIDUAL_RTOL = 1e-10
+# the Ritz pairs (mu, u) are accepted once every ||K u - mu u|| is at most
+# this times max(mu_1, 1); at 1e-12 a vector of a tied p-th eigenvalue
+# strayed from its eigenspace by 1e-10
+KRYLOV_RESIDUAL_RTOL = 1e-13
 
-# seed of the fixed Gaussian start vector: a ones vector can be orthogonal to
-# a top eigenvector, and a fixed one keeps repeated runs bit-identical
-LANCZOS_V0_SEED = 20201
+# the basis holds at most this fraction of N columns; a solve that reaches
+# it has cost about one eigh, which then runs instead
+KRYLOV_MAX_BASIS_FRACTION = 0.5
+
+# Rayleigh-Ritz runs once the basis has grown by this factor since it last
+# ran: its eigh of the projected matrix costs more than the new products
+KRYLOV_CHECK_GROWTH = 1.25
+
+# seed of the fixed Gaussian start block: a fixed one keeps repeated runs
+# bit-identical
+KRYLOV_SEED = 20201
 
 
 # pivoted Cholesky stops once every residual diagonal entry is at most this
@@ -260,7 +269,7 @@ def pivoted_cholesky(diag, column, max_rank: int | None = None,
 class EigPair:
     """Top eigenvalues (descending, nonnegative) with column-orthonormal
     eigenvectors of a symmetric PSD matrix, and the solver that produced
-    them: "lanczos", "eigh" or "randomized"."""
+    them: "krylov", "eigh" or "randomized"."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -291,70 +300,61 @@ def _finalize(values: np.ndarray, vectors: np.ndarray, solver: str) -> EigPair:
     return EigPair(values=values, vectors=_fix_signs(vectors), solver=solver)
 
 
-def _lanczos_topk(K: np.ndarray, p: int):
-    """Top p eigenpairs (descending) from ARPACK's implicitly restarted
-    Lanczos, or None when ARPACK fails or the result fails a check."""
-    from scipy.linalg.blas import dsymv
-    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                     LinearOperator, eigsh)
+def _krylov_topk(K: np.ndarray, p: int):
+    """Top p eigenpairs (descending) by block Krylov from a fixed Gaussian
+    block of width p, or None when the basis reaches its cap first.
 
+    Each new block is K times the last one, orthonormalized against the
+    basis V by two passes of block Gram-Schmidt. K V is kept, so
+    Rayleigh-Ritz and the residual test need no further product with K. A
+    block of width p holds up to p copies of every eigenvalue, as many as a
+    top-p eigenspace can need."""
     n = K.shape[0]
-    # BLAS symv reads one triangle of a column-major matrix; for a row-major
-    # K, K.T is the same symmetric matrix in column-major order. Memory-bound,
-    # it multiplies about 4x faster than K @ x at N = 4000
-    A = K.T if K.flags.c_contiguous else np.asfortranarray(K)
-
-    def matvec(x):
-        return dsymv(1.0, A, x.ravel(), lower=1)
-
-    v0 = np.random.default_rng(LANCZOS_V0_SEED).standard_normal(n)
-    try:
-        w, V = eigsh(LinearOperator((n, n), matvec=matvec, dtype=np.float64),
-                     k=p, which="LA", tol=0, v0=v0)
-        order = np.argsort(w)[::-1]
-        w, V = w[order], V[:, order]
-        margin = LANCZOS_RESIDUAL_RTOL * max(w[0], 1.0)
-        if np.max(np.linalg.norm(K @ V - V * w, axis=0)) > margin:
-            return None
-
-        # Single-vector Lanczos can miss copies of a repeated eigenvalue, and
-        # then every Ritz pair still passes the residual check. K restricted
-        # to the orthogonal complement of span(V) must have no eigenvalue
-        # above mu_p.
-        def deflated(x):
-            x = x.ravel()
-            x = x - V @ (V.T @ x)
-            y = matvec(x)
-            return y - V @ (V.T @ y)
-
-        rest = eigsh(LinearOperator((n, n), matvec=deflated, dtype=np.float64),
-                     k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)
-        if rest[0] > w[-1] + margin:
-            return None
-    except (ArpackNoConvergence, ArpackError):
-        return None
-    return w, V
+    cap = int(KRYLOV_MAX_BASIS_FRACTION * n)
+    V, KV = np.empty((n, cap), order="F"), np.empty((n, cap), order="F")
+    # V^T K V; eigh reads its lower triangle, which each block row completes
+    H = np.empty((cap, cap))
+    Q = np.linalg.qr(np.random.default_rng(KRYLOV_SEED).standard_normal((n, p)))[0]
+    k = check = 0
+    while k + p <= cap:
+        V[:, k:k + p] = Q
+        KV[:, k:k + p] = K @ Q
+        C = V[:, :k + p].T @ KV[:, k:k + p]
+        k += p
+        H[k - p:k, :k] = C.T
+        if k >= check or k + p > cap:
+            w, S = np.linalg.eigh(H[:k, :k])
+            w, S = w[::-1][:p], S[:, ::-1][:, :p]
+            U = V[:, :k] @ S
+            residual = np.linalg.norm(KV[:, :k] @ S - U * w, axis=0)
+            if np.max(residual) <= KRYLOV_RESIDUAL_RTOL * max(w[0], 1.0):
+                return w, U
+            check = KRYLOV_CHECK_GROWTH * k
+        # normalized between the passes: once the basis spans an invariant
+        # subspace the new block is rounding noise, and its normalization
+        # would bring back directions already in the basis
+        Q = np.linalg.qr(KV[:, k - p:k] - V[:, :k] @ C)[0]
+        Q = np.linalg.qr(Q - V[:, :k] @ (V[:, :k].T @ Q))[0]
+    return None
 
 
 def eig_topk_exact(K, p: int) -> EigPair:
     """The p largest eigenpairs of a symmetric PSD matrix.
 
-    When N >= LANCZOS_MIN_DIM and p <= LANCZOS_MAX_P_PER_SQRT_DIM * sqrt(N),
-    ARPACK's implicitly restarted Lanczos (eigsh, converged to machine
-    precision from a fixed start vector) computes them. Its result is kept
-    only if every Ritz pair has ||K u - mu u|| <= LANCZOS_RESIDUAL_RTOL *
-    max(mu_1, 1) and no eigenvalue of K outside their span exceeds mu_p (by
-    the same margin); otherwise, and for larger p or smaller N, a full
-    symmetric eigendecomposition (LAPACK) is used. EigPair.solver names the
-    one that produced the result."""
+    When N >= KRYLOV_MIN_DIM and p <= KRYLOV_MAX_P_PER_SQRT_DIM * sqrt(N),
+    a block Krylov method (_krylov_topk) computes them, stopping once every
+    Ritz pair has ||K u - mu u|| <= KRYLOV_RESIDUAL_RTOL * max(mu_1, 1).
+    When its basis reaches KRYLOV_MAX_BASIS_FRACTION * N columns first, and
+    for larger p or smaller N, a full symmetric eigendecomposition (LAPACK)
+    is used. EigPair.solver names the one that produced the result."""
     K = check_symmetric(K, what="K")
     n = K.shape[0]
     if not 1 <= p <= n:
         raise ValueError(f"p must be in [1, {n}], got {p}")
-    if n >= LANCZOS_MIN_DIM and p <= LANCZOS_MAX_P_PER_SQRT_DIM * math.sqrt(n):
-        found = _lanczos_topk(K, p)
+    if n >= KRYLOV_MIN_DIM and p <= KRYLOV_MAX_P_PER_SQRT_DIM * math.sqrt(n):
+        found = _krylov_topk(K, p)
         if found is not None:
-            return _finalize(*found, solver="lanczos")
+            return _finalize(*found, solver="krylov")
     w, V = np.linalg.eigh(K)
     order = np.argsort(w)[::-1][:p]
     return _finalize(w[order], V[:, order], solver="eigh")

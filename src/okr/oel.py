@@ -27,7 +27,7 @@ fitted ridge model and an OutputSet of training outputs, picks between them:
   within its rank cap and p < r.
 - Dense (fit_oel): the (n+m) x (n+m) mixed Gram, written from the training
   alpha matrix A and its products with the output Grams
-  (mixed_gram_blocks), decomposed by Lanczos, eigh or the randomized
+  (mixed_gram_blocks), decomposed by block Krylov, eigh or the randomized
   sketch. The reference outputs are all n + m outputs.
 
 Both fits take what depends on the outputs alone from an OutputSet (the
@@ -61,10 +61,10 @@ METHODS = ("exact", "randomized")
 # factor_outputs gives up once the factor's rank passes this fraction of
 # n + m, and the dense path runs instead. Measured on 2 cores with Gaussian
 # outputs (sigma2 narrowed to raise the rank), c = 0.5, p = 32, the factored
-# fit took as long as the dense one with Lanczos at r ~ 0.36 (n+m) for
-# n + m = 4000 and r ~ 0.5 (n+m) for n + m = 1000. A kernel of high rank
-# (tanimoto fingerprints) runs the factor up to the cap before falling back,
-# so the cap stays at the low end.
+# fit took as long as the dense one (with ARPACK's Lanczos then) at
+# r ~ 0.36 (n+m) for n + m = 4000 and r ~ 0.5 (n+m) for n + m = 1000. A
+# kernel of high rank (tanimoto fingerprints) runs the factor up to the cap
+# before falling back, so the cap stays at the low end.
 FACTOR_MAX_RANK_FRACTION = 1.0 / 3.0
 
 
@@ -213,10 +213,11 @@ def fit_oel(krr_model: KrrModel, outputs: OutputSet, A, blocks, p: int, c: float
     and the test readout T alpha(x) is folded through krr_model into T_x.
 
     Eigenvalues below DROP_RTOL * mu_1 are discarded with a warning (the
-    effective p shrinks). Method "exact" uses linalg.eig_topk_exact (Lanczos
-    for small p, full eigh otherwise or as its fallback); "randomized" uses
-    the sketched eigendecomposition with the given oversample / power_iters /
-    seed. The model's eigensolver attribute names the solver that ran.
+    effective p shrinks). Method "exact" uses linalg.eig_topk_exact (block
+    Krylov for small p, full eigh otherwise or as its fallback); "randomized"
+    uses the sketched eigendecomposition with the given oversample /
+    power_iters / seed. The model's eigensolver attribute names the solver
+    that ran.
     """
     n, m = len(outputs.Y_sup), outputs.m
     _check_balance(c, m)

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shlex
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import okr
-from okr import cli, config, dataio, decode, kernels, krr, oel
+from okr import cli, config, dataio, decode, kernels, krr, linalg, oel
 from okr.config import parse_config_file
 from okr.decode import decode_oel
 
@@ -338,6 +339,12 @@ class TestTuneAndBench:
         assert "speedup" in captured
         assert "median of 2 interleaved rounds" in captured
         assert "peak RSS" in captured
+        # the printed ms per query are bench.tsv's to 4 significant digits
+        printed = {row[0]: row[1:3] for row in map(str.split, captured.splitlines())
+                   if row and row[0].isdigit()}
+        for line in lines[1:]:
+            N, iokr, oel = line.split("\t")[:3]
+            assert printed[N] == [f"{float(iokr):.4g}", f"{float(oel):.4g}"]
 
 
 @pytest.mark.filterwarnings("ignore:only")
@@ -989,9 +996,9 @@ class TestEigensolverRecord:
         return (out / "config.resolved").read_text().splitlines()
 
     def _fingerprints_resolved(self, tmp_path):
-        # n + m = 300 fingerprints: the factor gives up at rank 100, and the
-        # size rule sends p = 8 to Lanczos
-        return self._fit_resolved(tmp_path, *fingerprint_workspace(tmp_path),
+        # n + m = 1500 fingerprints: the factor gives up at rank 500, and the
+        # size rule sends p = 8 to the Krylov solver
+        return self._fit_resolved(tmp_path, *fingerprint_workspace(tmp_path, n=750, m=750),
                                   "kernel.y.kind = tanimoto", "oel.p = 8")
 
     def test_baseline_shape_records_pivoted_cholesky(self, tmp_path):
@@ -1002,23 +1009,19 @@ class TestEigensolverRecord:
         assert "oel.eigensolver = pivoted_cholesky r=153" in resolved
 
     def test_fingerprint_outputs_record_lanczos(self, tmp_path):
-        assert "oel.eigensolver = lanczos" in self._fingerprints_resolved(tmp_path)
+        assert "oel.eigensolver = krylov" in self._fingerprints_resolved(tmp_path)
 
     def test_p_not_below_rank_records_dense_path(self, tmp_path):
         # linear kernel on the 2-d remark1 outputs: r = 2, so p = 2 takes the
-        # dense path (eigh, as n + m = 40 is below the Lanczos size)
+        # dense path (eigh, as n + m = 40 is below the Krylov size)
         data_dir, dataset_cfg = synth_workspace(tmp_path)
         resolved = self._fit_resolved(tmp_path, data_dir, dataset_cfg,
                                       "kernel.y.kind = linear", "oel.p = 2")
         assert "oel.eigensolver = eigh" in resolved
 
     def test_forced_fallback_records_eigh(self, tmp_path, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # a basis capped at no columns leaves the Krylov solver nothing to do
+        monkeypatch.setattr(linalg, "KRYLOV_MAX_BASIS_FRACTION", 0.0)
         assert "oel.eigensolver = eigh" in self._fingerprints_resolved(tmp_path)
 
 
@@ -1032,41 +1035,45 @@ def _probe(code, *argv):
 
 
 class TestLazyScipy:
-    # scipy loads only for the dense path's Lanczos eigensolve; its import
-    # costs more than most commands themselves, and brings a second OpenBLAS
-    CLI_PROBE = ("import sys; from okr import cli; "
-                 "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
+    # okr runs on numpy alone: a fresh interpreter runs every subcommand, the
+    # dense small-p fingerprint fit (the Krylov eigensolver) among them, and
+    # reports after each whether scipy has been loaded
+    PROBE = ("import json, sys; from okr import cli; cli._BENCH_SECONDS = 0.0; "
+             "print([(argv[0], cli.main(argv), 'scipy' in sys.modules) "
+             "for argv in json.loads(sys.argv[1])])")
 
-    def test_fit_and_tune_run_without_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         tune_cfg = _tune_cfg(tmp_path)
-        run_cfg = write_cfg(tune_cfg.parent / "run.cfg",
-                            (tune_cfg.parent / "dataset.cfg").read_text(), *FIT_KEYS)
-        for i, argv in enumerate([("fit", "--config", run_cfg),
-                                  ("fit", "--iokr-only", "--config", run_cfg),
-                                  ("tune", "--share-krr", "--config", tune_cfg)]):
-            assert _probe(self.CLI_PROBE, *map(str, argv),
-                          "--out", str(tmp_path / f"out{i}")) == "0 False"
-
-    def test_embedded_predict_and_evaluate_run_without_scipy(self, tmp_path):
-        data_dir, dataset_cfg = synth_workspace(tmp_path)
-        run_cfg = write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS)
-        for tag, extra in (("fit", ()), ("fit_iokr", ("--iokr-only",))):
-            assert run("fit", "--config", str(run_cfg), "--out", str(tmp_path / tag),
-                       *extra) == 0
+        data_dir = tune_cfg.parent
+        dataset_cfg = (data_dir / "dataset.cfg").read_text()
+        fp_dir, fp_cfg = fingerprint_workspace(tmp_path, n=750, m=750)
+        cfg = {
+            "small_synth": write_cfg(tmp_path / "small_synth.cfg", "synth.n = 20",
+                                     "synth.m = 5", "synth.n_test = 3"),
+            "fit": write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS),
+            "fit_fp": write_cfg(fp_dir / "run.cfg", fp_cfg, *TestEigensolverRecord.KEYS,
+                                "kernel.y.kind = tanimoto", "oel.p = 8"),
+            "bench": write_cfg(tmp_path / "bench.cfg", "bench.n = 20", "bench.p = 4",
+                               "bench.sizes = 100", "bench.queries = 2", "bench.repeats = 1"),
+            "eval": write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
+                              f"evaluate.rankings = {tmp_path / 'pred' / 'rankings.tsv'}"),
+            "tune": tune_cfg,
+        }
+        cfg["fit_iokr"] = cfg["fit"]
         for tag, fit in (("pred", "fit"), ("pred_iokr", "fit_iokr")):
-            write_cfg(data_dir / f"{tag}.cfg", dataset_cfg,
-                      f"model.dir = {tmp_path / fit / 'model'}", "decode.k = 3")
-        write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
-                  f"evaluate.rankings = {tmp_path / 'pred_out' / 'rankings.tsv'}")
-
-        def command(name, tag):
-            return _probe(self.CLI_PROBE, name, "--config", str(data_dir / f"{tag}.cfg"),
-                          "--out", str(tmp_path / f"{tag}_out"))
-
-        assert command("predict", "pred") == "0 False"
-        assert command("evaluate", "eval") == "0 False"
-        # the regression-only bundle solves for alpha with numpy alone
-        assert command("predict", "pred_iokr") == "0 False"
+            cfg[tag] = write_cfg(data_dir / f"{tag}.cfg", dataset_cfg, "decode.k = 3",
+                                 f"model.dir = {tmp_path / fit / 'model'}")
+        commands = [("synth", "small_synth", ()), ("fit", "fit", ()),
+                    ("fit", "fit_iokr", ("--iokr-only",)), ("fit", "fit_fp", ()),
+                    ("predict", "pred", ()), ("predict", "pred_iokr", ()),
+                    ("evaluate", "eval", ()), ("tune", "tune", ("--share-krr",)),
+                    ("bench-decode", "bench", ())]
+        argvs = [[name, "--config", str(cfg[tag]),
+                  "--out", str(tmp_path / tag), *extra] for name, tag, extra in commands]
+        assert _probe(self.PROBE, json.dumps(argvs)) == str(
+            [(name, 0, False) for name, _, _ in commands])
+        assert ("oel.eigensolver = krylov"
+                in (tmp_path / "fit_fp" / "config.resolved").read_text().splitlines())
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1166,19 +1173,6 @@ class TestThreadCap:
                         "synth.n_test = 3")
         assert _probe(self.CAP_PROBE, "synth", "--config", str(cfg), "--out",
                       str(tmp_path / "s"), "--threads", "2") == "0 2"
-
-    @pytest.mark.parametrize("preset", [None, "10"])
-    @pytest.mark.parametrize("command", ["synth", "evaluate"])
-    def test_every_command_sets_openblas_thread_timeout(self, tmp_path, command, preset):
-        # numpy's and scipy's OpenBLAS read it when they load; a value the
-        # environment already sets wins. evaluate without a config exits 1
-        setup = ("os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)" if preset is None
-                 else f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = '{preset}'")
-        probe = (f"import os, sys; {setup}; from okr import cli; "
-                 "code = cli.main(sys.argv[1:]); "
-                 "print(code, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
-        code = "0" if command == "synth" else "1"
-        assert _probe(probe, command, "--out", str(tmp_path / "o")) == f"{code} {preset or 4}"
 
     def test_import_leaves_numpy_unloaded(self):
         # --threads caps the BLAS pools through the environment, which only

@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from okr import linalg
 
@@ -211,15 +210,16 @@ class TestEigExact:
 
 
 class TestEigExactLanczos:
-    """Sizes here take the Lanczos path (N >= 200, p <= 1.5 sqrt(N))."""
+    """Sizes here take the block Krylov (block Lanczos) path (N >= 1500,
+    p <= 1.5 sqrt(N))."""
 
-    N, P = 300, 12
+    N, P = 1500, 12
 
     @staticmethod
     def _eigh_path(monkeypatch, K, p):
         # the same function with the size rule sending every shape to eigh
         with monkeypatch.context() as m:
-            m.setattr(linalg, "LANCZOS_MIN_DIM", 10 ** 9)
+            m.setattr(linalg, "KRYLOV_MIN_DIM", 10 ** 9)
             return linalg.eig_topk_exact(K, p)
 
     def _assert_same_subspace(self, pair, ref, p):
@@ -228,17 +228,21 @@ class TestEigExactLanczos:
         P_b = ref.vectors[:, :p] @ ref.vectors[:, :p].T
         assert np.max(np.abs(P_a - P_b)) <= 1e-10
 
-    def test_size_rule(self):
-        rng = np.random.default_rng(11)
-        K = random_psd(rng, self.N)
-        assert linalg.eig_topk_exact(K, 25).solver == "lanczos"
-        assert linalg.eig_topk_exact(K, 26).solver == "eigh"     # 26 > 1.5 sqrt(300)
-        assert linalg.eig_topk_exact(K[:199, :199], 4).solver == "eigh"
+    def test_size_rule(self, monkeypatch):
+        # which shapes the rule hands to the Krylov solver; the stub's None
+        # sends each on to eigh
+        calls = []
+        monkeypatch.setattr(linalg, "_krylov_topk", lambda K, p: calls.append((len(K), p)))
+        K = random_psd(np.random.default_rng(11), self.N)
+        for p in (58, 59):                                       # 59 > 1.5 sqrt(1500)
+            assert linalg.eig_topk_exact(K, p).solver == "eigh"
+        linalg.eig_topk_exact(K[:1499, :1499], 4)
+        assert calls == [(self.N, 58)]
 
     def test_matches_eigh_random_psd(self, monkeypatch):
         K = random_psd(np.random.default_rng(12), self.N)
         pair = linalg.eig_topk_exact(K, self.P)
-        assert pair.solver == "lanczos"
+        assert pair.solver == "krylov"
         self._assert_same_subspace(pair, self._eigh_path(monkeypatch, K, self.P), self.P)
 
     def test_tie_between_p_and_p_plus_1(self, monkeypatch):
@@ -249,7 +253,7 @@ class TestEigExactLanczos:
         vals[p] = vals[p - 1]
         K, Q = psd_with_spectrum(vals, seed=13)
         pair = linalg.eig_topk_exact(K, p)
-        assert pair.solver == "lanczos"
+        assert pair.solver == "krylov"
         self._assert_same_subspace(pair, self._eigh_path(monkeypatch, K, p), p - 1)
         tied = Q[:, p - 1:p + 1]
         u = pair.vectors[:, p - 1]
@@ -259,49 +263,42 @@ class TestEigExactLanczos:
         K = random_psd(np.random.default_rng(14), self.N)
         a = linalg.eig_topk_exact(K, self.P)
         b = linalg.eig_topk_exact(K, self.P)
-        assert a.solver == b.solver == "lanczos"
+        assert a.solver == b.solver == "krylov"
         assert a.values.tobytes() == b.values.tobytes()
         assert a.vectors.tobytes() == b.vectors.tobytes()
 
     def test_no_convergence_falls_back_to_eigh(self, monkeypatch):
+        # a cap of two blocks ends the solve before the Ritz pairs converge
         K = random_psd(np.random.default_rng(15), self.N)
         ref = self._eigh_path(monkeypatch, K, self.P)
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(linalg, "KRYLOV_MAX_BASIS_FRACTION", (2 * self.P + 1) / self.N)
         pair = linalg.eig_topk_exact(K, self.P)
         assert pair.solver == "eigh"
         assert np.array_equal(pair.values, ref.values)
         assert np.array_equal(pair.vectors, ref.vectors)
 
     def test_bad_residual_falls_back_to_eigh(self, monkeypatch):
+        # no residual passes a zero tolerance, so the basis runs to its cap
         K = random_psd(np.random.default_rng(16), self.N)
         ref = self._eigh_path(monkeypatch, K, self.P)
-        real_eigsh = scipy.sparse.linalg.eigsh
-
-        def perturbed(*args, **kwargs):
-            w, V = real_eigsh(*args, **kwargs)
-            V = V.copy()
-            V[:, -1] += 1e-6 * np.random.default_rng(0).standard_normal(V.shape[0])
-            return w, V
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        monkeypatch.setattr(linalg, "KRYLOV_RESIDUAL_RTOL", 0.0)
         pair = linalg.eig_topk_exact(K, self.P)
         assert pair.solver == "eigh"
         assert np.array_equal(pair.values, ref.values)
         assert np.array_equal(pair.vectors, ref.vectors)
 
-    def test_missed_repeated_eigenvalue_falls_back_to_eigh(self):
-        # single-vector Lanczos finds only some copies of a 10-fold top
-        # eigenvalue; each Ritz pair it returns is exact, so only the
-        # deflation check can tell
+    @pytest.mark.parametrize("p", [10, 4])
+    def test_repeated_top_eigenvalue(self, p):
+        # a block of width p holds p copies of the 10-fold top eigenvalue:
+        # all of them at p = 10, and p vectors inside its eigenspace at p = 4
         vals = np.concatenate([np.full(10, 5.0), 1.0 / np.arange(2, self.N - 8) ** 2])
-        K, _ = psd_with_spectrum(vals, seed=17)
-        pair = linalg.eig_topk_exact(K, 10)
-        assert pair.solver == "eigh"
-        np.testing.assert_allclose(pair.values, np.full(10, 5.0), rtol=1e-12)
+        K, Q = psd_with_spectrum(vals, seed=17)
+        pair = linalg.eig_topk_exact(K, p)
+        assert pair.solver == "krylov"
+        np.testing.assert_allclose(pair.values, np.full(p, 5.0), rtol=1e-12)
+        top = Q[:, :10]
+        U = pair.vectors
+        assert np.max(np.linalg.norm(U - top @ (top.T @ U), axis=0)) <= 1e-10
 
 
 def psd_with_spectrum(vals, seed=0):

@@ -289,12 +289,12 @@ class TestFactored:
         # random fingerprints have a full-rank tanimoto Gram: the factor
         # passes its rank cap and the exact method keeps the dense path
         rng = np.random.default_rng(31)
-        Y = (rng.random((300, 64)) < 0.3).astype(float)
-        outputs = oel.OutputSet(kernels.KernelSpec("tanimoto"), Y[:150], Y[150:])
-        K_x = random_psd(rng, 150)
+        Y = (rng.random((1500, 64)) < 0.3).astype(float)
+        outputs = oel.OutputSet(kernels.KernelSpec("tanimoto"), Y[:750], Y[750:])
+        K_x = random_psd(rng, 750)
         model = oel.fit_embedding(okr.fit_krr(K_x, 0.1), K_x, outputs, 8, 0.5)
         assert outputs.factor is None
-        assert model.eigensolver == "lanczos" and model.R.shape == (8, 300)
+        assert model.eigensolver == "krylov" and model.R.shape == (8, 1500)
 
 
 class TestFitEmbedding:
@@ -313,7 +313,7 @@ class TestFitEmbedding:
     def test_rank_cap_decides_the_path(self, extra, path):
         # one-hot outputs over d labels: the linear output Gram has rank d,
         # with exact 0/1 entries; the factor of n + m = 60 outputs is capped
-        # at rank 20 (the dense path runs eigh below the Lanczos size)
+        # at rank 20 (the dense path runs eigh below the Krylov size)
         n, m = 40, 20
         d = int(oel.FACTOR_MAX_RANK_FRACTION * (n + m)) + extra
         Y = np.eye(d)[np.arange(n + m) % d]
