@@ -1035,45 +1035,56 @@ def _probe(code, *argv):
 
 
 class TestLazyScipy:
-    # okr runs on numpy alone: a fresh interpreter runs every subcommand, the
-    # dense small-p fingerprint fit (the Krylov eigensolver) among them, and
-    # reports after each whether scipy has been loaded
+    # okr runs on numpy alone: a fresh interpreter runs a list of
+    # subcommands and reports after each whether scipy has been loaded
     PROBE = ("import json, sys; from okr import cli; cli._BENCH_SECONDS = 0.0; "
              "print([(argv[0], cli.main(argv), 'scipy' in sys.modules) "
              "for argv in json.loads(sys.argv[1])])")
 
-    def test_no_command_loads_scipy(self, tmp_path):
-        tune_cfg = _tune_cfg(tmp_path)
-        data_dir = tune_cfg.parent
-        dataset_cfg = (data_dir / "dataset.cfg").read_text()
-        fp_dir, fp_cfg = fingerprint_workspace(tmp_path, n=750, m=750)
-        cfg = {
-            "small_synth": write_cfg(tmp_path / "small_synth.cfg", "synth.n = 20",
-                                     "synth.m = 5", "synth.n_test = 3"),
-            "fit": write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS),
-            "fit_fp": write_cfg(fp_dir / "run.cfg", fp_cfg, *TestEigensolverRecord.KEYS,
-                                "kernel.y.kind = tanimoto", "oel.p = 8"),
-            "bench": write_cfg(tmp_path / "bench.cfg", "bench.n = 20", "bench.p = 4",
-                               "bench.sizes = 100", "bench.queries = 2", "bench.repeats = 1"),
-            "eval": write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
-                              f"evaluate.rankings = {tmp_path / 'pred' / 'rankings.tsv'}"),
-            "tune": tune_cfg,
-        }
-        cfg["fit_iokr"] = cfg["fit"]
-        for tag, fit in (("pred", "fit"), ("pred_iokr", "fit_iokr")):
-            cfg[tag] = write_cfg(data_dir / f"{tag}.cfg", dataset_cfg, "decode.k = 3",
-                                 f"model.dir = {tmp_path / fit / 'model'}")
-        commands = [("synth", "small_synth", ()), ("fit", "fit", ()),
-                    ("fit", "fit_iokr", ("--iokr-only",)), ("fit", "fit_fp", ()),
-                    ("predict", "pred", ()), ("predict", "pred_iokr", ()),
-                    ("evaluate", "eval", ()), ("tune", "tune", ("--share-krr",)),
-                    ("bench-decode", "bench", ())]
+    def _assert_without_scipy(self, tmp_path, cfg, commands):
         argvs = [[name, "--config", str(cfg[tag]),
                   "--out", str(tmp_path / tag), *extra] for name, tag, extra in commands]
         assert _probe(self.PROBE, json.dumps(argvs)) == str(
             [(name, 0, False) for name, _, _ in commands])
+
+    def test_fit_and_tune_run_without_scipy(self, tmp_path):
+        # the dense small-p fingerprint fit takes the Krylov eigensolver
+        tune_cfg = _tune_cfg(tmp_path)
+        data_dir = tune_cfg.parent
+        fp_dir, fp_cfg = fingerprint_workspace(tmp_path, n=750, m=750)
+        cfg = {
+            "small_synth": write_cfg(tmp_path / "small_synth.cfg", "synth.n = 20",
+                                     "synth.m = 5", "synth.n_test = 3"),
+            "fit": write_cfg(data_dir / "run.cfg", (data_dir / "dataset.cfg").read_text(),
+                             *FIT_KEYS),
+            "fit_fp": write_cfg(fp_dir / "run.cfg", fp_cfg, *TestEigensolverRecord.KEYS,
+                                "kernel.y.kind = tanimoto", "oel.p = 8"),
+            "bench": write_cfg(tmp_path / "bench.cfg", "bench.n = 20", "bench.p = 4",
+                               "bench.sizes = 100", "bench.queries = 2", "bench.repeats = 1"),
+            "tune": tune_cfg,
+        }
+        cfg["fit_iokr"] = cfg["fit"]
+        self._assert_without_scipy(tmp_path, cfg, [
+            ("synth", "small_synth", ()), ("fit", "fit", ()),
+            ("fit", "fit_iokr", ("--iokr-only",)), ("fit", "fit_fp", ()),
+            ("tune", "tune", ("--share-krr",)), ("bench-decode", "bench", ())])
         assert ("oel.eigensolver = krylov"
                 in (tmp_path / "fit_fp" / "config.resolved").read_text().splitlines())
+
+    def test_embedded_predict_and_evaluate_run_without_scipy(self, tmp_path):
+        data_dir, dataset_cfg = synth_workspace(tmp_path)
+        cfg = {"fit": write_cfg(data_dir / "run.cfg", dataset_cfg, *FIT_KEYS),
+               "eval": write_cfg(data_dir / "eval.cfg", dataset_cfg, "kernel.y.kind = linear",
+                                 f"evaluate.rankings = {tmp_path / 'pred' / 'rankings.tsv'}")}
+        cfg["fit_iokr"] = cfg["fit"]
+        for tag, fit in (("pred", "fit"), ("pred_iokr", "fit_iokr")):
+            cfg[tag] = write_cfg(data_dir / f"{tag}.cfg", dataset_cfg, "decode.k = 3",
+                                 f"model.dir = {tmp_path / fit / 'model'}")
+        # the regression-only bundle solves for alpha with numpy alone
+        self._assert_without_scipy(tmp_path, cfg, [
+            ("fit", "fit", ()), ("fit", "fit_iokr", ("--iokr-only",)),
+            ("predict", "pred", ()), ("predict", "pred_iokr", ()),
+            ("evaluate", "eval", ())])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
